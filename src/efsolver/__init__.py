@@ -2,10 +2,11 @@
 variables, over boxed universal variables.
 
 Pipeline: interval evaluation decides the universal-only inequalities per
-branch; the surviving linear inequality per branch forms an interval
-linear system; an endpoint transformation turns it into a residual LP
-whose optimum both certifies solvability and steers which box, which
-coefficient and which variable to split next.
+branch; the surviving linear inequality per branch forms a row of an
+interval linear system, kept as endpoint arrays; an endpoint
+transformation turns it into a residual LP whose optimum both certifies
+solvability and steers which box, which coefficient and which variable to
+split next.
 """
 
 from .errors import (AllDimensionsDegenerate, DomainError, EFSolverError,
@@ -13,20 +14,19 @@ from .errors import (AllDimensionsDegenerate, DomainError, EFSolverError,
                      ParseError, SplitDegenerate, UndeclaredVariable)
 from .expr import (Add, Const, Cos, Div, Expr, Mul, Neg, Pow, Sin, Sub, Var,
                    eval_on_box)
-from .heuristics import (AgeTable, HeuristicConfig, SplitTarget, Strategy,
-                         coeff_score, round_robin_var, select_targets,
+from .heuristics import (AgeTable, HeuristicConfig, Strategy, coeff_score,
+                         round_robin_var, select_targets, split_coefficient,
                          splitheur)
 from .intervals import Box, Interval
 from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
                     LinearAtom, Or, Problem, TrueF, Violation,
                     validate_problem)
 from .parsing import parse_expression, parse_problem, problem_to_text
-from .relaxation import (FeasibilityLP, ILSRow, IntervalLinearSystem,
-                         LPSolution, LPStatus, residual_vector,
+from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
                          rohn_transform, solve_feasibility)
 from .simplex import SimplexResult, SimplexStatus, simplex_solve
 from .simplify import (BranchStatus, Decision, LinearRow, ProvedFalse,
-                       ProvedTrue, Undecided, bool_simplify, classify_guard,
+                       ProvedTrue, Undecided, classify_guard, reduce_formula,
                        simplify_branch)
 from .solver import (Outcome, SolveConfig, SolveOutcome, SolveStats,
                      VerifyResult, VerifyStatus, solve, verify_solution)

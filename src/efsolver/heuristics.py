@@ -2,23 +2,25 @@
 
 Three decisions are made when the LP relaxation reports rho > 0:
 
-* which branch box to split: the row with the largest residual
-  (split-worst), every row with positive residual (split-all), or, for the
-  classical round-robin baseline, simply the oldest live box in rotation
-  (no residual information used at all);
+* which branch box to split (`select_targets`, array operations over the
+  live rows): the row with the largest residual (split-worst), every row
+  with positive residual (split-all), or, for the classical round-robin
+  baseline, simply the oldest live box in rotation (no residual
+  information used at all);
 
-* which interval coefficient of that row to improve: the score
-  width(p_j) * (max(x1_j, x2_j) + epsilon) estimates how much shrinking
-  column j moves the residual.  The epsilon term keeps columns whose LP
-  value happens to be zero from being starved: with epsilon = 0 the score
-  degenerates to 0 there and the argmax can stall on a useless column
-  forever;
+* which interval coefficient to improve, only for the rows actually split
+  (`split_coefficient`): the score width(p_j) * (max(x1_j, x2_j) + epsilon)
+  (`coeff_score`) estimates how much shrinking column j moves the
+  residual.  The epsilon term keeps columns whose LP value happens to be
+  zero from being starved: with epsilon = 0 the score degenerates to 0
+  there and the argmax can stall on a useless column forever;
 
-* which box variable to split for that coefficient expression: trial
-  evaluation of both midpoint children, scoring each variable by the best
-  achievable movement of the targeted bound (upper bound for sign '+',
-  lower for '-'), plus an aging credit kappa * width * age that guarantees
-  every dimension is picked eventually (fairness, hence convergence).
+* which box variable to split for that coefficient expression
+  (`splitheur`, with ages from `AgeTable`): trial evaluation of both
+  midpoint children, scoring each variable by the best achievable
+  movement of the targeted bound (upper bound for sign '+', lower for
+  '-'), plus an aging credit kappa * width * age that guarantees every
+  dimension is picked eventually (fairness, hence convergence).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 from .errors import AllDimensionsDegenerate, NoPositiveResidual
 from .expr import Expr, eval_on_box
 from .intervals import Box, Interval
-from .relaxation import FeasibilityLP, IntervalLinearSystem, LPSolution
+from .relaxation import LPSolution
 
-RHS_COEFFICIENT = -1  # SplitTarget.coefficient marker: improve the right-hand side
+RHS_COEFFICIENT = -1  # coefficient marker: improve the right-hand side
 
 
 class Strategy(enum.Enum):
@@ -70,38 +72,24 @@ class HeuristicConfig:
             raise ValueError("aging_kappa must be >= 0")
 
 
-@dataclass
-class SplitTarget:
-    """A suggestion to split one branch box.
-
-    coefficient is an x index, RHS_COEFFICIENT for the right-hand side, or
-    None when the variable is chosen without coefficient information
-    (round-robin).  sign '+' targets the upper bound of the coefficient
-    enclosure, '-' the lower bound.  variable is filled in by the caller.
-    """
-
-    branch_id: int
-    coefficient: int | None
-    sign: str | None
-    variable: int | None = None
-
-
 def coeff_score(p: Interval, x1j: float, x2j: float, epsilon: float) -> float:
     """width(p) * (max(x1, x2) + epsilon): expected residual improvement."""
     return p.width * (max(x1j, x2j) + epsilon)
 
 
-def select_targets(sys: IntervalLinearSystem, lp: FeasibilityLP,
+def select_targets(p_width: np.ndarray, q_width: np.ndarray,
                    sol: LPSolution, residual: np.ndarray,
                    cfg: HeuristicConfig,
-                   allow_nonpositive: bool = False) -> list[SplitTarget]:
-    """Pick rows and coefficients to improve, per the configured strategy.
+                   allow_nonpositive: bool = False) -> np.ndarray:
+    """Indices of the rows to split, in preference order.
 
-    Split-all returns one target per positive-residual row.  The
-    single-box strategies return the full list of improvable rows in
-    preference order (worst residual first; oldest box first for the
-    round-robin baseline): the caller splits the first target whose box
-    can still be split and ignores the rest.
+    p_width (n x r) and q_width (n) are the widths of the coefficient and
+    right-hand-side enclosures of the live rows, in box id order.
+    Split-all returns every positive-residual row, worst first.  The
+    single-box strategies return every improvable row in preference order
+    (worst residual first; oldest box first for the round-robin baseline):
+    the caller splits the first row whose box can still be split and
+    ignores the rest.  Ties go to the older box.
 
     Requires rho > 0 (there is something to improve) unless
     allow_nonpositive is set (used for numerically marginal rho).  Rows
@@ -110,39 +98,39 @@ def select_targets(sys: IntervalLinearSystem, lp: FeasibilityLP,
     """
     if sol.rho <= 0 and not allow_nonpositive:
         raise NoPositiveResidual(f"rho = {sol.rho} certifies solvability")
-
-    def row_target(i: int) -> SplitTarget | None:
-        row = sys.rows[i]
-        widths = np.array([p.width for p in row.coeffs])
-        if (widths > 0).any():
-            if cfg.strategy is Strategy.ROUND_ROBIN:
-                return SplitTarget(row.branch_id, None, None)
-            scores = np.array([coeff_score(p, sol.x1[j], sol.x2[j], cfg.epsilon)
-                               for j, p in enumerate(row.coeffs)])
-            # zero-width coefficients cannot be tightened; never pick them
-            j = int(np.argmax(np.where(widths > 0, scores, -np.inf)))
-            sign = "+" if sol.x1[j] - sol.x2[j] >= 0 else "-"
-            return SplitTarget(row.branch_id, j, sign)
-        if row.rhs.width > 0:
-            # only the right-hand side enclosure can be tightened; raising
-            # its lower bound weakens the worst case
-            if cfg.strategy is Strategy.ROUND_ROBIN:
-                return SplitTarget(row.branch_id, None, None)
-            return SplitTarget(row.branch_id, RHS_COEFFICIENT, "-")
-        return None  # fully degenerate row: splitting cannot change it
-
+    improvable = (p_width > 0).any(axis=1) | (q_width > 0)
     if cfg.strategy is Strategy.ROUND_ROBIN:
         # classical baseline: rotate through the branches (oldest live box
         # first), ignoring the residual information entirely
-        order = sorted(range(len(sys.rows)), key=lambda i: sys.rows[i].branch_id)
-    else:
-        order = sorted(range(len(sys.rows)), key=lambda i: (-residual[i], i))
+        return np.flatnonzero(improvable)
+    order = np.argsort(-residual, kind="stable")
     if cfg.strategy is Strategy.SPLIT_ALL:
-        targets = [t for i in order if residual[i] > 0
-                   and (t := row_target(i)) is not None]
-        if targets:
-            return targets
-    return [t for i in order if (t := row_target(i)) is not None]
+        violated = order[improvable[order] & (residual[order] > 0)]
+        if violated.size:
+            return violated
+    return order[improvable[order]]
+
+
+def split_coefficient(p_width: np.ndarray, sol: LPSolution,
+                      cfg: HeuristicConfig) -> tuple[int | None, str | None]:
+    """The coefficient to improve in one row returned by select_targets,
+    and the bound of its enclosure to target.
+
+    p_width holds the widths of the row's coefficient enclosures.  Returns
+    an x index with sign '+' (upper bound) or '-' (lower bound),
+    RHS_COEFFICIENT with '-' when only the right-hand side has width
+    (raising its lower bound weakens the worst case), or (None, None) for
+    round-robin, which chooses the variable without coefficient
+    information.
+    """
+    if cfg.strategy is Strategy.ROUND_ROBIN:
+        return None, None
+    if not (p_width > 0).any():
+        return RHS_COEFFICIENT, "-"
+    scores = p_width * (np.maximum(sol.x1, sol.x2) + cfg.epsilon)
+    # zero-width coefficients cannot be tightened; never pick them
+    j = int(np.argmax(np.where(p_width > 0, scores, -np.inf)))
+    return j, "+" if sol.x1[j] - sol.x2[j] >= 0 else "-"
 
 
 def splitheur(t: Expr, box: Box, sign: str, ages: Sequence[int],
@@ -189,20 +177,20 @@ def round_robin_var(box: Box, counter: int) -> int:
 
 
 class AgeTable:
-    """Per (branch, expression) vectors counting, for each box dimension,
+    """Per branch and expression, vectors counting for each box dimension
     how many variable choices have passed since that dimension was chosen.
 
-    Children of a split inherit the parent's entries.
+    Children of a split inherit copies of the parent's vectors.
     """
 
     def __init__(self):
-        self._ages: dict[tuple[int, Expr], np.ndarray] = {}
+        self._ages: dict[int, dict[Expr, np.ndarray]] = {}
 
     def ages(self, branch_id: int, expr: Expr, ndims: int) -> np.ndarray:
-        key = (branch_id, expr)
-        if key not in self._ages:
-            self._ages[key] = np.zeros(ndims, dtype=int)
-        return self._ages[key]
+        per_expr = self._ages.setdefault(branch_id, {})
+        if expr not in per_expr:
+            per_expr[expr] = np.zeros(ndims, dtype=int)
+        return per_expr[expr]
 
     def record_choice(self, branch_id: int, expr: Expr, ndims: int,
                       chosen: int) -> None:
@@ -211,9 +199,7 @@ class AgeTable:
         ages[chosen] = 0
 
     def inherit(self, parent_id: int, child_ids: Sequence[int]) -> None:
-        for (bid, expr), vec in list(self._ages.items()):
-            if bid == parent_id:
-                for cid in child_ids:
-                    self._ages[(cid, expr)] = vec.copy()
-        for key in [k for k in self._ages if k[0] == parent_id]:
-            del self._ages[key]
+        per_expr = self._ages.pop(parent_id, None)
+        if per_expr:
+            for cid in child_ids:
+                self._ages[cid] = {e: vec.copy() for e, vec in per_expr.items()}

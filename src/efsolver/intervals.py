@@ -1,10 +1,10 @@
 """Closed-interval arithmetic and axis-aligned boxes.
 
 All endpoints are finite doubles.  Arithmetic results are inflated outward
-by a configurable number of ulps per operation (default 1) so that the
-returned interval contains the exact real result despite rounding.  Exact
-operations (negation, sums with zero rounding error, products with a zero
-factor) are not inflated.
+by one ulp per operation so that the returned interval contains the exact
+real result despite rounding.  Exact operations (negation, sums with zero
+rounding error, products with a zero factor) are not inflated.  A result
+that leaves the double range raises DomainError.
 """
 
 from __future__ import annotations
@@ -17,31 +17,21 @@ from .errors import DomainError, SplitDegenerate
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 
-_outward_ulps = 1
-
-
-def set_outward_ulps(n: int) -> None:
-    """Set the per-operation outward inflation (0 disables rounding slack)."""
-    global _outward_ulps
-    if n < 0:
-        raise ValueError("ulp count must be >= 0")
-    _outward_ulps = n
-
-
-def get_outward_ulps() -> int:
-    return _outward_ulps
-
 
 def _down(x: float) -> float:
-    for _ in range(_outward_ulps):
-        x = math.nextafter(x, -math.inf)
-    return x
+    return math.nextafter(x, -math.inf)
 
 
 def _up(x: float) -> float:
-    for _ in range(_outward_ulps):
-        x = math.nextafter(x, math.inf)
-    return x
+    return math.nextafter(x, math.inf)
+
+
+def _enclosure(lo: float, hi: float) -> Interval:
+    """The result of an arithmetic operation; unlike the constructor, an
+    endpoint that overflowed is a domain error of the operation."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"enclosure leaves the double range: [{lo}, {hi}]")
+    return Interval(lo, hi)
 
 
 def _sum_is_exact(a: float, b: float, s: float) -> bool:
@@ -75,10 +65,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def rad(self) -> float:
-        return 0.5 * (self.hi - self.lo)
-
     def contains(self, v: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= v <= self.hi + slack
 
@@ -100,7 +86,7 @@ class Interval:
             lo = _down(lo)
         if not _sum_is_exact(self.hi, other.hi, hi):
             hi = _up(hi)
-        return Interval(lo, hi)
+        return _enclosure(lo, hi)
 
     def __sub__(self, other: Interval) -> Interval:
         lo = self.lo - other.hi
@@ -109,7 +95,7 @@ class Interval:
             lo = _down(lo)
         if not _sum_is_exact(self.hi, -other.lo, hi):
             hi = _up(hi)
-        return Interval(lo, hi)
+        return _enclosure(lo, hi)
 
     def __mul__(self, other: Interval) -> Interval:
         candidates = (
@@ -128,7 +114,7 @@ class Interval:
         i = products.index(hi)
         if not (candidates[i][0] == 0.0 or candidates[i][1] == 0.0):
             hi = _up(hi)
-        return Interval(lo, hi)
+        return _enclosure(lo, hi)
 
     def __truediv__(self, other: Interval) -> Interval:
         if other.lo <= 0.0 <= other.hi:
@@ -139,7 +125,7 @@ class Interval:
             self.hi / other.lo,
             self.hi / other.hi,
         ]
-        return Interval(_down(min(quotients)), _up(max(quotients)))
+        return _enclosure(_down(min(quotients)), _up(max(quotients)))
 
     def power(self, n: int) -> Interval:
         """Integer power, n >= 1, as a single monotone-piecewise operation."""
@@ -148,14 +134,14 @@ class Interval:
         if n == 1:
             return self
         if n % 2 == 1:
-            return Interval(_pow_down(self.lo, n), _pow_up(self.hi, n))
+            return _enclosure(_pow_down(self.lo, n), _pow_up(self.hi, n))
         # even power
         if self.lo >= 0.0:
-            return Interval(max(0.0, _pow_down(self.lo, n)), _pow_up(self.hi, n))
+            return _enclosure(max(0.0, _pow_down(self.lo, n)), _pow_up(self.hi, n))
         if self.hi <= 0.0:
-            return Interval(max(0.0, _pow_down(self.hi, n)), _pow_up(self.lo, n))
+            return _enclosure(max(0.0, _pow_down(self.hi, n)), _pow_up(self.lo, n))
         # straddles zero: the minimum 0 is attained exactly
-        return Interval(0.0, _pow_up(max(-self.lo, self.hi), n))
+        return _enclosure(0.0, _pow_up(max(-self.lo, self.hi), n))
 
     def sin(self) -> Interval:
         if self.width >= _TWO_PI:
@@ -180,13 +166,20 @@ class Interval:
         return Interval(max(lo, -1.0), min(hi, 1.0))
 
 
+def _pow(x: float, n: int) -> float:
+    try:
+        return x ** n
+    except OverflowError:
+        raise DomainError(f"{x!r}^{n} leaves the double range") from None
+
+
 def _pow_down(x: float, n: int) -> float:
-    v = x ** n
+    v = _pow(x, n)
     return v if x == 0.0 else _down(v)
 
 
 def _pow_up(x: float, n: int) -> float:
-    v = x ** n
+    v = _pow(x, n)
     return v if x == 0.0 else _up(v)
 
 
@@ -274,12 +267,6 @@ class Box:
                 for name, iv in zip(self.names, self.intervals)
             })
         return pts
-
-    def contains_point(self, point: dict[str, float], slack: float = 0.0) -> bool:
-        return all(
-            self.intervals[i].contains(point[n], slack)
-            for i, n in enumerate(self.names)
-        )
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{n} in {iv!r}" for n, iv in zip(self.names, self.intervals))

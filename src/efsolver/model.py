@@ -86,10 +86,6 @@ def formula_leaves(f: Formula) -> Iterator[Formula]:
         yield f
 
 
-def linear_atoms(f: Formula) -> list[LinearAtom]:
-    return [leaf.atom for leaf in formula_leaves(f) if isinstance(leaf, Linear)]
-
-
 def guard_atoms(f: Formula) -> list[GuardAtom]:
     return [leaf.atom for leaf in formula_leaves(f) if isinstance(leaf, Guard)]
 

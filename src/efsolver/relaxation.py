@@ -1,4 +1,4 @@
-"""Interval linear systems and their feasibility-residual linear program.
+"""The residual LP of an interval linear system.
 
 An interval system P x <= q (entries of P, q are intervals, the inequality
 must hold for every matrix in P and every right-hand side in q) is reduced
@@ -9,7 +9,9 @@ over q at its lower endpoint:
 
     Phi(x1, x2) = Pbar x1 - Punder x2 <= q_lo,   x1, x2 >= 0.
 
-Instead of testing feasibility directly we minimise the worst row
+The system arrives as endpoint arrays p_lo, p_hi (one row per live box,
+one column per x variable) and q_lo, as the solver's live-box table keeps
+them.  Instead of testing feasibility directly we minimise the worst row
 violation rho:
 
     min rho   s.t.  Pbar x1 - Punder x2 - q_lo <= rho * 1,
@@ -28,38 +30,14 @@ the returned vertex is reported, marked with status UNBOUNDED.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EqualitiesInfeasible
-from .intervals import Interval
 from .simplex import SimplexStatus, simplex_solve
 
 RHO_FLOOR = 1.0
-RHO_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ILSRow:
-    branch_id: int
-    coeffs: tuple[Interval, ...]
-    rhs: Interval
-
-
-@dataclass
-class IntervalLinearSystem:
-    rows: list[ILSRow] = field(default_factory=list)
-
-    @property
-    def r(self) -> int:
-        return len(self.rows[0].coeffs) if self.rows else 0
-
-    def add_row(self, branch_id: int, coeffs, rhs: Interval) -> None:
-        coeffs = tuple(coeffs)
-        if self.rows and len(coeffs) != self.r:
-            raise ValueError("row width mismatch")
-        self.rows.append(ILSRow(branch_id, coeffs, rhs))
 
 
 @dataclass
@@ -68,7 +46,6 @@ class FeasibilityLP:
 
     Column j of the LP carries the upper endpoint of interval column j
     (variables x1); column r+j carries the lower endpoint (variables x2).
-    `col_map` records that correspondence.
     """
 
     p_hi: np.ndarray
@@ -76,7 +53,6 @@ class FeasibilityLP:
     b: np.ndarray
     eq_coeffs: np.ndarray
     eq_rhs: np.ndarray
-    branch_ids: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -85,11 +61,6 @@ class FeasibilityLP:
     @property
     def r(self) -> int:
         return self.p_hi.shape[1]
-
-    @property
-    def col_map(self) -> tuple[tuple[int, str], ...]:
-        r = self.r
-        return tuple((j, "+") for j in range(r)) + tuple((j, "-") for j in range(r))
 
 
 class LPStatus(enum.Enum):
@@ -109,25 +80,17 @@ class LPSolution:
         return self.x1 - self.x2
 
 
-def rohn_transform(sys: IntervalLinearSystem,
+def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
                    eq_coeffs: np.ndarray | None = None,
                    eq_rhs: np.ndarray | None = None) -> FeasibilityLP:
-    """Build the endpoint LP data from an interval system and equalities."""
-    n = len(sys.rows)
-    r = sys.r if n else (eq_coeffs.shape[1] if eq_coeffs is not None else 0)
-    p_hi = np.zeros((n, r))
-    p_lo = np.zeros((n, r))
-    b = np.zeros(n)
-    for i, row in enumerate(sys.rows):
-        p_hi[i] = [iv.hi for iv in row.coeffs]
-        p_lo[i] = [iv.lo for iv in row.coeffs]
-        b[i] = row.rhs.lo
+    """Pack the endpoint arrays (n x r, n x r, n) and the equalities
+    C x = d into the LP data; the arrays are not copied."""
+    r = p_hi.shape[1]
     C = np.zeros((0, r)) if eq_coeffs is None else np.asarray(eq_coeffs, dtype=float)
     d = np.zeros(0) if eq_rhs is None else np.asarray(eq_rhs, dtype=float)
     if C.size and C.shape[1] != r:
         raise ValueError(f"equality block has {C.shape[1]} columns, expected {r}")
-    return FeasibilityLP(p_hi, p_lo, b, C, d,
-                         tuple(row.branch_id for row in sys.rows))
+    return FeasibilityLP(p_hi, p_lo, q_lo, C, d)
 
 
 def solve_feasibility(lp: FeasibilityLP) -> LPSolution:
@@ -139,9 +102,8 @@ def solve_feasibility(lp: FeasibilityLP) -> LPSolution:
     rho >= -RHO_FLOOR; the result then carries status UNBOUNDED together
     with the achieved (certifying) residual of the returned point.
     """
-    n, r = lp.n, lp.r
-    if n == 0:
-        x = _equality_point(lp)
+    if lp.n == 0:
+        x = solve_equalities(lp.eq_coeffs, lp.eq_rhs, lp.r)
         return LPSolution(np.maximum(x, 0.0), np.maximum(-x, 0.0), 0.0)
 
     sol = _solve_residual_lp(lp, floor=None)
@@ -207,10 +169,6 @@ def _solve_residual_lp(lp: FeasibilityLP, floor: float | None) -> LPSolution | N
     return sol
 
 
-def _equality_point(lp: FeasibilityLP) -> np.ndarray:
-    return solve_equalities(lp.eq_coeffs, lp.eq_rhs, lp.r)
-
-
 def solve_equalities(C: np.ndarray, d: np.ndarray, r: int) -> np.ndarray:
     """Some x with C x = d (phase 1 on the split variables), or raise
     EqualitiesInfeasible.  With no equalities returns the origin."""
@@ -230,9 +188,15 @@ def residual_vector(lp: FeasibilityLP, sol: LPSolution) -> np.ndarray:
     return lp.p_hi @ sol.x1 - lp.p_lo @ sol.x2 - lp.b
 
 
-def adversarial_row_value(coeffs, x: np.ndarray) -> float:
-    """sup over p in the interval coefficients of p . x (worst case per sign)."""
-    total = 0.0
-    for iv, xj in zip(coeffs, x):
-        total += iv.hi * xj if xj >= 0 else iv.lo * xj
+def adversarial_lhs(p_lo: np.ndarray, p_hi: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """Per row, sup over p in [p_lo, p_hi] of p . x (worst case per sign).
+
+    Each row is summed left to right, as a scalar loop over its columns
+    would sum it.
+    """
+    terms = np.where(x >= 0, p_hi * x, p_lo * x)
+    total = np.zeros(terms.shape[0])
+    for j in range(terms.shape[1]):
+        total += terms[:, j]
     return total

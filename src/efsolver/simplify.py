@@ -1,12 +1,13 @@
 """Branch simplification: decide guards by interval evaluation, reduce the
-Boolean structure, and classify each branch.
+Boolean structure (`reduce_formula`, which the verifier also uses), and
+classify each branch.
 
 A guard "body <= 0" over a box B is decided from I = enclosure of body on
 B: true when hi(I) <= 0, false when lo(I) > 0, undecided otherwise.  For a
 strict guard "body < 0" the rules are hi(I) < 0 (true) and lo(I) >= 0
 (false).  Boundary ties stay undecided rather than being decided unsoundly.
 
-After substituting decided guards by Boolean constants and simplifying, a
+After replacing decided guards by Boolean constants and simplifying, a
 branch is either proved (true/false constant), a single linear inequality
 over x with interval coefficients (a LinearRow, ready for the LP
 relaxation), or still undecided (some guard straddles zero and needs the
@@ -46,59 +47,41 @@ def classify_guard(g: GuardAtom, box: Box) -> Decision:
     return Decision.UNDECIDED
 
 
-def bool_simplify(f: Formula) -> Formula:
-    """Normal form under constant propagation.
+def reduce_formula(f: Formula, box: Box) -> Formula:
+    """Decide every guard leaf of f on box and propagate the constants.
 
-    Fixed point of: T or phi -> T, F or phi -> phi, T and phi -> phi,
-    F and phi -> F, flattening of nested and/or, unwrapping of singleton
-    and/or.  The result contains no Boolean constant unless it is one.
+    The three-valued evaluator of the package: the result is TrueF or
+    FalseF when the decided guards settle f, otherwise the residue, in the
+    normal form of constant propagation (T or phi -> T, F or phi -> phi,
+    T and phi -> phi, F and phi -> F, nested and/or flattened, singleton
+    and/or unwrapped).  Every guard leaf is classified, also where an
+    earlier sibling already settles its and/or.
     """
-    if isinstance(f, And):
-        items: list[Formula] = []
-        for raw in f.items:
-            item = bool_simplify(raw)
-            if isinstance(item, FalseF):
-                return FalseF()
-            if isinstance(item, TrueF):
-                continue
-            if isinstance(item, And):
-                items.extend(item.items)
-            else:
-                items.append(item)
-        if not items:
-            return TrueF()
-        return items[0] if len(items) == 1 else And(tuple(items))
-    if isinstance(f, Or):
-        items = []
-        for raw in f.items:
-            item = bool_simplify(raw)
-            if isinstance(item, TrueF):
-                return TrueF()
-            if isinstance(item, FalseF):
-                continue
-            if isinstance(item, Or):
-                items.extend(item.items)
-            else:
-                items.append(item)
-        if not items:
-            return FalseF()
-        return items[0] if len(items) == 1 else Or(tuple(items))
-    return f
-
-
-def substitute_guards(f: Formula, box: Box) -> Formula:
-    """Replace every decided guard leaf by the matching Boolean constant."""
-    if isinstance(f, And):
-        return And(tuple(substitute_guards(i, box) for i in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(substitute_guards(i, box) for i in f.items))
     if isinstance(f, Guard):
         d = classify_guard(f.atom, box)
         if d is Decision.TRUE:
             return TrueF()
         if d is Decision.FALSE:
             return FalseF()
-    return f
+        return f
+    if not isinstance(f, (And, Or)):
+        return f
+    node = type(f)
+    absorbing, neutral = (FalseF, TrueF) if node is And else (TrueF, FalseF)
+    reduced = [reduce_formula(item, box) for item in f.items]
+    items: list[Formula] = []
+    for item in reduced:
+        if isinstance(item, absorbing):
+            return item
+        if isinstance(item, neutral):
+            continue
+        if isinstance(item, node):
+            items.extend(item.items)
+        else:
+            items.append(item)
+    if not items:
+        return neutral()
+    return items[0] if len(items) == 1 else node(tuple(items))
 
 
 # -- branch status ------------------------------------------------------------
@@ -145,7 +128,7 @@ def simplify_branch(br: Branch, x_vars: Sequence[str]) -> BranchStatus:
     ProvedTrue/ProvedFalse for constants, a LinearRow when exactly the
     linear inequality remains, or Undecided when guard leaves survive.
     """
-    residue = bool_simplify(substitute_guards(br.formula, br.box))
+    residue = reduce_formula(br.formula, br.box)
     if isinstance(residue, TrueF):
         return ProvedTrue()
     if isinstance(residue, FalseF):

@@ -1,18 +1,23 @@
 """Main solve loop and an independent solution verifier.
 
-The loop classifies every live branch on its current box (proved true,
-proved false, a linear interval row, or undecided), stops on a proved-false
-branch (no x can exist), drops proved-true branches, and otherwise builds
-the interval linear system of the remaining rows.  One residual LP both
-decides solvability (rho <= 0) and, when infeasible so far, supplies the
-residuals that drive target selection.  Chosen boxes are split at the
-midpoint of the chosen dimension and the loop repeats until a solution is
+The loop keeps the live branch boxes in one table (`_LiveBoxes`), in box
+id order.  Each box is classified on entry (proved true, proved false, a
+linear interval row, or undecided); proved-true boxes leave the table and
+linear rows keep their coefficient and right-hand-side endpoints in the
+table's arrays.  The loop stops on a proved-false box (no x can exist),
+splits undecided boxes on their widest straddling guard, and otherwise
+packs the arrays into the residual LP.  One LP both decides solvability
+(rho <= 0) and, when infeasible so far, supplies the residuals that drive
+target selection.  Chosen boxes are split at the midpoint of the chosen
+dimension; the children replace their parent in the table (once per
+round under split-all) and the loop repeats until a solution is
 certified, infeasibility is proved, or the split/time budget runs out.
 
 The verifier is deliberately independent of the LP pipeline: it
 substitutes the numeric solution into each branch formula and proves the
-universal claim by interval evaluation with recursive bisection, sampling
-box midpoints for counterexamples.
+universal claim by interval evaluation (the same three-valued
+`reduce_formula` the loop uses) with recursive bisection, sampling box
+midpoints for counterexamples.
 """
 
 from __future__ import annotations
@@ -27,15 +32,17 @@ from .errors import (AllDimensionsDegenerate, EqualitiesInfeasible,
                      InvalidProblem, SplitDegenerate)
 from .expr import Add, Const, Expr, Mul, Sub, eval_on_box
 from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
-                         Strategy, round_robin_var, select_targets, splitheur)
+                         Strategy, round_robin_var, select_targets,
+                         split_coefficient, splitheur)
 from .intervals import Box
 from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
                     Or, Problem, TrueF, guard_atoms, validate_problem)
-from .relaxation import (IntervalLinearSystem, adversarial_row_value,
-                         residual_vector, rohn_transform, solve_equalities,
-                         solve_feasibility)
-from .simplify import (Decision, ProvedFalse, ProvedTrue, Undecided,
-                       classify_guard, simplify_branch)
+from .relaxation import (adversarial_lhs, residual_vector, rohn_transform,
+                         solve_equalities, solve_feasibility)
+from .simplify import (BranchStatus, LinearRow, ProvedFalse, ProvedTrue,
+                       Undecided, reduce_formula, simplify_branch)
+# Unused here, but perfbench/tracing.py wraps solver.classify_guard.
+from .simplify import classify_guard  # noqa: F401
 
 ACCEPT_TOL = 1e-9
 EQUALITY_TOL = 1e-7
@@ -65,7 +72,7 @@ class SolveStats:
     splits: int = 0
     rounds: int = 0  # iterations that performed at least one split
     lp_solves: int = 0
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # the solve alone, without the optional verifier
     # (branch_id, coefficient index or RHS_COEFFICIENT or None, dimension)
     split_history: list[tuple[int, int | None, int]] = field(default_factory=list)
 
@@ -86,13 +93,68 @@ class SolveOutcome:
         return self.outcome is Outcome.SOLUTION
 
 
-@dataclass
-class _BranchState:
-    id: int
-    box: Box
-    formula: Formula
-    status: object
-    rr_counter: int = 0
+class _LiveBoxes:
+    """The live branch boxes, in id order.
+
+    Each row is (id, box, formula, classification on the box, round-robin
+    counter).  A linear row also keeps the endpoints of its coefficient
+    enclosures in p_lo/p_hi (n x r) and of its right-hand side in
+    q_lo/q_hi (n); the arrays hold zeros on the other rows.  Proved-true
+    boxes never enter.  `split` stages the halves of one row; `commit`
+    drops the split rows and appends the staged halves, which keeps the id
+    order because new ids are always the largest.
+    """
+
+    def __init__(self, problem: Problem):
+        self.x_vars = problem.x_vars
+        self.next_id = 0
+        self.rows: list[tuple[int, Box, Formula, BranchStatus, int]] = []
+        r = problem.r
+        self.p_lo, self.p_hi = np.zeros((0, r)), np.zeros((0, r))
+        self.q_lo, self.q_hi = np.zeros(0), np.zeros(0)
+        self._split: list[int] = []
+        self._staged: list[tuple[int, Box, Formula, BranchStatus, int]] = []
+        for br in problem.branches:
+            self._stage(br.box, br.formula, 0)
+        self.commit()
+
+    def split(self, i: int, dim: int) -> list[int]:
+        """Stage the two halves of row i along dim; their ids."""
+        _, box, formula, _, rr = self.rows[i]
+        halves = box.split(dim)
+        self._split.append(i)
+        return [self._stage(half, formula, rr + 1) for half in halves]
+
+    def _stage(self, box: Box, formula: Formula, rr: int) -> int:
+        bid = self.next_id
+        self.next_id += 1
+        status = simplify_branch(Branch(box, formula), self.x_vars)
+        if not isinstance(status, ProvedTrue):
+            self._staged.append((bid, box, formula, status, rr))
+        return bid
+
+    def commit(self) -> None:
+        keep = np.ones(len(self.rows), dtype=bool)
+        keep[self._split] = False
+        new = self._staged
+        self.rows = [row for row, k in zip(self.rows, keep) if k] + new
+        p_lo = np.zeros((len(new), len(self.x_vars)))
+        p_hi, q_lo, q_hi = p_lo.copy(), np.zeros(len(new)), np.zeros(len(new))
+        for k, (_, _, _, status, _) in enumerate(new):
+            if isinstance(status, LinearRow):
+                p_lo[k] = [iv.lo for iv in status.coeff_intervals]
+                p_hi[k] = [iv.hi for iv in status.coeff_intervals]
+                q_lo[k], q_hi[k] = status.rhs_interval.lo, status.rhs_interval.hi
+        self.p_lo = np.concatenate([self.p_lo[keep], p_lo])
+        self.p_hi = np.concatenate([self.p_hi[keep], p_hi])
+        self.q_lo = np.concatenate([self.q_lo[keep], q_lo])
+        self.q_hi = np.concatenate([self.q_hi[keep], q_hi])
+        self._split, self._staged = [], []
+
+    def first(self, kind: type) -> int | None:
+        """The first row classified as `kind`, or None."""
+        return next((i for i, row in enumerate(self.rows)
+                     if isinstance(row[3], kind)), None)
 
 
 def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
@@ -105,87 +167,79 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
     stats = SolveStats()
     hc = cfg.heuristic
     ages = AgeTable()
-    next_id = 0
-    states: list[_BranchState] = []
-    for br in problem.branches:
-        states.append(_BranchState(next_id, br.box, br.formula,
-                                   simplify_branch(br, problem.x_vars)))
-        next_id += 1
+    C, d = problem.eq_matrix(), problem.eq_vector()
+    live = _LiveBoxes(problem)
 
     def done(outcome: SolveOutcome) -> SolveOutcome:
         stats.wall_time = time.perf_counter() - t0
+        if cfg.verify and outcome.is_solution:
+            outcome.verification = verify_solution(problem, outcome.x,
+                                                   cfg.verify_depth)
         return outcome
 
     def out_of_budget() -> bool:
         return (stats.splits >= cfg.max_splits
                 or time.perf_counter() - t0 > cfg.time_budget)
 
-    def do_split(st: _BranchState, dim: int, coefficient: int | None) -> None:
-        nonlocal next_id, states
-        lo_box, hi_box = st.box.split(dim)
-        children = []
-        for child_box in (lo_box, hi_box):
-            child = _BranchState(
-                next_id, child_box, st.formula,
-                simplify_branch(Branch(child_box, st.formula), problem.x_vars),
-                st.rr_counter + 1)
-            next_id += 1
-            children.append(child)
-        ages.inherit(st.id, [c.id for c in children])
-        states = [s for s in states if s.id != st.id] + children
+    def choose_dim(i: int, expr: Expr | None, sign: str | None) -> int:
+        """The dimension of row i's box to split: round-robin without an
+        expression, else the trial-split choice for improving expr."""
+        bid, box, _, _, rr = live.rows[i]
+        if expr is None:
+            return round_robin_var(box, rr)
+        vec = ages.ages(bid, expr, len(box))
+        dim = splitheur(expr, box, sign, vec, hc.aging_kappa)
+        ages.record_choice(bid, expr, len(box), dim)
+        return dim
+
+    def do_split(i: int, dim: int, coefficient: int | None) -> None:
+        bid = live.rows[i][0]
+        ages.inherit(bid, live.split(i, dim))
         stats.splits += 1
-        stats.split_history.append((st.id, coefficient, dim))
+        stats.split_history.append((bid, coefficient, dim))
+
+    def witness(i: int, reason: str) -> SolveOutcome:
+        bid, box, formula, _, _ = live.rows[i]
+        return SolveOutcome(Outcome.INFEASIBLE, stats, witness=Branch(box, formula),
+                            witness_id=bid, reason=reason)
 
     while True:
-        for st in states:
-            if isinstance(st.status, ProvedFalse):
-                return done(SolveOutcome(
-                    Outcome.INFEASIBLE, stats,
-                    witness=Branch(st.box, st.formula), witness_id=st.id,
-                    reason="a branch is false over its whole box"))
-        states = [st for st in states if not isinstance(st.status, ProvedTrue)]
-        states.sort(key=lambda s: s.id)
+        i = live.first(ProvedFalse)
+        if i is not None:
+            return done(witness(i, "a branch is false over its whole box"))
 
-        if not states:
+        if not live.rows:
             try:
-                x = solve_equalities(problem.eq_matrix(), problem.eq_vector(),
-                                     problem.r)
+                x = solve_equalities(C, d, problem.r)
             except EqualitiesInfeasible as exc:
                 return done(SolveOutcome(Outcome.INFEASIBLE, stats,
                                          reason=str(exc)))
-            return done(_solution(problem, x, [], stats, cfg, t0))
+            return done(_solution(x, live, stats))
 
-        undecided = [st for st in states if isinstance(st.status, Undecided)]
-        if undecided:
-            target = _pick_undecided(undecided)
+        if live.first(Undecided) is not None:
+            target = _pick_undecided(live)
             if target is None:
                 return done(SolveOutcome(
                     Outcome.BUDGET_EXHAUSTED, stats,
                     reason="undecided branch with degenerate guard enclosures"))
-            st, guard, sign = target
+            i, guard, sign = target
             if out_of_budget():
                 return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
                                          reason="budget before guard split"))
+            round_robin = hc.strategy is Strategy.ROUND_ROBIN
             try:
-                if hc.strategy is Strategy.ROUND_ROBIN:
-                    dim = round_robin_var(st.box, st.rr_counter)
-                else:
-                    vec = ages.ages(st.id, guard.body, len(st.box))
-                    dim = splitheur(guard.body, st.box, sign, vec, hc.aging_kappa)
-                    ages.record_choice(st.id, guard.body, len(st.box), dim)
-                do_split(st, dim, None)
+                do_split(i, choose_dim(i, None if round_robin else guard.body,
+                                       sign), None)
                 stats.rounds += 1
             except (AllDimensionsDegenerate, SplitDegenerate):
                 return done(SolveOutcome(
                     Outcome.BUDGET_EXHAUSTED, stats,
                     reason="cannot split an undecided branch further"))
+            live.commit()
             continue
 
-        # every live branch is a linear interval row
-        sys = IntervalLinearSystem()
-        for st in states:
-            sys.add_row(st.id, st.status.coeff_intervals, st.status.rhs_interval)
-        lp = rohn_transform(sys, problem.eq_matrix(), problem.eq_vector())
+        # every live box is a linear interval row
+        lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d)
         try:
             sol = solve_feasibility(lp)
         except EqualitiesInfeasible as exc:
@@ -194,44 +248,36 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         resid = residual_vector(lp, sol)
 
         if sol.rho <= -ACCEPT_TOL:
-            return done(_solution(problem, sol.x, sys.rows, stats, cfg, t0))
+            return done(_solution(sol.x, live, stats))
 
-        targets = select_targets(sys, lp, sol, resid, hc,
-                                 allow_nonpositive=(sol.rho <= ACCEPT_TOL))
-        if not targets:
+        p_width = live.p_hi - live.p_lo
+        targets = select_targets(p_width, live.q_hi - live.q_lo, sol, resid,
+                                 hc, allow_nonpositive=(sol.rho <= ACCEPT_TOL))
+        if not len(targets):
             # nothing can be tightened: every row is an exact point system,
             # so the LP verdict is final
             if sol.rho > ACCEPT_TOL:
-                worst = sys.rows[int(np.argmax(resid))]
-                st = next(s for s in states if s.id == worst.branch_id)
-                return done(SolveOutcome(
-                    Outcome.INFEASIBLE, stats,
-                    witness=Branch(st.box, st.formula), witness_id=st.id,
-                    reason="exact interval system is LP-infeasible"))
+                return done(witness(int(np.argmax(resid)),
+                                    "exact interval system is LP-infeasible"))
             return done(SolveOutcome(
                 Outcome.BUDGET_EXHAUSTED, stats,
                 reason="numerically marginal rho on an unsplittable system"))
 
-        by_id = {st.id: st for st in states}
         round_splits = 0
-        for tgt in targets:
+        for i in targets:
             if out_of_budget():
                 return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
                                          reason="split budget exhausted"))
-            st = by_id[tgt.branch_id]
+            coefficient, sign = split_coefficient(p_width[i], sol, hc)
+            atom = live.rows[i][3].atom
+            if coefficient is None:
+                expr = None
+            elif coefficient == RHS_COEFFICIENT:
+                expr = atom.rhs
+            else:
+                expr = atom.coeff_map()[problem.x_vars[coefficient]]
             try:
-                if tgt.coefficient is None:
-                    dim = round_robin_var(st.box, st.rr_counter)
-                else:
-                    atom = st.status.atom
-                    if tgt.coefficient == RHS_COEFFICIENT:
-                        expr = atom.rhs
-                    else:
-                        expr = atom.coeff_map()[problem.x_vars[tgt.coefficient]]
-                    vec = ages.ages(st.id, expr, len(st.box))
-                    dim = splitheur(expr, st.box, tgt.sign, vec, hc.aging_kappa)
-                    ages.record_choice(st.id, expr, len(st.box), dim)
-                do_split(st, dim, tgt.coefficient)
+                do_split(i, choose_dim(i, expr, sign), coefficient)
                 if round_splits == 0:
                     stats.rounds += 1
                 round_splits += 1
@@ -243,41 +289,38 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             return done(SolveOutcome(
                 Outcome.BUDGET_EXHAUSTED, stats,
                 reason="no target branch can be split further"))
+        live.commit()
 
 
-def _pick_undecided(undecided):
-    """The undecided branch whose widest straddling guard enclosure is
-    widest overall, that guard, and the bound to improve ('+' when the
-    upper bound is nearer to deciding the guard)."""
+def _pick_undecided(live: _LiveBoxes):
+    """The undecided row whose widest straddling guard enclosure is widest
+    overall, that guard, and the bound to improve ('+' when the upper
+    bound is nearer to deciding the guard)."""
     best = None
     best_width = -1.0
-    for st in undecided:
-        for g in guard_atoms(st.status.formula):
-            iv = eval_on_box(g.body, st.box)
+    for i, (_, box, _, status, _) in enumerate(live.rows):
+        if not isinstance(status, Undecided):
+            continue
+        for g in guard_atoms(status.formula):
+            iv = eval_on_box(g.body, box)
             if iv.width > best_width:
                 sign = "+" if abs(iv.hi) < abs(iv.lo) else "-"
-                best = (st, g, sign)
+                best = (i, g, sign)
                 best_width = iv.width
     if best is None or best_width <= 0.0:
         return None
     return best
 
 
-def _solution(problem, x, rows, stats, cfg, t0) -> SolveOutcome:
-    certificate = []
-    for row in rows:
-        lhs = adversarial_row_value(row.coeffs, x)
-        certificate.append({
-            "branch_id": row.branch_id,
-            "worst_lhs": lhs,
-            "rhs_lo": row.rhs.lo,
-            "margin": row.rhs.lo - lhs,
-        })
-    out = SolveOutcome(Outcome.SOLUTION, stats, x=np.asarray(x, dtype=float),
-                       certificate=certificate)
-    if cfg.verify:
-        out.verification = verify_solution(problem, out.x, cfg.verify_depth)
-    return out
+def _solution(x, live: _LiveBoxes, stats: SolveStats) -> SolveOutcome:
+    """A solution and its certificate: the worst case of every live row at x."""
+    x = np.asarray(x, dtype=float)
+    lhs = adversarial_lhs(live.p_lo, live.p_hi, x)
+    certificate = [
+        {"branch_id": bid, "worst_lhs": float(v), "rhs_lo": float(q),
+         "margin": float(q - v)}
+        for (bid, *_), v, q in zip(live.rows, lhs, live.q_lo)]
+    return SolveOutcome(Outcome.SOLUTION, stats, x=x, certificate=certificate)
 
 
 # -- independent verification -------------------------------------------------
@@ -345,30 +388,6 @@ def _substitute_x(f: Formula, env: dict[str, float]) -> Formula:
     return f
 
 
-def _decide(f: Formula, box: Box) -> Decision:
-    if isinstance(f, TrueF):
-        return Decision.TRUE
-    if isinstance(f, FalseF):
-        return Decision.FALSE
-    if isinstance(f, Guard):
-        return classify_guard(f.atom, box)
-    if isinstance(f, And):
-        decisions = [_decide(i, box) for i in f.items]
-        if any(d is Decision.FALSE for d in decisions):
-            return Decision.FALSE
-        if all(d is Decision.TRUE for d in decisions):
-            return Decision.TRUE
-        return Decision.UNDECIDED
-    if isinstance(f, Or):
-        decisions = [_decide(i, box) for i in f.items]
-        if any(d is Decision.TRUE for d in decisions):
-            return Decision.TRUE
-        if all(d is Decision.FALSE for d in decisions):
-            return Decision.FALSE
-        return Decision.UNDECIDED
-    raise TypeError(f"unexpected formula node {type(f).__name__}")
-
-
 def _holds_at(f: Formula, point: dict[str, float]) -> bool:
     if isinstance(f, TrueF):
         return True
@@ -389,11 +408,11 @@ def _check_forall(f: Formula, box: Box, depth: int, budget: list[int]):
     budget[0] -= 1
     if budget[0] < 0:
         return "unknown"
-    decision = _decide(f, box)
-    if decision is Decision.TRUE:
+    reduced = reduce_formula(f, box)
+    if isinstance(reduced, TrueF):
         return None
     mid = box.midpoint()
-    if decision is Decision.FALSE or not _holds_at(f, mid):
+    if isinstance(reduced, FalseF) or not _holds_at(f, mid):
         return mid
     if depth <= 0:
         return "unknown"

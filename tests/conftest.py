@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import efsolver as ef
 from efsolver.benchmarks import benchmark_names, load_benchmark
 from efsolver.intervals import Interval
-from efsolver.relaxation import IntervalLinearSystem
+from efsolver.relaxation import rohn_transform
 
 # the two-branch illustrating problem used across parser/simplifier tests
 TWO_BRANCH_TEXT = """
@@ -43,11 +44,49 @@ def benchmark_coefficient_exprs(problem):
     return pairs
 
 
+@dataclass
+class EndpointSystem:
+    """An interval system P x <= q as the endpoint arrays the solver keeps
+    for its live rows: p_lo, p_hi (n x r) and q_lo, q_hi (n)."""
+
+    p_lo: np.ndarray
+    p_hi: np.ndarray
+    q_lo: np.ndarray
+    q_hi: np.ndarray
+
+    @classmethod
+    def of(cls, rows, r=None):
+        """rows: (coefficient intervals, rhs interval) pairs, each interval
+        an Interval or a (lo, hi) pair; r is needed only without rows."""
+        ivs = [([c if isinstance(c, Interval) else Interval(*c) for c in coeffs],
+                q if isinstance(q, Interval) else Interval(*q))
+               for coeffs, q in rows]
+        r = len(ivs[0][0]) if ivs else r
+        return cls(np.array([[c.lo for c in cs] for cs, _ in ivs]).reshape(-1, r),
+                   np.array([[c.hi for c in cs] for cs, _ in ivs]).reshape(-1, r),
+                   np.array([q.lo for _, q in ivs]), np.array([q.hi for _, q in ivs]))
+
+    @property
+    def r(self):
+        return self.p_lo.shape[1]
+
+    @property
+    def p_width(self):
+        return self.p_hi - self.p_lo
+
+    @property
+    def q_width(self):
+        return self.q_hi - self.q_lo
+
+    def lp(self, eq_coeffs=None, eq_rhs=None):
+        return rohn_transform(self.p_lo, self.p_hi, self.q_lo, eq_coeffs, eq_rhs)
+
+
 def random_interval_system(rng, r=None, n=None, width_min=0.1,
-                           width_max=2.0) -> IntervalLinearSystem:
+                           width_max=2.0) -> EndpointSystem:
     r = r if r is not None else int(rng.integers(1, 4))
     n = n if n is not None else int(rng.integers(1, 5))
-    sys = IntervalLinearSystem()
+    rows = []
     for i in range(n):
         coeffs = []
         for _ in range(r):
@@ -55,8 +94,8 @@ def random_interval_system(rng, r=None, n=None, width_min=0.1,
             w = rng.uniform(width_min, width_max)
             coeffs.append(Interval(c - w / 2, c + w / 2))
         q = rng.uniform(-2, 2)
-        sys.add_row(i, coeffs, Interval.point(q))
-    return sys
+        rows.append((coeffs, Interval.point(q)))
+    return EndpointSystem.of(rows)
 
 
 def _monomial(rng, y_vars, degree_max=3):
@@ -130,7 +169,7 @@ def _cells(box, per_dim):
         yield ef.Box(box.names, tuple(combo))
 
 
-def grid_min_violation(sys: IntervalLinearSystem, lo=-5.0, hi=5.0, step=0.05,
+def grid_min_violation(sys: EndpointSystem, lo=-5.0, hi=5.0, step=0.05,
                        center=None):
     """Brute-force oracle: min over a grid of x of the worst adversarial
     row violation (<= 0 at some grid point means solvable).
@@ -142,9 +181,7 @@ def grid_min_violation(sys: IntervalLinearSystem, lo=-5.0, hi=5.0, step=0.05,
     r = sys.r
     if center is None:
         center = np.zeros(r)
-    p_hi = np.array([[iv.hi for iv in row.coeffs] for row in sys.rows])
-    p_lo = np.array([[iv.lo for iv in row.coeffs] for row in sys.rows])
-    b = np.array([row.rhs.lo for row in sys.rows])
+    p_hi, p_lo, b = sys.p_hi, sys.p_lo, sys.q_lo
     base = np.arange(lo, hi + step / 2, step)
     axes = [base + float(np.round(center[j] / step) * step) for j in range(r)]
     best = np.inf

@@ -18,12 +18,12 @@ import efsolver as ef
 from efsolver.benchmarks import CORE_INSTANCES, load_benchmark
 from efsolver.heuristics import HeuristicConfig, Strategy, coeff_score
 from efsolver.intervals import Interval
-from efsolver.relaxation import (IntervalLinearSystem, LPStatus,
-                                 rohn_transform, solve_feasibility)
+from efsolver.relaxation import LPStatus, solve_feasibility
 from efsolver.solver import Outcome, SolveConfig, VerifyStatus
 
-from conftest import (benchmark_coefficient_exprs, grid_min_violation,
-                      random_interval_system, random_robust_problem)
+from conftest import (EndpointSystem, benchmark_coefficient_exprs,
+                      grid_min_violation, random_interval_system,
+                      random_robust_problem)
 
 EPSILON = 1e-3
 
@@ -42,15 +42,14 @@ def run(problem, strategy, max_splits=5000, time_budget=118.0, **kw):
 
 def test_criterion_1_endpoint_transform_exactness():
     t0 = time.perf_counter()
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(-1, 3), Interval(-3, 1)), Interval.point(-2.0))
-    lp = rohn_transform(sys)
+    lp = EndpointSystem.of([((Interval(-1, 3), Interval(-3, 1)),
+                             Interval.point(-2.0))]).lp()
     coeffs = (lp.p_hi[0, 0], -lp.p_lo[0, 0], lp.p_hi[0, 1], -lp.p_lo[0, 1])
     sol = solve_feasibility(lp)
 
-    shrunk = IntervalLinearSystem()
-    shrunk.add_row(0, (Interval(2, 3), Interval(-3, 1)), Interval.point(-2.0))
-    sol2 = solve_feasibility(rohn_transform(shrunk))
+    shrunk = EndpointSystem.of([((Interval(2, 3), Interval(-3, 1)),
+                                 Interval.point(-2.0))])
+    sol2 = solve_feasibility(shrunk.lp())
     elapsed = time.perf_counter() - t0
 
     ok = (coeffs == (3.0, 1.0, 1.0, 3.0)
@@ -144,8 +143,7 @@ def test_criterion_4_complementarity():
     checked = 0
     worst = 0.0
     while checked < 500:
-        sys = random_interval_system(rng, width_min=0.1)
-        sol = solve_feasibility(rohn_transform(sys))
+        sol = solve_feasibility(random_interval_system(rng, width_min=0.1).lp())
         if sol.status is not LPStatus.OPTIMAL:
             continue  # unbounded ray: no optimum exists
         worst = max(worst, float(np.minimum(sol.x1, sol.x2).max()))
@@ -196,7 +194,7 @@ def test_criterion_7_oracle_equivalence():
     while checked < 100:
         sys = random_interval_system(rng, r=int(rng.integers(1, 4)),
                                      n=int(rng.integers(1, 4)))
-        sol = solve_feasibility(rohn_transform(sys))
+        sol = solve_feasibility(sys.lp())
         if abs(sol.rho) <= 1e-3:
             continue  # exclude verdicts near the feasibility boundary
         # solutions of unbounded instances can sit far from the origin;

@@ -54,6 +54,21 @@ def test_solve_undeclared_variable_exit_code(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("coefficient,box", [
+    ("y1^3", "[0,1e200]"),    # the power overflows
+    ("y1*y1", "[0,1e300]"),   # the product overflows
+])
+def test_solve_overflowing_enclosure_exit_code(tmp_path, capsys, coefficient, box):
+    bad = tmp_path / "big.efp"
+    bad.write_text(f"exists x1 ;\nforall-vars y1 ;\n"
+                   f"branch y1 in {box} : x1*({coefficient}) <= 1 ;\n")
+    assert main(["solve", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "double range" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_solve_json_report(bench_file, capsys):
     code = main(["solve", bench_file("B"), "--json", "--verify"])
     assert code == 0

@@ -4,11 +4,13 @@ import pytest
 from efsolver.errors import AllDimensionsDegenerate, NoPositiveResidual
 from efsolver.heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                                  Strategy, coeff_score, round_robin_var,
-                                 select_targets, splitheur)
+                                 select_targets, split_coefficient, splitheur)
 from efsolver.intervals import Box, Interval
 from efsolver.parsing import parse_expression
-from efsolver.relaxation import (IntervalLinearSystem, residual_vector,
-                                 rohn_transform, solve_feasibility)
+from efsolver.relaxation import (LPSolution, residual_vector,
+                                 solve_feasibility)
+
+from conftest import EndpointSystem
 
 
 def test_coeff_score_values():
@@ -33,87 +35,148 @@ def test_coeff_score_theorem_hypotheses():
         assert prev < 1e-7 * (max(x1, x2) + eps)
 
 
-def _solved(sys, cfg=None):
-    lp = rohn_transform(sys)
+def _solved(sys):
+    lp = sys.lp()
     sol = solve_feasibility(lp)
-    return lp, sol, residual_vector(lp, sol)
+    return sol, residual_vector(lp, sol)
+
+
+def _select(sys, sol, d, cfg, **kw):
+    return select_targets(sys.p_width, sys.q_width, sol, d, cfg, **kw)
 
 
 def two_row_system():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(-1, 1),), Interval.point(-0.5))
-    sys.add_row(1, (Interval(-1, 1),), Interval.point(-2.0))
-    return sys
+    return EndpointSystem.of([(((-1, 1),), (-0.5, -0.5)),
+                              (((-1, 1),), (-2.0, -2.0))])
 
 
 def test_select_targets_tie_breaks_to_first_coefficient():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(-1, 3), Interval(-3, 1)), Interval.point(-2.0))
-    lp, sol, d = _solved(sys)
-    targets = select_targets(sys, lp, sol, d, HeuristicConfig(epsilon=0.001))
+    sys = EndpointSystem.of([(((-1, 3), (-3, 1)), (-2, -2))])
+    sol, d = _solved(sys)
+    cfg = HeuristicConfig(epsilon=0.001)
+    targets = _select(sys, sol, d, cfg)
     # both scores are 0.004: the tie goes to the lowest coefficient index
     assert len(targets) == 1
-    assert targets[0].coefficient == 0
-    assert targets[0].sign == "+"
+    assert split_coefficient(sys.p_width[targets[0]], sol, cfg) == (0, "+")
 
 
 def test_select_targets_worst_row():
     sys = two_row_system()
-    lp, sol, d = _solved(sys)
+    sol, d = _solved(sys)
     assert d == pytest.approx([0.5, 2.0], abs=1e-9)
     cfg = HeuristicConfig(strategy=Strategy.SPLIT_WORST)
-    targets = select_targets(sys, lp, sol, d, cfg)
     # preference order, worst residual first
-    assert [t.branch_id for t in targets] == [1, 0]
+    assert _select(sys, sol, d, cfg).tolist() == [1, 0]
 
 
 def test_select_targets_split_all():
     sys = two_row_system()
-    lp, sol, d = _solved(sys)
+    sol, d = _solved(sys)
     cfg = HeuristicConfig(strategy=Strategy.SPLIT_ALL)
-    targets = select_targets(sys, lp, sol, d, cfg)
-    assert sorted(t.branch_id for t in targets) == [0, 1]
+    assert sorted(_select(sys, sol, d, cfg).tolist()) == [0, 1]
 
 
 def test_select_targets_round_robin_rotates_boxes():
     sys = two_row_system()
-    lp, sol, d = _solved(sys)
+    sol, d = _solved(sys)
     cfg = HeuristicConfig(strategy=Strategy.ROUND_ROBIN)
-    targets = select_targets(sys, lp, sol, d, cfg)
+    targets = _select(sys, sol, d, cfg)
     # classical baseline: the oldest box first, not the most violated one
-    assert [t.branch_id for t in targets] == [0, 1]
-    assert targets[0].coefficient is None
+    assert targets.tolist() == [0, 1]
+    assert split_coefficient(sys.p_width[targets[0]], sol, cfg)[0] is None
 
 
 def test_select_targets_requires_positive_residual():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(2, 3),), Interval.point(-2.0))
-    lp, sol, d = _solved(sys)
+    sys = EndpointSystem.of([(((2, 3),), (-2, -2))])
+    sol, d = _solved(sys)
     assert sol.rho <= 0
     with pytest.raises(NoPositiveResidual):
-        select_targets(sys, lp, sol, d, HeuristicConfig())
-    assert select_targets(sys, lp, sol, d, HeuristicConfig(),
-                          allow_nonpositive=True)
+        _select(sys, sol, d, HeuristicConfig())
+    assert len(_select(sys, sol, d, HeuristicConfig(), allow_nonpositive=True))
 
 
 def test_select_targets_skips_zero_width_and_falls_back_to_rhs():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval.point(0.0),), Interval(-3.0, -2.0))
-    lp, sol, d = _solved(sys)
+    sys = EndpointSystem.of([(((0.0, 0.0),), (-3.0, -2.0))])
+    sol, d = _solved(sys)
     assert sol.rho > 0
-    targets = select_targets(sys, lp, sol, d, HeuristicConfig())
-    assert targets[0].coefficient == RHS_COEFFICIENT
-    assert targets[0].sign == "-"
+    cfg = HeuristicConfig()
+    targets = _select(sys, sol, d, cfg)
+    choice = split_coefficient(sys.p_width[targets[0]], sol, cfg)
+    assert choice == (RHS_COEFFICIENT, "-")
 
 
 def test_select_targets_scale_invariant():
     sys = two_row_system()
-    lp, sol, d = _solved(sys)
+    sol, d = _solved(sys)
     for cfg in (HeuristicConfig(strategy=Strategy.SPLIT_WORST),
                 HeuristicConfig(strategy=Strategy.SPLIT_ALL)):
-        base = select_targets(sys, lp, sol, d, cfg)
-        scaled = select_targets(sys, lp, sol, 7.5 * d, cfg)
-        assert [t.branch_id for t in base] == [t.branch_id for t in scaled]
+        base = _select(sys, sol, d, cfg)
+        scaled = _select(sys, sol, 7.5 * d, cfg)
+        assert base.tolist() == scaled.tolist()
+
+
+def reference_targets(rows, sol, residual, cfg):
+    """The per-row target selection that select_targets and
+    split_coefficient replace: (row, coefficient, sign) in preference
+    order, rows given as (coefficient Intervals, rhs Interval)."""
+
+    def row_target(i):
+        coeffs, rhs = rows[i]
+        widths = np.array([p.width for p in coeffs])
+        if (widths > 0).any():
+            if cfg.strategy is Strategy.ROUND_ROBIN:
+                return (i, None, None)
+            scores = np.array([coeff_score(p, sol.x1[j], sol.x2[j], cfg.epsilon)
+                               for j, p in enumerate(coeffs)])
+            j = int(np.argmax(np.where(widths > 0, scores, -np.inf)))
+            return (i, j, "+" if sol.x1[j] - sol.x2[j] >= 0 else "-")
+        if rhs.width > 0:
+            if cfg.strategy is Strategy.ROUND_ROBIN:
+                return (i, None, None)
+            return (i, RHS_COEFFICIENT, "-")
+        return None
+
+    if cfg.strategy is Strategy.ROUND_ROBIN:
+        order = list(range(len(rows)))
+    else:
+        order = sorted(range(len(rows)), key=lambda i: (-residual[i], i))
+    if cfg.strategy is Strategy.SPLIT_ALL:
+        targets = [t for i in order if residual[i] > 0
+                   and (t := row_target(i)) is not None]
+        if targets:
+            return targets
+    return [t for i in order if (t := row_target(i)) is not None]
+
+
+def test_vectorised_selection_matches_per_row_reference():
+    rng = np.random.default_rng(71)
+    kinds = 0
+    for trial in range(400):
+        n, r = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        # coarse grids make ties in residuals, scores and LP values common
+        c = rng.integers(-4, 5, size=(n, r)) / 2.0
+        w = rng.choice([0.0, 0.5, 1.0, 2.0], size=(n, r))
+        w[rng.random(n) < 0.2] = 0.0                    # no coefficient width
+        q = rng.integers(-4, 5, size=n) / 2.0
+        qw = rng.choice([0.0, 0.0, 1.0], size=n)        # rhs-only or degenerate
+        if trial % 3 == 0:
+            w[:, int(rng.integers(r))] = 0.0            # a zero-width column
+        rows = [([Interval(c[i, j] - w[i, j], c[i, j] + w[i, j]) for j in range(r)],
+                 Interval(q[i] - qw[i], q[i] + qw[i])) for i in range(n)]
+        sys = EndpointSystem.of(rows)
+        x1 = rng.choice([0.0, 0.0, 1.0, 2.5], size=r)
+        x2 = np.where(x1 > 0, 0.0, rng.choice([0.0, 1.0, 2.5], size=r))
+        residual = rng.integers(-2, 3, size=n) / 2.0
+        sol = LPSolution(x1, x2, float(residual.max()))
+        kinds += (w.sum(axis=1) == 0).any() and (qw > 0).any()
+        for strategy in Strategy:
+            cfg = HeuristicConfig(epsilon=float(rng.choice([0.0, 1e-3])),
+                                  strategy=strategy)
+            ref = reference_targets(rows, sol, residual, cfg)
+            got = [(int(i), *split_coefficient(sys.p_width[i], sol, cfg))
+                   for i in _select(sys, sol, residual, cfg, allow_nonpositive=True)]
+            assert got == ref
+    assert kinds > 20  # rhs-only rows were exercised
 
 
 def test_splitheur_prefers_effective_dimension():
@@ -191,7 +254,7 @@ def test_age_table_inheritance():
     table.inherit(5, [8, 9])
     assert table.ages(8, t, 2).tolist() == [0, 1]
     assert table.ages(9, t, 2).tolist() == [0, 1]
-    assert (5, t) not in table._ages
+    assert 5 not in table._ages
 
 
 def test_heuristic_config_validation():

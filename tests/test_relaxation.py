@@ -3,45 +3,36 @@ import pytest
 
 from efsolver.errors import EqualitiesInfeasible
 from efsolver.intervals import Interval
-from efsolver.relaxation import (IntervalLinearSystem, LPStatus,
-                                 adversarial_row_value, residual_vector,
-                                 rohn_transform, solve_feasibility,
-                                 solve_equalities)
+from efsolver.relaxation import (LPStatus, adversarial_lhs, residual_vector,
+                                 solve_feasibility, solve_equalities)
 
-from conftest import grid_min_violation, random_interval_system
+from conftest import EndpointSystem, grid_min_violation, random_interval_system
 
 
 def one_row(c1, c2, q):
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(*c1), Interval(*c2)), Interval(*q))
-    return sys
+    return EndpointSystem.of([((c1, c2), q)])
 
 
 def test_endpoint_transform_of_straddling_row():
-    lp = rohn_transform(one_row((-1, 3), (-3, 1), (-2, -2)))
+    lp = one_row((-1, 3), (-3, 1), (-2, -2)).lp()
     # LP columns carry (3, 1) for x1 and (1, 3) for x2
     assert lp.p_hi.tolist() == [[3.0, 1.0]]
     assert (-lp.p_lo).tolist() == [[1.0, 3.0]]
     assert lp.b.tolist() == [-2.0]
-    assert lp.col_map == ((0, "+"), (1, "+"), (0, "-"), (1, "-"))
 
 
 def test_transform_point_intervals():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(2, 2),), Interval(5, 5))
-    lp = rohn_transform(sys)
+    lp = EndpointSystem.of([(((2, 2),), (5, 5))]).lp()
     assert lp.p_hi.tolist() == [[2.0]] and lp.p_lo.tolist() == [[2.0]]
     assert lp.b.tolist() == [5.0]
 
 
 def test_rhs_takes_lower_endpoint():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(0, 1),), Interval(-3, 7))
-    assert rohn_transform(sys).b.tolist() == [-3.0]
+    assert EndpointSystem.of([(((0, 1),), (-3, 7))]).lp().b.tolist() == [-3.0]
 
 
 def test_motivating_row_residual_two():
-    lp = rohn_transform(one_row((-1, 3), (-3, 1), (-2, -2)))
+    lp = one_row((-1, 3), (-3, 1), (-2, -2)).lp()
     sol = solve_feasibility(lp)
     assert sol.rho == pytest.approx(2.0, abs=1e-7)
     assert np.abs(sol.x1).max() <= 1e-7 and np.abs(sol.x2).max() <= 1e-7
@@ -49,52 +40,44 @@ def test_motivating_row_residual_two():
 
 
 def test_shrunk_row_becomes_solvable():
-    sol = solve_feasibility(rohn_transform(one_row((2, 3), (-3, 1), (-2, -2))))
+    sys = one_row((2, 3), (-3, 1), (-2, -2))
+    sol = solve_feasibility(sys.lp())
     assert sol.rho <= 0
     # the certifying point satisfies the row at its adversarial endpoints
-    x = sol.x
-    assert adversarial_row_value((Interval(2, 3), Interval(-3, 1)), x) <= -2 + 1e-9
+    assert adversarial_lhs(sys.p_lo, sys.p_hi, sol.x)[0] <= -2 + 1e-9
 
 
 def test_unbounded_direction_reported():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(1, 2),), Interval.point(5.0))
-    sol = solve_feasibility(rohn_transform(sys))
+    sol = solve_feasibility(EndpointSystem.of([(((1, 2),), (5, 5))]).lp())
     assert sol.status is LPStatus.UNBOUNDED
     assert sol.rho <= 0
 
 
 def test_no_rows_with_equality():
-    sys = IntervalLinearSystem()
-    lp = rohn_transform(sys, np.array([[1.0]]), np.array([1.0]))
+    lp = EndpointSystem.of([], r=1).lp(np.array([[1.0]]), np.array([1.0]))
     sol = solve_feasibility(lp)
     assert sol.rho == 0.0
     assert (sol.x1 - sol.x2)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_equalities_infeasible_raises():
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(0, 1),), Interval.point(1.0))
-    lp = rohn_transform(sys, np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
+    lp = EndpointSystem.of([(((0, 1),), (1, 1))]).lp(
+        np.array([[1.0], [1.0]]), np.array([1.0, 2.0]))
     with pytest.raises(EqualitiesInfeasible):
         solve_feasibility(lp)
 
 
 def test_equality_carried_exactly():
     # x1 pinned to 1 forces rho = p_hi - b even though x = 0 would be better
-    sys = IntervalLinearSystem()
-    sys.add_row(0, (Interval(-1, 3),), Interval.point(-2.0))
-    lp = rohn_transform(sys, np.array([[1.0]]), np.array([1.0]))
+    lp = EndpointSystem.of([(((-1, 3),), (-2, -2))]).lp(
+        np.array([[1.0]]), np.array([1.0]))
     sol = solve_feasibility(lp)
     assert (sol.x1 - sol.x2)[0] == pytest.approx(1.0, abs=1e-9)
     assert sol.rho == pytest.approx(5.0, abs=1e-7)
 
 
 def test_identical_rows_equal_residuals():
-    sys = IntervalLinearSystem()
-    for i in range(2):
-        sys.add_row(i, (Interval(-1, 3), Interval(-3, 1)), Interval.point(-2.0))
-    lp = rohn_transform(sys)
+    lp = EndpointSystem.of([(((-1, 3), (-3, 1)), (-2, -2))] * 2).lp()
     sol = solve_feasibility(lp)
     d = residual_vector(lp, sol)
     assert d[0] == pytest.approx(d[1], abs=1e-9)
@@ -103,8 +86,7 @@ def test_identical_rows_equal_residuals():
 def test_residual_max_equals_rho():
     rng = np.random.default_rng(11)
     for _ in range(40):
-        sys = random_interval_system(rng)
-        lp = rohn_transform(sys)
+        lp = random_interval_system(rng).lp()
         sol = solve_feasibility(lp)
         d = residual_vector(lp, sol)
         assert d.max() == pytest.approx(sol.rho, abs=1e-7)
@@ -117,8 +99,7 @@ def test_complementarity_at_optimum():
     rng = np.random.default_rng(23)
     checked = 0
     while checked < 60:
-        sys = random_interval_system(rng, width_min=0.1)
-        sol = solve_feasibility(rohn_transform(sys))
+        sol = solve_feasibility(random_interval_system(rng, width_min=0.1).lp())
         if sol.status is not LPStatus.OPTIMAL:
             continue
         assert np.minimum(sol.x1, sol.x2).max() <= 1e-7
@@ -130,13 +111,11 @@ def test_solvability_certificate_sound():
     found = 0
     while found < 25:
         sys = random_interval_system(rng)
-        lp = rohn_transform(sys)
-        sol = solve_feasibility(lp)
+        sol = solve_feasibility(sys.lp())
         if sol.rho > 0:
             continue
         found += 1
-        for row in sys.rows:
-            assert adversarial_row_value(row.coeffs, sol.x) <= row.rhs.lo + 1e-7
+        assert (adversarial_lhs(sys.p_lo, sys.p_hi, sol.x) <= sys.q_lo + 1e-7).all()
 
 
 def test_grid_oracle_agreement_small():
@@ -144,7 +123,7 @@ def test_grid_oracle_agreement_small():
     agreements = 0
     while agreements < 15:
         sys = random_interval_system(rng, r=int(rng.integers(1, 3)))
-        sol = solve_feasibility(rohn_transform(sys))
+        sol = solve_feasibility(sys.lp())
         if abs(sol.rho) <= 1e-3:
             continue
         oracle = grid_min_violation(sys)
@@ -158,15 +137,17 @@ def test_monotone_under_interval_shrink():
     rng = np.random.default_rng(53)
     for _ in range(25):
         sys = random_interval_system(rng)
-        base = solve_feasibility(rohn_transform(sys)).rho
-        shrunk = IntervalLinearSystem()
-        for row in sys.rows:
+        base = solve_feasibility(sys.lp()).rho
+        rows = []
+        for i in range(len(sys.q_lo)):
+            coeffs = [Interval(lo, hi) for lo, hi in zip(sys.p_lo[i], sys.p_hi[i])]
             tighter = tuple(
                 Interval(iv.lo + 0.25 * rng.random() * iv.width,
                          iv.hi - 0.25 * rng.random() * iv.width)
-                for iv in row.coeffs)
-            shrunk.add_row(row.branch_id, tighter, row.rhs)
-        assert solve_feasibility(rohn_transform(shrunk)).rho <= base + 1e-7
+                for iv in coeffs)
+            rows.append((tighter, (sys.q_lo[i], sys.q_hi[i])))
+        shrunk = EndpointSystem.of(rows)
+        assert solve_feasibility(shrunk.lp()).rho <= base + 1e-7
 
 
 def test_solve_equalities_helper():
@@ -174,3 +155,22 @@ def test_solve_equalities_helper():
     assert x.sum() == pytest.approx(3.0, abs=1e-9)
     with pytest.raises(EqualitiesInfeasible):
         solve_equalities(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]), 1)
+
+
+def adversarial_row_value(coeffs, x):
+    """Reference: sup over p in the interval coefficients of p . x."""
+    total = 0.0
+    for iv, xj in zip(coeffs, x):
+        total += iv.hi * xj if xj >= 0 else iv.lo * xj
+    return total
+
+
+def test_adversarial_lhs_matches_scalar_reference():
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        sys = random_interval_system(rng, r=int(rng.integers(1, 9)))
+        x = rng.uniform(-3, 3, size=sys.r) * (rng.random(sys.r) < 0.8)
+        lhs = adversarial_lhs(sys.p_lo, sys.p_hi, x)
+        for i in range(len(sys.q_lo)):
+            coeffs = [Interval(lo, hi) for lo, hi in zip(sys.p_lo[i], sys.p_hi[i])]
+            assert lhs[i] == adversarial_row_value(coeffs, x)  # bit for bit

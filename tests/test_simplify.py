@@ -7,7 +7,7 @@ from efsolver.intervals import Box, Interval
 from efsolver.model import And, FalseF, Guard, GuardAtom, Linear, Or, TrueF
 from efsolver.parsing import parse_expression
 from efsolver.simplify import (Decision, LinearRow, ProvedFalse, ProvedTrue,
-                               Undecided, bool_simplify, classify_guard,
+                               Undecided, classify_guard, reduce_formula,
                                simplify_branch)
 
 
@@ -68,21 +68,29 @@ def test_classify_monotone_under_bisection():
 
 LIN = Linear(ef.LinearAtom((("x1", ef.Var("y1")),), ef.Const(0.0)))
 G = Guard(GuardAtom(ef.Var("y1")))
+STRADDLE = Box.of(("y1", (-1.0, 1.0)))  # G stays undecided here
 
 
-def test_bool_simplify_constants():
-    assert bool_simplify(Or((TrueF(), LIN))) == TrueF()
-    assert bool_simplify(Or((FalseF(), LIN))) == LIN
-    assert bool_simplify(And((Or((FalseF(), G)), TrueF()))) == G
-    assert bool_simplify(And((FalseF(), LIN))) == FalseF()
-    assert bool_simplify(And(())) == TrueF()
-    assert bool_simplify(Or(())) == FalseF()
+def test_reduce_formula_constants():
+    assert reduce_formula(Or((TrueF(), LIN)), STRADDLE) == TrueF()
+    assert reduce_formula(Or((FalseF(), LIN)), STRADDLE) == LIN
+    assert reduce_formula(And((Or((FalseF(), G)), TrueF())), STRADDLE) == G
+    assert reduce_formula(And((FalseF(), LIN)), STRADDLE) == FalseF()
+    assert reduce_formula(And(()), STRADDLE) == TrueF()
+    assert reduce_formula(Or(()), STRADDLE) == FalseF()
 
 
-def test_bool_simplify_flattens():
+def test_reduce_formula_flattens():
     nested = And((And((G, G)), Or((FalseF(), And((G,))))))
-    out = bool_simplify(nested)
+    out = reduce_formula(nested, STRADDLE)
     assert out == And((G, G, G))
+
+
+def test_reduce_formula_decides_guards():
+    # y1 <= 0 is false on [1, 2] and true on [-2, -1]
+    assert reduce_formula(Or((G, LIN)), Box.of(("y1", (1.0, 2.0)))) == LIN
+    negative = Box.of(("y1", (-2.0, -1.0)))
+    assert reduce_formula(And((G, Or((G, LIN)))), negative) == TrueF()
 
 
 def test_simplify_branch_linear_row(benchmarks):

@@ -1,8 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 import efsolver as ef
-from efsolver.solver import Outcome, SolveConfig, VerifyStatus, _holds_at, _substitute_x
+from efsolver import solver
+from efsolver.solver import (Outcome, SolveConfig, VerifyResult, VerifyStatus,
+                             _holds_at, _substitute_x)
 
 from conftest import random_robust_problem
 
@@ -162,6 +166,40 @@ def test_deterministic_split_counts(benchmarks):
     assert a.stats.splits == b.stats.splits
     assert a.stats.split_history == b.stats.split_history
     assert np.array_equal(a.x, b.x)
+
+
+# (splits, rounds, LP solves); any change to target selection, variable
+# choice or the order of the live rows moves these
+PINNED_COUNTS = [
+    ("A", "split-all", (60, 4, 5)),
+    ("B", "split-all", (104, 9, 10)),
+    ("C", "split-all", (91, 7, 8)),
+    ("D", "split-all", (458, 8, 9)),
+    ("A", "split-worst", (18, 18, 19)),
+    ("B", "split-worst", (98, 98, 99)),
+    ("C", "split-worst", (56, 56, 57)),
+    ("A", "round-robin", (43, 43, 44)),
+] + [("eq_guarded", s.value, (3, 3, 1)) for s in ef.Strategy]
+
+
+@pytest.mark.parametrize("name,strategy,counts", PINNED_COUNTS)
+def test_pinned_split_counts(benchmarks, name, strategy, counts):
+    out = ef.solve(benchmarks[name], SolveConfig(
+        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.from_name(strategy)),
+        max_splits=5000))
+    assert out.outcome is Outcome.SOLUTION
+    assert (out.stats.splits, out.stats.rounds, out.stats.lp_solves) == counts
+
+
+def test_wall_time_excludes_verification(benchmarks, monkeypatch):
+    def slow_verify(problem, x, depth=25, max_boxes=200_000):
+        time.sleep(0.5)
+        return VerifyResult(VerifyStatus.VERIFIED)
+
+    monkeypatch.setattr(solver, "verify_solution", slow_verify)
+    out = ef.solve(benchmarks["A"], SolveConfig(verify=True))
+    assert out.verification.status is VerifyStatus.VERIFIED
+    assert out.stats.wall_time < 0.5
 
 
 def test_interior_guard_boundary_exhausts_budget(two_branch_problem):
