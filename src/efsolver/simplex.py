@@ -1,4 +1,4 @@
-"""Dense two-phase primal simplex.
+"""Two-phase primal simplex on a dense tableau, with sparse-row pivots.
 
 Solves   min c.w   s.t.  G w <= h,  E w = f,  w >= 0
 with optional free variables (per-variable sign flags), handled internally
@@ -10,6 +10,16 @@ lowest-basis-index tie break.  A run of degenerate pivots switches the
 entering rule to Bland's lowest-index rule, which guarantees termination;
 ordinary pivots switch back.  Optimality and feasibility tolerances are
 1e-9.  The returned point is a vertex (basic solution).
+
+The tableau has one row per constraint plus the objective row, and the
+columns [structural | slack | artificial | rhs].  A pivot updates only the
+columns where the pivot row is nonzero, so with m rows and k such columns
+it costs O(m k) instead of O(m (m + nvar)).  The restriction is exact: in
+any other column the full update subtracts colvals[i] * 0.0, which leaves
+every finite entry unchanged.  It is also what makes k small: the slack
+column of a row that has never been a pivot row is a unit column, so the
+pivot row is nonzero only in the structural columns, the slacks of earlier
+pivot rows and the rhs.
 """
 
 from __future__ import annotations
@@ -52,11 +62,12 @@ def _as_vector(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=float))
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
+    nz = np.flatnonzero(T[row])
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
+    T[:, nz] -= np.outer(colvals, T[row, nz])
     basis[row] = col
 
 
@@ -69,7 +80,7 @@ def _choose_entering(zrow: np.ndarray, allowed: int, bland: bool) -> int | None:
     return j if costs[j] < -EPS else None
 
 
-def _choose_leaving(T: np.ndarray, basis: list[int], col: int) -> int | None:
+def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     m = T.shape[0] - 1
     colvals = T[:m, col]
     eligible = colvals > EPS
@@ -78,11 +89,11 @@ def _choose_leaving(T: np.ndarray, basis: list[int], col: int) -> int | None:
     rhs = np.maximum(T[:m, -1], 0.0)
     ratios = np.where(eligible, rhs / np.where(eligible, colvals, 1.0), np.inf)
     tied = np.flatnonzero(ratios <= ratios.min() + _RATIO_TIE)
-    basis_arr = np.asarray(basis)
-    return int(tied[np.argmin(basis_arr[tied])])
+    return int(tied[np.argmin(basis[tied])])
 
 
-def _run(T: np.ndarray, basis: list[int], allowed: int, max_iter: int) -> SimplexStatus:
+def _run(T: np.ndarray, basis: np.ndarray, allowed: int,
+         max_iter: int) -> SimplexStatus:
     """Pivot until optimal or unbounded.  Columns >= `allowed` never enter."""
     bland = False
     degenerate_run = 0
@@ -123,47 +134,31 @@ def simplex_solve(c, G=None, h=None, E=None, f=None, nonneg=None,
         raise ValueError("constraint matrix/vector shapes disagree")
 
     # Free variables become differences of two nonnegative columns.
-    free_idx = [i for i in range(nvar) if not nonneg[i]]
-    n_mirror = len(free_idx)
-    c_full = np.concatenate([c, -c[free_idx]]) if n_mirror else c.copy()
-    G_full = np.hstack([G, -G[:, free_idx]]) if n_mirror else G
-    E_full = np.hstack([E, -E[:, free_idx]]) if n_mirror else E
-
-    n_struct = nvar + n_mirror
-    n_ub, n_eq = G.shape[0], E.shape[0]
-    m = n_ub + n_eq
-    n_slack = n_ub
-
-    A = np.zeros((m, n_struct + n_slack))
+    free_idx = np.array([i for i in range(nvar) if not nonneg[i]], dtype=int)
+    n_struct = nvar + free_idx.size
+    n_ub, m = G.shape[0], G.shape[0] + E.shape[0]
+    n_cols = n_struct + n_ub
     b = np.concatenate([h, f])
-    A[:n_ub, :n_struct] = G_full
-    A[n_ub:, :n_struct] = E_full
-    A[:n_ub, n_struct:n_struct + n_ub] = np.eye(n_ub)
-
     neg = b < 0.0
-    A[neg] *= -1.0
-    b = np.abs(b)
 
-    # Rows whose slack still has coefficient +1 can start with that slack in
-    # the basis; the rest need artificials.
-    basis: list[int] = [-1] * m
-    art_rows = []
-    for i in range(n_ub):
-        if not neg[i]:
-            basis[i] = n_struct + i
-        else:
-            art_rows.append(i)
-    art_rows.extend(range(n_ub, m))
+    # Rows whose slack keeps coefficient +1 start with that slack in the
+    # basis; the rest (negated inequality rows, then equality rows) start
+    # with an artificial.
+    art_rows = np.flatnonzero(np.append(neg[:n_ub], np.ones(m - n_ub, bool)))
+    n_art = art_rows.size
+    T = np.zeros((m + 1, n_cols + n_art + 1))
+    T[:n_ub, :nvar] = G
+    T[:n_ub, nvar:n_struct] = -G[:, free_idx]
+    T[n_ub:m, :nvar] = E
+    T[n_ub:m, nvar:n_struct] = -E[:, free_idx]
+    T[np.arange(n_ub), n_struct + np.arange(n_ub)] = 1.0
+    T[:m, :n_cols][neg] *= -1.0
+    T[:m, -1] = np.abs(b)
+    T[art_rows, n_cols + np.arange(n_art)] = 1.0
+    basis = n_struct + np.arange(m)
+    basis[art_rows] = n_cols + np.arange(n_art)
 
-    n_cols = A.shape[1]
-    if art_rows:
-        n_art = len(art_rows)
-        T = np.zeros((m + 1, n_cols + n_art + 1))
-        T[:m, :n_cols] = A
-        T[:m, -1] = b
-        for k, i in enumerate(art_rows):
-            T[i, n_cols + k] = 1.0
-            basis[i] = n_cols + k
+    if n_art:
         # phase-1 objective: sum of artificials, priced out over the basis
         T[-1, n_cols:n_cols + n_art] = 1.0
         for i in art_rows:
@@ -172,41 +167,31 @@ def simplex_solve(c, G=None, h=None, E=None, f=None, nonneg=None,
         if status is not SimplexStatus.OPTIMAL or -T[-1, -1] > 1e-7:
             return SimplexResult(SimplexStatus.INFEASIBLE)
         # pivot remaining basic artificials out, or drop redundant rows
-        keep = []
-        for i in range(m):
-            if basis[i] >= n_cols:
-                pivot_col = None
-                for j in range(n_cols):
-                    if abs(T[i, j]) > EPS:
-                        pivot_col = j
-                        break
-                if pivot_col is None:
-                    continue  # redundant row
-                _pivot(T, basis, i, pivot_col)
-            keep.append(i)
-        rows = keep + [m]
-        T = T[np.ix_(rows, list(range(n_cols)) + [n_cols + len(art_rows)])]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-    else:
-        T = np.zeros((m + 1, n_cols + 1))
-        T[:m, :n_cols] = A
-        T[:m, -1] = b
+        keep = np.ones(m + 1, dtype=bool)
+        for i in np.flatnonzero(basis >= n_cols):
+            cols = np.flatnonzero(np.abs(T[i, :n_cols]) > EPS)
+            if cols.size:
+                _pivot(T, basis, i, int(cols[0]))
+            else:
+                keep[i] = False
+        # drop the artificial columns by moving the rhs into the first one
+        T[:, n_cols] = T[:, -1]
+        T = T[:, :n_cols + 1] if keep.all() else T[keep, :n_cols + 1]
+        basis = basis[keep[:m]]
+        m = basis.size
 
-    # phase 2
-    T[-1, :] = 0.0
-    T[-1, :n_struct] = c_full
-    for i in range(m):
-        if abs(T[-1, basis[i]]) > 0.0:
-            T[-1] -= T[-1, basis[i]] * T[i]
+    # phase 2; basic columns are unit columns, so only the rows whose basic
+    # column has a nonzero cost change the priced-out objective row
+    T[-1] = 0.0
+    T[-1, :n_struct] = np.concatenate([c, -c[free_idx]])
+    for i in np.flatnonzero(T[-1, basis]):
+        T[-1] -= T[-1, basis[i]] * T[i]
     status = _run(T, basis, n_cols, max_iter)
     if status is SimplexStatus.UNBOUNDED:
         return SimplexResult(SimplexStatus.UNBOUNDED)
 
     values = np.zeros(n_cols)
-    for i in range(m):
-        values[basis[i]] = max(T[i, -1], 0.0)
+    values[basis] = np.maximum(T[:m, -1], 0.0)
     x = values[:nvar].copy()
-    for k, i in enumerate(free_idx):
-        x[i] -= values[nvar + k]
+    x[free_idx] -= values[nvar:n_struct]
     return SimplexResult(SimplexStatus.OPTIMAL, x, float(c @ x))

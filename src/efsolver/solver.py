@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,10 @@ class _LiveBoxes:
     q_lo/q_hi (n); the arrays hold zeros on the other rows.  Proved-true
     boxes never enter.  `split` stages the halves of one row; `commit`
     drops the split rows and appends the staged halves, which keeps the id
-    order because new ids are always the largest.
+    order because new ids are always the largest.  `kinds` counts the rows
+    per classification type; `widest_guard` holds, per box id, the widest
+    straddling guard of an undecided row once `_pick_undecided` has
+    enclosed it.
     """
 
     def __init__(self, problem: Problem):
@@ -114,15 +118,18 @@ class _LiveBoxes:
         self.q_lo, self.q_hi = np.zeros(0), np.zeros(0)
         self._split: list[int] = []
         self._staged: list[tuple[int, Box, Formula, BranchStatus, int]] = []
+        self.kinds: Counter[type] = Counter()
+        self.widest_guard: dict[int, tuple[float, GuardAtom | None, str]] = {}
         for br in problem.branches:
             self._stage(br.box, br.formula, 0)
         self.commit()
 
     def split(self, i: int, dim: int) -> list[int]:
         """Stage the two halves of row i along dim; their ids."""
-        _, box, formula, _, rr = self.rows[i]
+        bid, box, formula, _, rr = self.rows[i]
         halves = box.split(dim)
         self._split.append(i)
+        self.widest_guard.pop(bid, None)
         return [self._stage(half, formula, rr + 1) for half in halves]
 
     def _stage(self, box: Box, formula: Formula, rr: int) -> int:
@@ -137,6 +144,8 @@ class _LiveBoxes:
         keep = np.ones(len(self.rows), dtype=bool)
         keep[self._split] = False
         new = self._staged
+        self.kinds.subtract(type(self.rows[i][3]) for i in self._split)
+        self.kinds.update(type(row[3]) for row in new)
         self.rows = [row for row, k in zip(self.rows, keep) if k] + new
         p_lo = np.zeros((len(new), len(self.x_vars)))
         p_hi, q_lo, q_hi = p_lo.copy(), np.zeros(len(new)), np.zeros(len(new))
@@ -153,6 +162,8 @@ class _LiveBoxes:
 
     def first(self, kind: type) -> int | None:
         """The first row classified as `kind`, or None."""
+        if not self.kinds[kind]:
+            return None
         return next((i for i, row in enumerate(self.rows)
                      if isinstance(row[3], kind)), None)
 
@@ -294,22 +305,36 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
 def _pick_undecided(live: _LiveBoxes):
     """The undecided row whose widest straddling guard enclosure is widest
-    overall, that guard, and the bound to improve ('+' when the upper
-    bound is nearer to deciding the guard)."""
+    overall (the first such row and guard on ties), that guard, and the
+    bound to improve ('+' when the upper bound is nearer to deciding the
+    guard).  Each row's widest guard is enclosed once and kept in the
+    table until the row is split."""
     best = None
     best_width = -1.0
-    for i, (_, box, _, status, _) in enumerate(live.rows):
+    for i, (bid, box, _, status, _) in enumerate(live.rows):
         if not isinstance(status, Undecided):
             continue
-        for g in guard_atoms(status.formula):
-            iv = eval_on_box(g.body, box)
-            if iv.width > best_width:
-                sign = "+" if abs(iv.hi) < abs(iv.lo) else "-"
-                best = (i, g, sign)
-                best_width = iv.width
+        widest = live.widest_guard.get(bid)
+        if widest is None:
+            widest = live.widest_guard[bid] = _widest_guard(status.formula, box)
+        width, g, sign = widest
+        if width > best_width:
+            best = (i, g, sign)
+            best_width = width
     if best is None or best_width <= 0.0:
         return None
     return best
+
+
+def _widest_guard(formula: Formula, box: Box):
+    """(width, guard, sign) of the first widest guard enclosure of formula
+    on box; width -1.0 and no guard when it has none."""
+    widest = (-1.0, None, "")
+    for g in guard_atoms(formula):
+        iv = eval_on_box(g.body, box)
+        if iv.width > widest[0]:
+            widest = (iv.width, g, "+" if abs(iv.hi) < abs(iv.lo) else "-")
+    return widest
 
 
 def _solution(x, live: _LiveBoxes, stats: SolveStats) -> SolveOutcome:

@@ -174,3 +174,34 @@ def test_adversarial_lhs_matches_scalar_reference():
         for i in range(len(sys.q_lo)):
             coeffs = [Interval(lo, hi) for lo, hi in zip(sys.p_lo[i], sys.p_hi[i])]
             assert lhs[i] == adversarial_row_value(coeffs, x)  # bit for bit
+
+
+@pytest.mark.parametrize("with_equalities", [False, True])
+def test_residual_lp_matches_scipy_linprog(with_equalities):
+    """rho agrees with HiGHS on the same LP: min rho s.t.
+    Pbar x1 - Punder x2 - rho <= q_lo, C (x1 - x2) = d, x1, x2 >= 0."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(31 + with_equalities)
+    outcomes = set()
+    for _ in range(150):
+        system = random_interval_system(rng)
+        n, r = system.p_lo.shape
+        C = d = None
+        A_eq = b_eq = None
+        if with_equalities:
+            C = rng.normal(size=(int(rng.integers(1, r + 1)), r))
+            d = C @ rng.uniform(-1.0, 1.0, r)
+            A_eq, b_eq = np.hstack([C, -C, np.zeros((len(C), 1))]), d
+        sol = solve_feasibility(system.lp(C, d))
+        ref = linprog(np.eye(2 * r + 1)[-1],
+                      A_ub=np.hstack([system.p_hi, -system.p_lo, -np.ones((n, 1))]),
+                      b_ub=system.q_lo, A_eq=A_eq, b_eq=b_eq,
+                      bounds=[(0, None)] * (2 * r) + [(None, None)])
+        if ref.status == 3:
+            # unbounded below: the floored solve reports a certifying residual
+            assert sol.status is LPStatus.UNBOUNDED and sol.rho < 0.0
+        else:
+            assert ref.status == 0 and sol.status is LPStatus.OPTIMAL
+            assert sol.rho == pytest.approx(ref.fun, abs=1e-7)
+        outcomes.add(ref.status)
+    assert outcomes == {0, 3}

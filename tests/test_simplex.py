@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import simplex_reference
 
+import efsolver as ef
+from efsolver import simplex
 from efsolver.simplex import SimplexStatus, simplex_solve
 
 
@@ -97,3 +100,136 @@ def test_determinism():
         again = simplex_solve(c, G=G, h=h)
         assert np.array_equal(first.x, again.x)
         assert first.objective == again.objective
+
+
+# -- exactness of the sparse-row pivots ----------------------------------------
+
+def record_pivots(monkeypatch, module):
+    """The (row, col) of every pivot `module` makes from now on."""
+    seq = []
+    pivot = module._pivot
+
+    def recording(T, basis, row, col):
+        seq.append((int(row), int(col)))
+        pivot(T, basis, row, col)
+
+    monkeypatch.setattr(module, "_pivot", recording)
+    return seq
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Pivot recorders for the sparse simplex and the dense reference."""
+    return record_pivots(monkeypatch, simplex), record_pivots(monkeypatch, simplex_reference)
+
+
+def random_lp(rng, family):
+    """A small random LP of one family; integer data in half the draws
+    makes ties in the entering and leaving rules."""
+    nvar = int(rng.integers(1, 7))
+    n_ub = int(rng.integers(1, 8))
+    integer = rng.random() < 0.5
+
+    def matrix(k):
+        M = (rng.integers(-3, 4, size=(k, nvar)).astype(float) if integer
+             else rng.normal(size=(k, nvar)))
+        M[rng.random(M.shape) < 0.3] = 0.0
+        return M
+
+    c = rng.integers(-3, 4, nvar).astype(float) if integer else rng.normal(size=nvar)
+    G, h = matrix(n_ub), rng.uniform(0.5, 3.0, n_ub)
+    E, f, nonneg = None, None, None
+    if family in ("equalities", "redundant"):
+        E = matrix(int(rng.integers(1, 4)))
+        f = E @ np.maximum(rng.normal(size=nvar), 0.0)
+        if family == "redundant":
+            E = np.vstack([E, 2.0 * E[0]])
+            f = np.append(f, 2.0 * f[0])
+    elif family == "negative_rhs":
+        h = rng.uniform(-2.0, 2.0, n_ub)
+    elif family == "free":
+        nonneg = list(rng.random(nvar) < 0.5)
+        h = rng.uniform(-1.0, 3.0, n_ub)
+    elif family == "zero_rhs":
+        h = np.zeros(n_ub)
+    elif family == "unbounded":
+        G[:, 0] = -np.abs(G[:, 0])
+        c[0] = -1.0
+    elif family == "infeasible":
+        G = np.vstack([G, np.ones(nvar)])
+        h = np.append(h, -1.0)
+    return c, G, h, E, f, nonneg
+
+
+def assert_same_solve(pivots, c, G, h, E=None, f=None, nonneg=None):
+    """Both simplexes give the same status, pivots, objective and x; the
+    status and the pivot count."""
+    ours, theirs = pivots
+    ours.clear()
+    theirs.clear()
+    got = simplex_solve(c, G, h, E, f, nonneg=nonneg)
+    want = simplex_reference.simplex_solve(c, G, h, E, f, nonneg=nonneg)
+    assert got.status is want.status
+    assert ours == theirs
+    if want.status is SimplexStatus.OPTIMAL:
+        assert got.objective == want.objective
+        assert np.array_equal(got.x, want.x)
+    return got.status, len(ours)
+
+
+FAMILIES = {
+    "inequalities": {"optimal", "unbounded"},
+    "equalities": {"optimal", "unbounded", "infeasible"},
+    "redundant": {"optimal", "unbounded", "infeasible"},
+    "negative_rhs": {"optimal", "unbounded", "infeasible"},
+    "free": {"optimal", "unbounded", "infeasible"},
+    "zero_rhs": {"optimal", "unbounded"},
+    "unbounded": {"unbounded"},
+    "infeasible": {"infeasible"},
+}
+
+
+@pytest.mark.parametrize("family,statuses", FAMILIES.items())
+def test_sparse_pivots_match_dense_reference(pivots, family, statuses):
+    rng = np.random.default_rng(list(FAMILIES).index(family))
+    seen = set()
+    for _ in range(150):
+        status, _ = assert_same_solve(pivots, *random_lp(rng, family))
+        seen.add(status.value)
+    assert seen == statuses
+
+
+def test_degenerate_lp_reaches_bland_rule_identically(pivots):
+    # every pivot from an all-zero rhs is degenerate, so more than
+    # _DEGENERATE_LIMIT pivots means the Bland rule took over
+    rng = np.random.default_rng(29)
+    G = np.vstack([rng.integers(-3, 4, size=(80, 20)).astype(float), np.ones(20)])
+    c = rng.integers(-3, 4, 20).astype(float)
+    status, count = assert_same_solve(pivots, c, G, np.zeros(81))
+    assert status is SimplexStatus.OPTIMAL
+    assert count > simplex._DEGENERATE_LIMIT
+
+
+# (splits, LP solves, simplex pivots) of the dense simplex these pivots
+# must reproduce
+PINNED_PIVOTS = [
+    ("A", "split-all", (60, 5, 47)),
+    ("B", "split-all", (104, 10, 58)),
+    ("C", "split-all", (91, 8, 46)),
+    ("D", "split-all", (458, 9, 136)),
+    ("A", "split-worst", (18, 19, 131)),
+    ("B", "split-worst", (98, 99, 865)),
+    ("C", "split-worst", (56, 57, 316)),
+    ("A", "round-robin", (43, 44, 403)),
+    ("eq_guarded", "split-all", (3, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("name,strategy,counts", PINNED_PIVOTS)
+def test_pinned_pivot_counts(benchmarks, monkeypatch, name, strategy, counts):
+    pivots = record_pivots(monkeypatch, simplex)
+    out = ef.solve(benchmarks[name], ef.SolveConfig(
+        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.from_name(strategy)),
+        max_splits=5000))
+    assert out.is_solution
+    assert (out.stats.splits, out.stats.lp_solves, len(pivots)) == counts

@@ -1,10 +1,16 @@
+import importlib.util
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import efsolver as ef
 from efsolver import solver
+from efsolver.model import guard_atoms
+from efsolver.simplify import Undecided
 from efsolver.solver import (Outcome, SolveConfig, VerifyResult, VerifyStatus,
                              _holds_at, _substitute_x)
 
@@ -189,6 +195,58 @@ def test_pinned_split_counts(benchmarks, name, strategy, counts):
         max_splits=5000))
     assert out.outcome is Outcome.SOLUTION
     assert (out.stats.splits, out.stats.rounds, out.stats.lp_solves) == counts
+
+
+def pick_undecided_uncached(live):
+    """The guard pick re-enclosing every guard of every undecided row, as
+    `_pick_undecided` did before it kept each row's widest guard."""
+    best = None
+    best_width = -1.0
+    for i, (_, box, _, status, _) in enumerate(live.rows):
+        if not isinstance(status, Undecided):
+            continue
+        for g in guard_atoms(status.formula):
+            iv = ef.eval_on_box(g.body, box)
+            if iv.width > best_width:
+                sign = "+" if abs(iv.hi) < abs(iv.lo) else "-"
+                best = (i, g, sign)
+                best_width = iv.width
+    if best is None or best_width <= 0.0:
+        return None
+    return best
+
+
+def generated_guarded_instance(monkeypatch, seed, slot):
+    """Instance `slot` of one pass of the benchmark's guarded generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "guarded.py"
+    spec = importlib.util.spec_from_file_location("perfbench_guarded", path)
+    guarded = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, guarded)  # for its dataclasses
+    spec.loader.exec_module(guarded)
+    return ef.parse_problem(guarded.generate_pass(seed)[slot].text)
+
+
+@pytest.mark.parametrize("source,guard_splits", [
+    ("eq_guarded", 3), ("generated", 139)])
+def test_cached_guard_pick_matches_uncached(benchmarks, monkeypatch, source,
+                                            guard_splits):
+    problem = (benchmarks["eq_guarded"] if source == "eq_guarded"
+               else generated_guarded_instance(monkeypatch, 101, 3))
+    cached = solver._pick_undecided
+    picks = []
+
+    def checked(live):
+        pick = cached(live)
+        assert pick == pick_undecided_uncached(live)
+        assert live.kinds == Counter(type(row[3]) for row in live.rows)
+        picks.append(pick)
+        return pick
+
+    monkeypatch.setattr(solver, "_pick_undecided", checked)
+    out = ef.solve(problem, SolveConfig(heuristic=ef.HeuristicConfig(
+        strategy=ef.Strategy.SPLIT_ALL), max_splits=3000))
+    assert out.is_solution
+    assert sum(p is not None for p in picks) == guard_splits
 
 
 def test_wall_time_excludes_verification(benchmarks, monkeypatch):
