@@ -10,8 +10,8 @@ split next.
 """
 
 from .errors import (AllDimensionsDegenerate, DomainError, EFSolverError,
-                     EqualitiesInfeasible, InvalidProblem, NoPositiveResidual,
-                     ParseError, SplitDegenerate, UndeclaredVariable)
+                     EqualitiesInfeasible, InvalidProblem, ParseError,
+                     SplitDegenerate, UndeclaredVariable)
 from .expr import (Add, Const, Cos, Div, Expr, Mul, Neg, Pow, Sin, Sub, Var,
                    eval_on_box)
 from .heuristics import (AgeTable, HeuristicConfig, Strategy, coeff_score,

@@ -6,7 +6,8 @@
     efsolver bench [--json] [--time-budget SECS] [--max-splits N]
 
 Exit codes for `solve`: 0 solution found, 1 infeasible, 2 budget
-exhausted, 3 parse/validation error.  With --json, machine-readable
+exhausted, 3 input error (bad command line, unreadable, unparsable or
+invalid problem); `bench` exits 0 or 3.  With --json, machine-readable
 output is one JSON object per run, newline-delimited.
 """
 
@@ -87,9 +88,10 @@ def _solve_config(args) -> SolveConfig:
 
 def cmd_solve(args) -> int:
     try:
+        cfg = _solve_config(args)
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -99,7 +101,6 @@ def cmd_solve(args) -> int:
             for v in violations:
                 print(f"error: {v}", file=sys.stderr)
             return EXIT_INPUT
-        cfg = _solve_config(args)
         result = solve(problem, cfg)
     except (ParseError, UndeclaredVariable, InvalidProblem) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -131,16 +132,20 @@ def _print_human(problem, result: SolveOutcome, report: RunReport) -> None:
 
 def cmd_bench(args) -> int:
     strategies = (Strategy.ROUND_ROBIN, Strategy.SPLIT_WORST, Strategy.SPLIT_ALL)
+    try:
+        configs = [SolveConfig(
+            heuristic=HeuristicConfig(epsilon=args.epsilon, strategy=strategy),
+            max_splits=args.max_splits,
+            time_budget=args.time_budget,
+        ) for strategy in strategies]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     reports: dict[str, dict[str, RunReport]] = {}
     for name in args.instances:
         problem = load_benchmark(name)
         reports[name] = {}
-        for strategy in strategies:
-            cfg = SolveConfig(
-                heuristic=HeuristicConfig(epsilon=args.epsilon, strategy=strategy),
-                max_splits=args.max_splits,
-                time_budget=args.time_budget,
-            )
+        for strategy, cfg in zip(strategies, configs):
             result = solve(problem, cfg)
             report = make_report(result, cfg, instance=name)
             reports[name][strategy.value] = report
@@ -171,8 +176,17 @@ def _print_bench_table(reports, strategies) -> None:
           "did not finish\nwithin the split/time budget.")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own code 2 would read
+    as "budget exhausted".  Subparsers are built from this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="efsolver",
         description="Solve exists-forall constraints over boxed universal "
                     "variables by interval evaluation, LP relaxation and "

@@ -18,11 +18,6 @@ class AllDimensionsDegenerate(EFSolverError):
     """No splittable (positive-width) dimension is available."""
 
 
-class NoPositiveResidual(EFSolverError):
-    """Split-target selection was called although the LP already certifies
-    solvability (rho <= 0)."""
-
-
 class EqualitiesInfeasible(EFSolverError):
     """The linear equality system Cx = d has no solution."""
 

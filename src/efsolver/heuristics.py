@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllDimensionsDegenerate, NoPositiveResidual
+from .errors import AllDimensionsDegenerate
 from .expr import Expr, eval_on_box
 from .intervals import Box, Interval
 from .relaxation import LPSolution
@@ -66,9 +66,10 @@ class HeuristicConfig:
     strategy: Strategy = Strategy.SPLIT_ALL
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        # written so that NaN fails too
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
-        if self.aging_kappa < 0:
+        if not self.aging_kappa >= 0:
             raise ValueError("aging_kappa must be >= 0")
 
 
@@ -78,9 +79,7 @@ def coeff_score(p: Interval, x1j: float, x2j: float, epsilon: float) -> float:
 
 
 def select_targets(p_width: np.ndarray, q_width: np.ndarray,
-                   sol: LPSolution, residual: np.ndarray,
-                   cfg: HeuristicConfig,
-                   allow_nonpositive: bool = False) -> np.ndarray:
+                   residual: np.ndarray, cfg: HeuristicConfig) -> np.ndarray:
     """Indices of the rows to split, in preference order.
 
     p_width (n x r) and q_width (n) are the widths of the coefficient and
@@ -89,15 +88,9 @@ def select_targets(p_width: np.ndarray, q_width: np.ndarray,
     single-box strategies return every improvable row in preference order
     (worst residual first; oldest box first for the round-robin baseline):
     the caller splits the first row whose box can still be split and
-    ignores the rest.  Ties go to the older box.
-
-    Requires rho > 0 (there is something to improve) unless
-    allow_nonpositive is set (used for numerically marginal rho).  Rows
-    whose intervals all have zero width cannot be improved by splitting
-    and are skipped.
+    ignores the rest.  Ties go to the older box.  Rows whose intervals
+    all have zero width cannot be improved by splitting and are skipped.
     """
-    if sol.rho <= 0 and not allow_nonpositive:
-        raise NoPositiveResidual(f"rho = {sol.rho} certifies solvability")
     improvable = (p_width > 0).any(axis=1) | (q_width > 0)
     if cfg.strategy is Strategy.ROUND_ROBIN:
         # classical baseline: rotate through the branches (oldest live box

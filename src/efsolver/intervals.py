@@ -65,9 +65,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, v: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= v <= self.hi + slack
-
     def encloses(self, other: Interval, slack: float = 0.0) -> bool:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
 
@@ -240,8 +237,8 @@ class Box:
         ivs[dim] = iv
         return Box(self.names, tuple(ivs))
 
-    def split(self, dim: int, at: float | None = None) -> tuple[Box, Box]:
-        """Split dimension `dim` at `at` (default: midpoint).
+    def split(self, dim: int) -> tuple[Box, Box]:
+        """Split dimension `dim` at its midpoint.
 
         The two children partition the box; they share only the split plane.
         Raises SplitDegenerate when the dimension has zero width (or is so
@@ -250,7 +247,7 @@ class Box:
         iv = self.intervals[dim]
         if iv.width == 0.0:
             raise SplitDegenerate(f"dimension {self.names[dim]} has zero width")
-        cut = iv.mid if at is None else at
+        cut = iv.mid
         if not (iv.lo < cut < iv.hi):
             raise SplitDegenerate(
                 f"cut {cut} not strictly inside [{iv.lo}, {iv.hi}] of {self.names[dim]}"

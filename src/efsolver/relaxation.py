@@ -21,10 +21,14 @@ rho <= 0 certifies solvability; a positive minimum measures the distance
 to feasibility and its per-row residuals drive the splitting heuristics.
 Equality rows are carried exactly (never relaxed by rho).
 
-The residual LP can be unbounded below (some column improves every row at
-once); any point far enough along that ray satisfies the system, so the LP
-is re-solved with the floor rho >= -RHO_FLOOR and the achieved residual of
-the returned vertex is reported, marked with status UNBOUNDED.
+Without a lower bound on rho the LP can be unbounded below (some column
+improves every row at once), and any point far enough along that ray
+satisfies the system.  So the LP always carries the floor
+rho >= -RHO_FLOOR and is solved once.  The floor does not move the optimum
+of an LP whose minimum lies above it.  When the floor binds, rho is
+-RHO_FLOOR (still an upper bound on every row's residual, so it certifies
+solvability) and the solution is marked with status UNBOUNDED: the
+unfloored minimum is at or below -RHO_FLOOR, possibly unbounded.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .errors import EqualitiesInfeasible
 from .simplex import SimplexStatus, simplex_solve
 
 RHO_FLOOR = 1.0
+FLOOR_TOL = 1e-9  # rho within this of -RHO_FLOOR counts as floored
 
 
 @dataclass
@@ -64,6 +69,9 @@ class FeasibilityLP:
 
 
 class LPStatus(enum.Enum):
+    """UNBOUNDED: the floor binds, so the LP without it is unbounded below
+    or has its minimum at or below -RHO_FLOOR."""
+
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"
 
@@ -94,54 +102,26 @@ def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
 
 
 def solve_feasibility(lp: FeasibilityLP) -> LPSolution:
-    """Minimise the worst row violation rho.
+    """Minimise the worst row violation rho subject to rho >= -RHO_FLOOR.
 
-    Raises EqualitiesInfeasible when C x = d admits no solution.  With no
-    inequality rows the result is any equality-feasible point with rho 0.
-    When rho is unbounded below the LP is re-solved with the floor
-    rho >= -RHO_FLOOR; the result then carries status UNBOUNDED together
-    with the achieved (certifying) residual of the returned point.
-    """
-    if lp.n == 0:
-        x = solve_equalities(lp.eq_coeffs, lp.eq_rhs, lp.r)
-        return LPSolution(np.maximum(x, 0.0), np.maximum(-x, 0.0), 0.0)
-
-    sol = _solve_residual_lp(lp, floor=None)
-    if sol is not None:
-        return sol
-    sol = _solve_residual_lp(lp, floor=RHO_FLOOR)
-    if sol is None:
-        raise RuntimeError("floored residual LP cannot be unbounded")
-    return sol
-
-
-def _solve_residual_lp(lp: FeasibilityLP, floor: float | None) -> LPSolution | None:
-    """One residual LP solve; None signals an unbounded objective.
-
-    rho enters as a free variable written as rho = rho' + rho0 with
-    rho0 = -min(b), so every inequality right-hand side b + rho0 is
-    nonnegative and the slack basis is immediately feasible (phase 1 then
-    only works on equality rows).
+    One simplex solve.  rho enters as a free variable written as
+    rho = rho' + rho0 with rho0 = -min(min(b), RHO_FLOOR), so every
+    inequality right-hand side, the floor's included, is nonnegative and
+    the slack basis is immediately feasible (phase 1 then only works on
+    equality rows).  Raises EqualitiesInfeasible when C x = d admits no
+    solution; with the floor the LP is never unbounded.
     """
     n, r = lp.n, lp.r
-    rho0 = -float(lp.b.min())
-    extra = 0
-    if floor is not None:
-        rho0 = max(rho0, -floor)
-        extra = 1
+    rho0 = -float(lp.b.min(initial=RHO_FLOOR))
     nvar = 2 * r + 1
     c = np.zeros(nvar)
     c[-1] = 1.0
 
-    G = np.zeros((n + extra, nvar))
-    h = np.zeros(n + extra)
+    G = np.zeros((n + 1, nvar))
     G[:n, :r] = lp.p_hi
     G[:n, r:2 * r] = -lp.p_lo
-    G[:n, -1] = -1.0
-    h[:n] = lp.b + rho0
-    if floor is not None:
-        G[n, -1] = -1.0      # rho >= -floor, in shifted form
-        h[n] = floor + rho0
+    G[:, -1] = -1.0      # the last row is the floor rho >= -RHO_FLOOR
+    h = np.append(lp.b + rho0, RHO_FLOOR + rho0)
 
     E = np.zeros((lp.eq_coeffs.shape[0], nvar))
     if E.shape[0]:
@@ -150,37 +130,13 @@ def _solve_residual_lp(lp: FeasibilityLP, floor: float | None) -> LPSolution | N
     nonneg = [True] * (2 * r) + [False]
 
     res = simplex_solve(c, G, h, E, lp.eq_rhs, nonneg=nonneg)
-    if res.status is SimplexStatus.INFEASIBLE:
-        # inequality rows are always satisfiable by a large rho, so only the
-        # equality block can be at fault
-        raise EqualitiesInfeasible("equality system C x = d is infeasible")
-    if res.status is SimplexStatus.UNBOUNDED:
-        return None
-
-    x1 = res.x[:r]
-    x2 = res.x[r:2 * r]
-    rho = float(res.x[-1] + rho0)
-    sol = LPSolution(x1, x2, rho)
-    if floor is not None:
-        # the floor only binds when the true minimum is below it; report the
-        # achieved residual of the returned point, which certifies rho <= 0
-        sol.rho = float(residual_vector(lp, sol).max())
-        sol.status = LPStatus.UNBOUNDED
-    return sol
-
-
-def solve_equalities(C: np.ndarray, d: np.ndarray, r: int) -> np.ndarray:
-    """Some x with C x = d (phase 1 on the split variables), or raise
-    EqualitiesInfeasible.  With no equalities returns the origin."""
-    C = np.asarray(C, dtype=float).reshape(-1, r)
-    d = np.asarray(d, dtype=float)
-    if C.shape[0] == 0:
-        return np.zeros(r)
-    E = np.hstack([C, -C])
-    res = simplex_solve(np.zeros(2 * r), E=E, f=d)
     if res.status is not SimplexStatus.OPTIMAL:
+        # inequality rows are always satisfiable by a large rho and the
+        # floor bounds rho below, so only the equality block can be at fault
         raise EqualitiesInfeasible("equality system C x = d is infeasible")
-    return res.x[:r] - res.x[r:]
+    rho = float(res.x[-1] + rho0)
+    status = LPStatus.UNBOUNDED if rho <= -RHO_FLOOR + FLOOR_TOL else LPStatus.OPTIMAL
+    return LPSolution(res.x[:r], res.x[r:2 * r], rho, status)
 
 
 def residual_vector(lp: FeasibilityLP, sol: LPSolution) -> np.ndarray:

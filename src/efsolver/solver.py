@@ -39,7 +39,7 @@ from .intervals import Box
 from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
                     Or, Problem, TrueF, guard_atoms, validate_problem)
 from .relaxation import (adversarial_lhs, residual_vector, rohn_transform,
-                         solve_equalities, solve_feasibility)
+                         solve_feasibility)
 from .simplify import (BranchStatus, LinearRow, ProvedFalse, ProvedTrue,
                        Undecided, reduce_formula, simplify_branch)
 # Unused here, but perfbench/tracing.py wraps solver.classify_guard.
@@ -58,8 +58,10 @@ class SolveConfig:
     verify_depth: int = 25
 
     def __post_init__(self):
-        if self.max_splits < 0:
+        if not self.max_splits >= 0:
             raise ValueError("max_splits must be >= 0")
+        if not self.time_budget >= 0:
+            raise ValueError("time_budget must be >= 0")
 
 
 class Outcome(enum.Enum):
@@ -188,9 +190,13 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                                                    cfg.verify_depth)
         return outcome
 
-    def out_of_budget() -> bool:
-        return (stats.splits >= cfg.max_splits
-                or time.perf_counter() - t0 > cfg.time_budget)
+    def spent_budget() -> str | None:
+        """Which budget has run out, or None."""
+        if stats.splits >= cfg.max_splits:
+            return "split budget exhausted"
+        if time.perf_counter() - t0 > cfg.time_budget:
+            return "time budget exhausted"
+        return None
 
     def choose_dim(i: int, expr: Expr | None, sign: str | None) -> int:
         """The dimension of row i's box to split: round-robin without an
@@ -219,14 +225,6 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         if i is not None:
             return done(witness(i, "a branch is false over its whole box"))
 
-        if not live.rows:
-            try:
-                x = solve_equalities(C, d, problem.r)
-            except EqualitiesInfeasible as exc:
-                return done(SolveOutcome(Outcome.INFEASIBLE, stats,
-                                         reason=str(exc)))
-            return done(_solution(x, live, stats))
-
         if live.first(Undecided) is not None:
             target = _pick_undecided(live)
             if target is None:
@@ -234,9 +232,10 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                     Outcome.BUDGET_EXHAUSTED, stats,
                     reason="undecided branch with degenerate guard enclosures"))
             i, guard, sign = target
-            if out_of_budget():
+            spent = spent_budget()
+            if spent:
                 return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
-                                         reason="budget before guard split"))
+                                         reason=f"{spent} before guard split"))
             round_robin = hc.strategy is Strategy.ROUND_ROBIN
             try:
                 do_split(i, choose_dim(i, None if round_robin else guard.body,
@@ -262,8 +261,7 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             return done(_solution(sol.x, live, stats))
 
         p_width = live.p_hi - live.p_lo
-        targets = select_targets(p_width, live.q_hi - live.q_lo, sol, resid,
-                                 hc, allow_nonpositive=(sol.rho <= ACCEPT_TOL))
+        targets = select_targets(p_width, live.q_hi - live.q_lo, resid, hc)
         if not len(targets):
             # nothing can be tightened: every row is an exact point system,
             # so the LP verdict is final
@@ -276,9 +274,10 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
         round_splits = 0
         for i in targets:
-            if out_of_budget():
+            spent = spent_budget()
+            if spent:
                 return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
-                                         reason="split budget exhausted"))
+                                         reason=spent))
             coefficient, sign = split_coefficient(p_width[i], sol, hc)
             atom = live.rows[i][3].atom
             if coefficient is None:

@@ -45,10 +45,12 @@ def test_tracer_hooks_record_every_layer():
                  "verify.verify_solution"):
         assert totals.get(f"{span}:calls", 0) > 0, span
     assert totals["relaxation.lp:calls"] == out.stats.lp_solves
+    # one simplex solve per residual LP: no retry path
+    assert totals["simplex.solve:calls"] == totals["relaxation.lp:calls"]
     assert totals["targets"] >= out.stats.splits
     # the pivot count of the dense simplex on this cell: a refactor that
     # stops calling simplex._pivot per pivot reads fewer here, not 0 later
-    assert totals["pivots"] == 47 and totals["lp_rows_max"] > 0
+    assert totals["pivots"] == 31 and totals["lp_rows_max"] > 0
     assert totals["evals:trial"] > 0 and totals["evals:verify"] > 0
 
     wall = totals["solver.solve:s"] + totals["verify.verify_solution:s"]

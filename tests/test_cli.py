@@ -69,6 +69,37 @@ def test_solve_overflowing_enclosure_exit_code(tmp_path, capsys, coefficient, bo
     assert "Traceback" not in captured.err + captured.out
 
 
+def run_cli(argv):
+    """main's exit code, also when argparse exits through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "A", "--max-splits", "-1"],
+    ["solve", "A", "--epsilon", "-1"],
+    ["solve", "A", "--kappa", "-0.5"],
+    ["solve", "A", "--epsilon", "nan"],
+    ["solve", "A", "--kappa", "nan"],
+    ["solve", "A", "--time-budget", "nan"],
+    ["solve", "A", "--time-budget", "-1"],
+    ["bench", "--max-splits", "-1"],
+    ["bench", "--epsilon", "nan"],
+    ["solve", "A", "--strategy", "bogus"],
+    ["solve", "A", "--max-splits", "abc"],
+    ["solve"],
+    [],
+])
+def test_bad_command_line_exit_code(bench_file, capsys, args):
+    argv = [bench_file(a) if a == "A" else a for a in args]
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_solve_json_report(bench_file, capsys):
     code = main(["solve", bench_file("B"), "--json", "--verify"])
     assert code == 0

@@ -146,9 +146,11 @@ def test_split_zero_width_raises():
 
 
 def test_split_at_point_outside_raises():
-    box = Box.of(("y", Interval(0, 1)))
+    # one ulp wide: the midpoint rounds onto lo, outside the open interval
+    box = Box.of(("y", Interval(1.0, math.nextafter(1.0, 2.0))))
+    assert box.intervals[0].mid == 1.0
     with pytest.raises(SplitDegenerate):
-        box.split(0, at=1.0)
+        box.split(0)
 
 
 def test_split_halves_widths():

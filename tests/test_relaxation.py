@@ -3,8 +3,8 @@ import pytest
 
 from efsolver.errors import EqualitiesInfeasible
 from efsolver.intervals import Interval
-from efsolver.relaxation import (LPStatus, adversarial_lhs, residual_vector,
-                                 solve_feasibility, solve_equalities)
+from efsolver.relaxation import (RHO_FLOOR, LPStatus, adversarial_lhs,
+                                 residual_vector, solve_feasibility)
 
 from conftest import EndpointSystem, grid_min_violation, random_interval_system
 
@@ -54,9 +54,10 @@ def test_unbounded_direction_reported():
 
 
 def test_no_rows_with_equality():
+    # only the floor row is left, so the floor binds
     lp = EndpointSystem.of([], r=1).lp(np.array([[1.0]]), np.array([1.0]))
     sol = solve_feasibility(lp)
-    assert sol.rho == 0.0
+    assert sol.rho == -RHO_FLOOR and sol.status is LPStatus.UNBOUNDED
     assert (sol.x1 - sol.x2)[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -89,7 +90,12 @@ def test_residual_max_equals_rho():
         lp = random_interval_system(rng).lp()
         sol = solve_feasibility(lp)
         d = residual_vector(lp, sol)
-        assert d.max() == pytest.approx(sol.rho, abs=1e-7)
+        if sol.status is LPStatus.OPTIMAL:
+            assert d.max() == pytest.approx(sol.rho, abs=1e-7)
+        else:
+            # the floor binds: rho = -RHO_FLOOR bounds every residual
+            assert sol.rho == pytest.approx(-RHO_FLOOR, abs=1e-9)
+            assert d.max() <= sol.rho + 1e-9
         if sol.rho <= 0:
             assert (d <= 1e-9).all()
 
@@ -150,13 +156,6 @@ def test_monotone_under_interval_shrink():
         assert solve_feasibility(shrunk.lp()).rho <= base + 1e-7
 
 
-def test_solve_equalities_helper():
-    x = solve_equalities(np.array([[1.0, 1.0]]), np.array([3.0]), 2)
-    assert x.sum() == pytest.approx(3.0, abs=1e-9)
-    with pytest.raises(EqualitiesInfeasible):
-        solve_equalities(np.array([[1.0], [1.0]]), np.array([0.0, 1.0]), 1)
-
-
 def adversarial_row_value(coeffs, x):
     """Reference: sup over p in the interval coefficients of p . x."""
     total = 0.0
@@ -178,8 +177,10 @@ def test_adversarial_lhs_matches_scalar_reference():
 
 @pytest.mark.parametrize("with_equalities", [False, True])
 def test_residual_lp_matches_scipy_linprog(with_equalities):
-    """rho agrees with HiGHS on the same LP: min rho s.t.
-    Pbar x1 - Punder x2 - rho <= q_lo, C (x1 - x2) = d, x1, x2 >= 0."""
+    """rho agrees with HiGHS on the same LP without the floor: min rho s.t.
+    Pbar x1 - Punder x2 - rho <= q_lo, C (x1 - x2) = d, x1, x2 >= 0.
+    The floored solve reports UNBOUNDED exactly when that LP is unbounded
+    or its minimum is at or below -RHO_FLOOR."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(31 + with_equalities)
     outcomes = set()
@@ -197,11 +198,12 @@ def test_residual_lp_matches_scipy_linprog(with_equalities):
                       A_ub=np.hstack([system.p_hi, -system.p_lo, -np.ones((n, 1))]),
                       b_ub=system.q_lo, A_eq=A_eq, b_eq=b_eq,
                       bounds=[(0, None)] * (2 * r) + [(None, None)])
-        if ref.status == 3:
-            # unbounded below: the floored solve reports a certifying residual
-            assert sol.status is LPStatus.UNBOUNDED and sol.rho < 0.0
+        assert ref.status in (0, 3)
+        floored = ref.status == 3 or ref.fun <= -RHO_FLOOR
+        assert (sol.status is LPStatus.UNBOUNDED) == floored
+        if floored:
+            assert sol.rho == pytest.approx(-RHO_FLOOR, abs=1e-9)
         else:
-            assert ref.status == 0 and sol.status is LPStatus.OPTIMAL
             assert sol.rho == pytest.approx(ref.fun, abs=1e-7)
-        outcomes.add(ref.status)
-    assert outcomes == {0, 3}
+        outcomes.add((ref.status, floored))
+    assert outcomes == {(0, False), (0, True), (3, True)}

