@@ -7,8 +7,9 @@
 
 Exit codes for `solve`: 0 solution found, 1 infeasible, 2 budget
 exhausted, 3 input error (bad command line, unreadable, unparsable or
-invalid problem); `bench` exits 0 or 3.  With --json, machine-readable
-output is one JSON object per run, newline-delimited.
+invalid problem, a number or enclosure outside the double range); `bench`
+exits 0 or 3.  With --json, machine-readable output is one JSON object
+per run, newline-delimited.  --verify runs `verify_solution` after solve.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .benchmarks import CORE_INSTANCES, load_benchmark
-from .errors import EFSolverError, InvalidProblem, ParseError, UndeclaredVariable
+from .errors import EFSolverError, InvalidProblem
 from .heuristics import HeuristicConfig, Strategy
-from .model import validate_problem
 from .parsing import parse_problem
-from .solver import Outcome, SolveConfig, SolveOutcome, VerifyStatus, solve
+from .solver import (Outcome, SolveConfig, SolveOutcome, VerifyResult,
+                     VerifyStatus, solve, verify_solution)
 
 EXIT_SOLUTION = 0
 EXIT_INFEASIBLE = 1
@@ -55,10 +56,11 @@ class RunReport:
 
 
 def make_report(result: SolveOutcome, cfg: SolveConfig,
+                verification: VerifyResult | None = None,
                 instance: str | None = None) -> RunReport:
     verified = None
-    if result.verification is not None:
-        verified = result.verification.status is VerifyStatus.VERIFIED
+    if verification is not None:
+        verified = verification.status is VerifyStatus.VERIFIED
     return RunReport(
         outcome=result.outcome.value,
         x=[float(v) for v in result.x] if result.x is not None else None,
@@ -82,7 +84,6 @@ def _solve_config(args) -> SolveConfig:
         ),
         max_splits=args.max_splits,
         time_budget=args.time_budget,
-        verify=getattr(args, "verify", False),
     )
 
 
@@ -94,19 +95,19 @@ def cmd_solve(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # other EFSolverErrors (parse, domain) reach main: EXIT_INPUT as well
+    problem = parse_problem(text)
     try:
-        problem = parse_problem(text)
-        violations = validate_problem(problem)
-        if violations:
-            for v in violations:
-                print(f"error: {v}", file=sys.stderr)
-            return EXIT_INPUT
         result = solve(problem, cfg)
-    except (ParseError, UndeclaredVariable, InvalidProblem) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InvalidProblem as exc:
+        for v in exc.violations:
+            print(f"error: {v}", file=sys.stderr)
         return EXIT_INPUT
+    verification = None
+    if args.verify and result.is_solution:
+        verification = verify_solution(problem, result.x)
 
-    report = make_report(result, cfg)
+    report = make_report(result, cfg, verification)
     if args.json:
         print(report.to_json())
     else:

@@ -5,13 +5,13 @@ class EFSolverError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DomainError(EFSolverError):
+class DomainError(EFSolverError, ValueError):
     """An interval operation was applied outside its domain (e.g. division
-    by an interval containing zero)."""
+    by an interval containing zero), or an endpoint left the double range."""
 
 
 class SplitDegenerate(EFSolverError):
-    """Attempt to split a zero-width interval."""
+    """Attempt to split an interval whose midpoint is not strictly inside."""
 
 
 class AllDimensionsDegenerate(EFSolverError):

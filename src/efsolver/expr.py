@@ -298,9 +298,7 @@ def _wrap(e: Expr, min_prec: int) -> str:
 def eval_on_box(t: Expr, box: Box) -> Interval:
     """Interval enclosure of {t(y) : y in box}.
 
-    Every variable of t must be a dimension of the box.
+    A variable of t that is not a dimension of the box raises
+    UndeclaredVariable (from `Var.interval`).
     """
-    missing = t.variables() - set(box.names)
-    if missing:
-        raise UndeclaredVariable(sorted(missing)[0])
     return t.interval(box.env())

@@ -133,8 +133,9 @@ def splitheur(t: Expr, box: Box, sign: str, ages: Sequence[int],
 
     Improvement of dimension i is the larger bound movement over the two
     children.  An aging credit kappa * width(enclosure) * ages[i] is added
-    so starved dimensions win eventually.  Zero-width dimensions are
-    excluded; ties go to the lowest dimension index.
+    so starved dimensions win eventually.  Dimensions that `Box.split`
+    refuses (those without lo < mid < hi) are skipped; ties go to the
+    lowest dimension index.
     """
     base = eval_on_box(t, box)
     bound = base.hi if sign == "+" else base.lo
@@ -142,7 +143,7 @@ def splitheur(t: Expr, box: Box, sign: str, ages: Sequence[int],
     best_i = None
     best_score = -1.0
     for i, iv in enumerate(box.intervals):
-        if iv.width <= 0.0 or not (iv.lo < iv.mid < iv.hi):
+        if not iv.lo < iv.mid < iv.hi:
             continue
         improvement = 0.0
         for child in box.split(i):
@@ -159,12 +160,12 @@ def splitheur(t: Expr, box: Box, sign: str, ages: Sequence[int],
 
 
 def round_robin_var(box: Box, counter: int) -> int:
-    """Cycle through dimensions, skipping zero-width ones."""
+    """Cycle through dimensions, skipping those `Box.split` refuses."""
     s = len(box)
     for k in range(s):
         i = (counter + k) % s
         iv = box.intervals[i]
-        if iv.width > 0.0 and iv.lo < iv.mid < iv.hi:
+        if iv.lo < iv.mid < iv.hi:
             return i
     raise AllDimensionsDegenerate("no splittable dimension in box")
 

@@ -26,14 +26,6 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def _enclosure(lo: float, hi: float) -> Interval:
-    """The result of an arithmetic operation; unlike the constructor, an
-    endpoint that overflowed is a domain error of the operation."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"enclosure leaves the double range: [{lo}, {hi}]")
-    return Interval(lo, hi)
-
-
 def _sum_is_exact(a: float, b: float, s: float) -> bool:
     # TwoSum residual: zero iff a + b rounded without error.
     bp = s - a
@@ -42,14 +34,17 @@ def _sum_is_exact(a: float, b: float, s: float) -> bool:
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed interval [lo, hi] with finite endpoints, lo <= hi."""
+    """A closed interval [lo, hi] with finite endpoints, lo <= hi.
+
+    A non-finite endpoint, also one produced by an arithmetic operation
+    that overflowed, raises DomainError."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite: [{self.lo}, {self.hi}]")
+            raise DomainError(f"interval leaves the double range: [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
 
@@ -83,7 +78,7 @@ class Interval:
             lo = _down(lo)
         if not _sum_is_exact(self.hi, other.hi, hi):
             hi = _up(hi)
-        return _enclosure(lo, hi)
+        return Interval(lo, hi)
 
     def __sub__(self, other: Interval) -> Interval:
         lo = self.lo - other.hi
@@ -92,7 +87,7 @@ class Interval:
             lo = _down(lo)
         if not _sum_is_exact(self.hi, -other.lo, hi):
             hi = _up(hi)
-        return _enclosure(lo, hi)
+        return Interval(lo, hi)
 
     def __mul__(self, other: Interval) -> Interval:
         candidates = (
@@ -111,7 +106,7 @@ class Interval:
         i = products.index(hi)
         if not (candidates[i][0] == 0.0 or candidates[i][1] == 0.0):
             hi = _up(hi)
-        return _enclosure(lo, hi)
+        return Interval(lo, hi)
 
     def __truediv__(self, other: Interval) -> Interval:
         if other.lo <= 0.0 <= other.hi:
@@ -122,7 +117,7 @@ class Interval:
             self.hi / other.lo,
             self.hi / other.hi,
         ]
-        return _enclosure(_down(min(quotients)), _up(max(quotients)))
+        return Interval(_down(min(quotients)), _up(max(quotients)))
 
     def power(self, n: int) -> Interval:
         """Integer power, n >= 1, as a single monotone-piecewise operation."""
@@ -131,14 +126,14 @@ class Interval:
         if n == 1:
             return self
         if n % 2 == 1:
-            return _enclosure(_pow_down(self.lo, n), _pow_up(self.hi, n))
+            return Interval(_pow_down(self.lo, n), _pow_up(self.hi, n))
         # even power
         if self.lo >= 0.0:
-            return _enclosure(max(0.0, _pow_down(self.lo, n)), _pow_up(self.hi, n))
+            return Interval(max(0.0, _pow_down(self.lo, n)), _pow_up(self.hi, n))
         if self.hi <= 0.0:
-            return _enclosure(max(0.0, _pow_down(self.hi, n)), _pow_up(self.lo, n))
+            return Interval(max(0.0, _pow_down(self.hi, n)), _pow_up(self.lo, n))
         # straddles zero: the minimum 0 is attained exactly
-        return _enclosure(0.0, _pow_up(max(-self.lo, self.hi), n))
+        return Interval(0.0, _pow_up(max(-self.lo, self.hi), n))
 
     def sin(self) -> Interval:
         if self.width >= _TWO_PI:
@@ -241,12 +236,10 @@ class Box:
         """Split dimension `dim` at its midpoint.
 
         The two children partition the box; they share only the split plane.
-        Raises SplitDegenerate when the dimension has zero width (or is so
-        thin that the midpoint coincides with an endpoint).
+        Raises SplitDegenerate unless lo < mid < hi, which also rules out
+        zero width and a midpoint that rounds onto an endpoint.
         """
         iv = self.intervals[dim]
-        if iv.width == 0.0:
-            raise SplitDegenerate(f"dimension {self.names[dim]} has zero width")
         cut = iv.mid
         if not (iv.lo < cut < iv.hi):
             raise SplitDegenerate(

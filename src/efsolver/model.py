@@ -10,6 +10,7 @@ equalities over x may be attached to the whole problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -116,10 +117,6 @@ class Problem:
     def r(self) -> int:
         return len(self.x_vars)
 
-    @property
-    def s(self) -> int:
-        return len(self.y_vars)
-
     def eq_matrix(self) -> np.ndarray:
         if not self.equalities:
             return np.zeros((0, self.r))
@@ -199,5 +196,8 @@ def validate_problem(p: Problem) -> list[Violation]:
                 f"equality {k} has {len(row)} coefficients, expected {p.r}"))
     if len(p.eq_rhs) != len(p.equalities):
         out.append(Violation("EqualityShape", None, "rhs length mismatch"))
+    for k, (row, d) in enumerate(zip(p.equalities, p.eq_rhs)):
+        if not all(math.isfinite(v) for v in (*row, d)):
+            out.append(Violation("NonFiniteEquality", None, f"equality {k}"))
 
     return out

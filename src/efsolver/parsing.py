@@ -21,6 +21,7 @@ by the normalisation itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError, UndeclaredVariable
@@ -329,12 +330,17 @@ class _Parser:
                 c -= self._const_value(rcs[x], start)
             row.append(c)
         d = self._const_value(rconst, start) - self._const_value(lconst, start)
+        if not all(math.isfinite(v) for v in (*row, d)):
+            self.error("equality constants must be finite", start)
         return tuple(row), d
 
     def _const_value(self, e: Expr, tok: _Token) -> float:
         if e.variables():
             self.error("equality coefficients must be constants", tok)
-        return e.evaluate({})
+        try:
+            return e.evaluate({})
+        except (ArithmeticError, ValueError):  # 1/0, 1e200^2, sin(1e300*1e300)
+            return math.nan
 
     def _signed_number(self) -> float:
         sign = 1.0
@@ -345,7 +351,13 @@ class _Parser:
         t = self.advance()
         if t.kind != "NUM":
             self.error("expected a number", t)
-        return sign * float(t.text)
+        return sign * self._number(t)
+
+    def _number(self, t: _Token) -> float:
+        v = float(t.text)
+        if not math.isfinite(v):
+            self.error(f"number {t.text} leaves the double range", t)
+        return v
 
     # -- formulas -----------------------------------------------------------
 
@@ -466,7 +478,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "NUM":
             self.advance()
-            return Const(float(t.text))
+            return Const(self._number(t))
         if t.text in ("sin", "cos"):
             self.advance()
             self.expect("(")
@@ -488,8 +500,9 @@ class _Parser:
 def parse_problem(text: str) -> Problem:
     """Parse problem text into a Problem.
 
-    Raises ParseError (with line/column) on malformed input and
-    UndeclaredVariable when a name is not declared.
+    Raises ParseError (with line/column) on malformed input, on a literal
+    outside the double range and on an equality whose folded coefficients
+    are not finite, and UndeclaredVariable when a name is not declared.
     """
     return _Parser(text).parse()
 

@@ -54,8 +54,6 @@ class SolveConfig:
     heuristic: HeuristicConfig = field(default_factory=HeuristicConfig)
     max_splits: int = 10_000
     time_budget: float = 120.0
-    verify: bool = False
-    verify_depth: int = 25
 
     def __post_init__(self):
         if not self.max_splits >= 0:
@@ -75,7 +73,7 @@ class SolveStats:
     splits: int = 0
     rounds: int = 0  # iterations that performed at least one split
     lp_solves: int = 0
-    wall_time: float = 0.0  # the solve alone, without the optional verifier
+    wall_time: float = 0.0
     # (branch_id, coefficient index or RHS_COEFFICIENT or None, dimension)
     split_history: list[tuple[int, int | None, int]] = field(default_factory=list)
 
@@ -89,7 +87,6 @@ class SolveOutcome:
     witness: Branch | None = None
     witness_id: int | None = None
     reason: str = ""
-    verification: "VerifyResult | None" = None
 
     @property
     def is_solution(self) -> bool:
@@ -185,9 +182,6 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
     def done(outcome: SolveOutcome) -> SolveOutcome:
         stats.wall_time = time.perf_counter() - t0
-        if cfg.verify and outcome.is_solution:
-            outcome.verification = verify_solution(problem, outcome.x,
-                                                   cfg.verify_depth)
         return outcome
 
     def spent_budget() -> str | None:
@@ -200,7 +194,8 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
     def choose_dim(i: int, expr: Expr | None, sign: str | None) -> int:
         """The dimension of row i's box to split: round-robin without an
-        expression, else the trial-split choice for improving expr."""
+        expression, else the trial-split choice for improving expr.  Both
+        choosers return only dimensions that `Box.split` accepts."""
         bid, box, _, _, rr = live.rows[i]
         if expr is None:
             return round_robin_var(box, rr)
@@ -241,7 +236,7 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                 do_split(i, choose_dim(i, None if round_robin else guard.body,
                                        sign), None)
                 stats.rounds += 1
-            except (AllDimensionsDegenerate, SplitDegenerate):
+            except AllDimensionsDegenerate:
                 return done(SolveOutcome(
                     Outcome.BUDGET_EXHAUSTED, stats,
                     reason="cannot split an undecided branch further"))
@@ -250,11 +245,11 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
         # every live box is a linear interval row
         lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d)
+        stats.lp_solves += 1
         try:
             sol = solve_feasibility(lp)
         except EqualitiesInfeasible as exc:
             return done(SolveOutcome(Outcome.INFEASIBLE, stats, reason=str(exc)))
-        stats.lp_solves += 1
         resid = residual_vector(lp, sol)
 
         if sol.rho <= -ACCEPT_TOL:
@@ -293,7 +288,7 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                 round_splits += 1
                 if hc.strategy is not Strategy.SPLIT_ALL:
                     break  # single-box strategies split once per iteration
-            except (AllDimensionsDegenerate, SplitDegenerate):
+            except AllDimensionsDegenerate:
                 continue  # this box is exhausted; try the next target
         if round_splits == 0:
             return done(SolveOutcome(
@@ -440,15 +435,11 @@ def _check_forall(f: Formula, box: Box, depth: int, budget: list[int]):
         return mid
     if depth <= 0:
         return "unknown"
-    widths = box.widths()
-    dim = int(np.argmax(widths))
-    if widths[dim] <= 0.0:
-        return "unknown"
-    sawunknown = False
     try:
-        children = box.split(dim)
+        children = box.split(int(np.argmax(box.widths())))
     except SplitDegenerate:
         return "unknown"
+    sawunknown = False
     for child in children:
         res = _check_forall(f, child, depth - 1, budget)
         if res == "unknown":

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import efsolver as ef
 from efsolver.benchmarks import benchmark_text
 from efsolver.cli import main
 
@@ -67,6 +68,51 @@ def test_solve_overflowing_enclosure_exit_code(tmp_path, capsys, coefficient, bo
     assert "error:" in captured.err
     assert "double range" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("statement", [
+    "branch y1 in [0,1e400] : x1*y1 <= 1 ;",     # a box bound
+    "branch y1 in [0,1] : x1*y1 <= 1e400 ;",     # a literal in the formula
+    "branch y1 in [0,1] : x1*y1 <= 1 ;\neq 1e400*x1 = 1 ;",
+    "branch y1 in [0,1] : x1*y1 <= 1 ;\neq 1e300*1e300*x1 = 1 ;",
+    "branch y1 in [0,1] : x1*y1 <= 1 ;\neq x1 = 1/0 ;",
+])
+def test_solve_non_finite_input_exit_code(tmp_path, capsys, statement):
+    bad = tmp_path / "inf.efp"
+    bad.write_text(f"exists x1 ;\nforall-vars y1 ;\n{statement}\n")
+    assert main(["solve", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out == ""
+
+
+def test_solve_prints_one_error_line_per_violation(tmp_path, capsys):
+    # parses, but each branch has two inequalities over x
+    bad = tmp_path / "two.efp"
+    bad.write_text("exists x1 ;\nforall-vars y1 ;\n"
+                   "branch y1 in [0,1] : x1 <= 1 and x1*y1 <= 2 ;\n"
+                   "branch y1 in [0,1] : x1 <= 1 or x1 <= 2 ;\n")
+    assert main(["solve", str(bad)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: MultipleLinearAtoms (branch 0): 2 inequalities mention x",
+                     "error: MultipleLinearAtoms (branch 1): 2 inequalities mention x"]
+
+
+def test_verify_flag_runs_verifier_after_solve(bench_file, capsys, monkeypatch):
+    from efsolver import cli
+    seen = []
+
+    def verify(problem, x):
+        seen.append(list(x))
+        return ef.VerifyResult(ef.VerifyStatus.COUNTEREXAMPLE)
+
+    monkeypatch.setattr(cli, "verify_solution", verify)
+    assert main(["solve", bench_file("A")]) == 0
+    assert "verified:" not in capsys.readouterr().out and not seen
+    assert main(["solve", bench_file("A"), "--json", "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert seen == [report["x"]] and report["verified"] is False
 
 
 def run_cli(argv):

@@ -41,6 +41,13 @@ def test_missing_variable_raises():
         eval_on_box(Var("z"), Box.of(("y", (0, 1))))
 
 
+def test_missing_variable_inside_product_raises():
+    t = parse_expression("(y + 1)*sin(y*z)")
+    with pytest.raises(UndeclaredVariable) as exc:
+        eval_on_box(t, Box.of(("y", (0, 1))))
+    assert exc.value.name == "z"
+
+
 def test_plain_evaluation():
     t = parse_expression("sin(y1)*y2 + cos(y1)/2")
     import math

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from efsolver.errors import AllDimensionsDegenerate
+from efsolver.errors import AllDimensionsDegenerate, SplitDegenerate
 from efsolver.heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                                  Strategy, coeff_score, round_robin_var,
                                  select_targets, split_coefficient, splitheur)
@@ -206,6 +208,23 @@ def test_splitheur_excludes_zero_width_dims():
     with pytest.raises(AllDimensionsDegenerate):
         splitheur(parse_expression("y1"), Box.of(("y1", (1.0, 1.0))),
                   "+", [0], 0.0)
+
+
+ONE_ULP = (1.0, math.nextafter(1.0, 2.0))  # its midpoint rounds onto lo
+
+
+def test_one_ulp_dimension_is_never_chosen():
+    box = Box.of(("y1", ONE_ULP), ("y2", (0.0, 2.0)))
+    t = parse_expression("1000*y1 + y2")
+    assert splitheur(t, box, "+", [5, 0], 1.0) == 1
+    assert round_robin_var(box, 0) == 1
+    with pytest.raises(SplitDegenerate):
+        box.split(0)
+    thin = Box.of(("y1", ONE_ULP))
+    with pytest.raises(AllDimensionsDegenerate):
+        splitheur(parse_expression("y1"), thin, "+", [0], 0.0)
+    with pytest.raises(AllDimensionsDegenerate):
+        round_robin_var(thin, 0)
 
 
 def test_splitheur_deterministic():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from efsolver.errors import DomainError, SplitDegenerate
+from efsolver.errors import DomainError, EFSolverError, SplitDegenerate
 from efsolver.expr import eval_on_box
 from efsolver.intervals import Box, Interval
 from efsolver.parsing import parse_expression
@@ -63,8 +63,17 @@ def test_division_by_zero_interval_raises():
 def test_interval_invariants():
     with pytest.raises(ValueError):
         Interval(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="double range"):
         Interval(0, math.inf)
+    with pytest.raises(DomainError, match="double range"):
+        Interval(1e308, 1e308) + Interval(1e308, 1e308)
+
+
+def test_domain_error_is_package_and_value_error():
+    assert issubclass(DomainError, EFSolverError)
+    assert issubclass(DomainError, ValueError)
+    with pytest.raises(ValueError):
+        Interval(math.nan, 0.0)
 
 
 def test_point_arithmetic_stays_exact():

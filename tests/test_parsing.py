@@ -204,6 +204,36 @@ def test_scientific_notation_literals():
     assert p.branches[0].formula.atom.rhs.evaluate({}) == pytest.approx(1e-6)
 
 
+@pytest.mark.parametrize("statement,literal", [
+    ("branch y in [0,1e400] : x1*y <= 1 ;", "1e400"),
+    ("branch y in [-1e999,1] : x1*y <= 1 ;", "1e999"),
+    ("branch y in [0,1] : x1*y <= 1e400 ;", "1e400"),
+    ("branch y in [0,1] : y <= 2e308 or x1 <= 1 ;", "2e308"),
+    ("branch y in [0,1] : x1 <= 1 ;\neq 1e400*x1 = 1 ;", "1e400"),
+])
+def test_literal_outside_double_range_rejected(statement, literal):
+    text = "exists x1 ;\nforall-vars y ;\n" + statement
+    with pytest.raises(ParseError, match="double range") as exc:
+        parse_problem(text)
+    line = text.splitlines()[exc.value.line - 1]
+    assert line[exc.value.column - 1:].startswith(literal)
+
+
+@pytest.mark.parametrize("equality", [
+    "1e300*1e300*x1 = 1",      # the folded coefficient overflows
+    "1e308*x1 + 1e308*x1 = 1",  # so does the merged one
+    "x1 = 1/0",
+    "x1 = (1e200)^2",
+    "x1 = sin(1e300*1e300)",
+])
+def test_equality_with_non_finite_constant_rejected(equality):
+    with pytest.raises(ParseError, match="finite") as exc:
+        parse_problem("exists x1 ;\nforall-vars y ;\n"
+                      "branch y in [0,1] : x1 <= 1 ;\n"
+                      f"eq {equality} ;")
+    assert (exc.value.line, exc.value.column) == (4, 4)
+
+
 def test_round_trip_random_problems():
     # programmatically built trees may use forms the parser never produces
     # (e.g. negative literals); one print/parse pass normalises, after
