@@ -12,8 +12,8 @@ split next.
 from .errors import (AllDimensionsDegenerate, DomainError, EFSolverError,
                      EqualitiesInfeasible, InvalidProblem, ParseError,
                      SplitDegenerate, UndeclaredVariable)
-from .expr import (Add, Const, Cos, Div, Expr, Mul, Neg, Pow, Sin, Sub, Var,
-                   eval_on_box)
+from .expr import (Add, Const, Cos, Div, Expr, Mul, Neg, Pow, Sin, Sub, Tape,
+                   Var, compile_tape, enclose, eval_on_box)
 from .heuristics import (AgeTable, HeuristicConfig, Strategy, coeff_score,
                          round_robin_var, select_targets, split_coefficient,
                          splitheur)
@@ -25,9 +25,9 @@ from .parsing import parse_expression, parse_problem, problem_to_text
 from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
                          rohn_transform, solve_feasibility)
 from .simplex import SimplexResult, SimplexStatus, simplex_solve
-from .simplify import (BranchStatus, Decision, LinearRow, ProvedFalse,
-                       ProvedTrue, Undecided, classify_guard, reduce_formula,
-                       simplify_branch)
+from .simplify import (BranchStatus, CompiledBranch, Decision, LinearRow,
+                       ProvedFalse, ProvedTrue, Undecided, classify_guard,
+                       compile_branch, reduce_formula, simplify_branch)
 from .solver import (Outcome, SolveConfig, SolveOutcome, SolveStats,
                      VerifyResult, VerifyStatus, solve, verify_solution)
 

@@ -1,20 +1,32 @@
-"""Arithmetic expression trees over named variables.
+"""Arithmetic expression trees over named variables, and their interval tapes.
 
 Nodes: Const, Var, Neg, Add, Sub, Mul, Div, Pow (positive integer
-exponent), Sin, Cos.  Trees are immutable and hashable.  Two evaluators
-are provided: plain floating point (`evaluate`) and conservative interval
-evaluation over a box (`interval`), which returns an enclosure of the true
-range.  The interval evaluator is naive (no dependency tracking), so the
-enclosure generally overestimates; containment is guaranteed.
+exponent), Sin, Cos.  Trees are immutable and hashable.  Each tree has
+two evaluators of its own: plain floating point (`evaluate`) and
+conservative interval evaluation by a tree walk over `Interval` objects
+(`interval`), which returns an enclosure of the true range.
+
+The solver does not walk trees.  `compile_tape` compiles several trees
+over one box layout into one flat tape: a straight-line list of
+operations on numbered slots (the box dimensions, the constants, then one
+slot per operation), in which structurally equal subterms share a slot.
+`eval_on_box` runs a tape on plain float endpoints, one box per run, and
+every operation calls the float-level rounding helpers of `intervals`,
+which the `Interval` operators call as well, so a tape gives bit for bit
+the tree walk's enclosure.  The tree walk stays as the test oracle.  Both
+are naive (no dependency tracking), so the enclosure generally
+overestimates; containment is guaranteed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
-from .errors import UndeclaredVariable
+from . import intervals as iv
+from .errors import DomainError, UndeclaredVariable
 from .intervals import Box, Interval
 
 # operator precedence levels used by the printer
@@ -295,10 +307,114 @@ def _wrap(e: Expr, min_prec: int) -> str:
     return f"({s})" if e._prec() < min_prec else s
 
 
-def eval_on_box(t: Expr, box: Box) -> Interval:
-    """Interval enclosure of {t(y) : y in box}.
+# -- interval tapes -------------------------------------------------------------
 
-    A variable of t that is not a dimension of the box raises
-    UndeclaredVariable (from `Var.interval`).
+_BINARY = {Add: iv.add, Sub: iv.sub, Mul: iv.mul, Div: iv.div}
+_UNARY = {Neg: iv.neg, Sin: iv.sin, Cos: iv.cos}
+
+# One operation: (helper, a, b, dst) sets slot dst to helper(slot a, slot
+# b) for a binary helper, or to helper(slot a) when b is None.
+Op = tuple[Callable[..., tuple[float, float]], int, int | None, int]
+
+
+@dataclass(frozen=True)
+class Tape:
+    """Straight-line interval program for some expressions over one box.
+
+    Slots 0..len(names)-1 hold the box dimensions; each later slot holds a
+    constant (its value in `init`) or the result of one operation in
+    `ops` (0.0 in `init` until the operation runs).  `roots[k]` is the
+    slot of the k-th compiled expression.
     """
-    return t.interval(box.env())
+
+    names: tuple[str, ...]
+    init: tuple[float, ...]
+    ops: tuple[Op, ...]
+    roots: tuple[int, ...]
+
+    def restrict(self, slots: Sequence[int]) -> Tape:
+        """The tape computing only `slots` and what they depend on, with the
+        same slot numbering."""
+        need = set(slots)
+        kept = []
+        for op in reversed(self.ops):
+            _, a, b, dst = op
+            if dst in need:
+                kept.append(op)
+                need.update((a,) if b is None else (a, b))
+        return Tape(self.names, self.init, tuple(reversed(kept)), tuple(slots))
+
+
+def compile_tape(exprs: Sequence[Expr], names: Sequence[str]) -> Tape:
+    """Compile `exprs` over the box dimensions `names` into one tape.
+
+    A variable outside `names` raises UndeclaredVariable, a constant
+    outside the double range DomainError.
+    """
+    names = tuple(names)
+    dims = {name: k for k, name in enumerate(names)}
+    slot_of: dict[tuple, int] = {}
+    init: list[float] = []
+    ops: list[Op] = []
+
+    def slot(e: Expr) -> int:
+        kind = type(e)
+        if kind is Var:
+            try:
+                return dims[e.name]
+            except KeyError:
+                raise UndeclaredVariable(e.name) from None
+        if kind is Const:
+            # repr keeps 0.0 and -0.0 apart
+            key, op = (Const, repr(e.value)), None
+        elif kind is Pow:
+            a = slot(e.base)
+            key, op = (Pow, a, e.exponent), (partial(iv.power, n=e.exponent), a, None)
+        elif kind in _UNARY:
+            a = slot(e.arg)
+            key, op = (kind, a), (_UNARY[kind], a, None)
+        elif kind in _BINARY:
+            a, b = slot(e.left), slot(e.right)
+            key, op = (kind, a, b), (_BINARY[kind], a, b)
+        else:
+            raise TypeError(f"cannot compile {kind.__name__} node")
+        dst = slot_of.get(key)
+        if dst is None:
+            dst = slot_of[key] = len(names) + len(init)
+            if op is None:
+                if not math.isfinite(e.value):
+                    raise DomainError(f"constant leaves the double range: {e.value}")
+                init.append(e.value)
+            else:
+                init.append(0.0)
+                ops.append((*op, dst))
+        return dst
+
+    roots = tuple(slot(e) for e in exprs)
+    return Tape(names, tuple(init), tuple(ops), roots)
+
+
+def eval_on_box(tape: Tape, lo: Sequence[float], hi: Sequence[float]
+                ) -> tuple[list[float], list[float]]:
+    """Run `tape` on the box with endpoints lo, hi (in `tape.names` order).
+
+    Returns the lower and upper endpoint of every slot: the enclosure of
+    the k-th compiled expression is (L[s], H[s]) with s = tape.roots[k].
+    An overflowing operation raises DomainError.
+    """
+    L = [*lo, *tape.init]
+    H = [*hi, *tape.init]
+    for fn, a, b, dst in tape.ops:
+        if b is None:
+            L[dst], H[dst] = fn(L[a], H[a])
+        else:
+            L[dst], H[dst] = fn(L[a], H[a], L[b], H[b])
+    return L, H
+
+
+def enclose(t: Expr, box: Box) -> Interval:
+    """Interval enclosure of {t(y) : y in box}, through a one-expression tape."""
+    tape = compile_tape((t,), box.names)
+    L, H = eval_on_box(tape, *box.endpoints())
+    s = tape.roots[0]
+    return Interval(L[s], H[s])

@@ -32,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllDimensionsDegenerate
-from .expr import Expr, eval_on_box
-from .intervals import Box, Interval
+from .expr import Tape, eval_on_box
+from .intervals import Interval, midpoint
 from .relaxation import LPSolution
 
 RHS_COEFFICIENT = -1  # coefficient marker: improve the right-hand side
@@ -126,29 +126,39 @@ def split_coefficient(p_width: np.ndarray, sol: LPSolution,
     return j, "+" if sol.x1[j] - sol.x2[j] >= 0 else "-"
 
 
-def splitheur(t: Expr, box: Box, sign: str, ages: Sequence[int],
+def splitheur(tape: Tape, slot: int, lo: Sequence[float], hi: Sequence[float],
+              base: tuple[float, float], sign: str, ages: Sequence[int],
               kappa: float) -> int:
     """Choose the box dimension whose midpoint split most improves the
-    targeted bound of the enclosure of t.
+    targeted bound of the enclosure of slot `slot` of `tape`.
 
-    Improvement of dimension i is the larger bound movement over the two
-    children.  An aging credit kappa * width(enclosure) * ages[i] is added
-    so starved dimensions win eventually.  Dimensions that `Box.split`
-    refuses (those without lo < mid < hi) are skipped; ties go to the
-    lowest dimension index.
+    lo, hi are the box endpoints and base the (lower, upper) enclosure of
+    the slot on the whole box.  Improvement of dimension i is the larger bound
+    movement over the two children, each enclosed by one run of the tape
+    on the box with one endpoint of dimension i moved to its midpoint.
+    An aging credit kappa * width(base) * ages[i] is added so starved
+    dimensions win eventually.  Dimensions that cannot be split (those
+    without lo < mid < hi) are skipped; ties go to the lowest dimension
+    index.
     """
-    base = eval_on_box(t, box)
-    bound = base.hi if sign == "+" else base.lo
-    base_width = base.width
+    blo, bhi = base
+    upper = sign == "+"
+    bound = bhi if upper else blo
+    base_width = bhi - blo
+    child_lo, child_hi = list(lo), list(hi)
     best_i = None
     best_score = -1.0
-    for i, iv in enumerate(box.intervals):
-        if not iv.lo < iv.mid < iv.hi:
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        mid = midpoint(l, h)
+        if not l < mid < h:
             continue
         improvement = 0.0
-        for child in box.split(i):
-            ev = eval_on_box(t, child)
-            movement = abs(bound - (ev.hi if sign == "+" else ev.lo))
+        # the lower half [l, mid], then the upper half [mid, h]
+        for endpoints, old in ((child_hi, h), (child_lo, l)):
+            endpoints[i] = mid
+            L, H = eval_on_box(tape, child_lo, child_hi)
+            endpoints[i] = old
+            movement = abs(bound - (H[slot] if upper else L[slot]))
             improvement = max(improvement, movement)
         score = kappa * base_width * ages[i] + improvement
         if score > best_score:
@@ -159,41 +169,42 @@ def splitheur(t: Expr, box: Box, sign: str, ages: Sequence[int],
     return best_i
 
 
-def round_robin_var(box: Box, counter: int) -> int:
-    """Cycle through dimensions, skipping those `Box.split` refuses."""
-    s = len(box)
+def round_robin_var(lo: Sequence[float], hi: Sequence[float], counter: int) -> int:
+    """Cycle through dimensions, skipping those without lo < mid < hi."""
+    s = len(lo)
     for k in range(s):
         i = (counter + k) % s
-        iv = box.intervals[i]
-        if iv.lo < iv.mid < iv.hi:
+        if lo[i] < midpoint(lo[i], hi[i]) < hi[i]:
             return i
     raise AllDimensionsDegenerate("no splittable dimension in box")
 
 
 class AgeTable:
-    """Per branch and expression, vectors counting for each box dimension
-    how many variable choices have passed since that dimension was chosen.
+    """Per branch box and tape slot (the expression being improved),
+    vectors counting for each box dimension how many variable choices
+    have passed since that dimension was chosen.
 
     Children of a split inherit copies of the parent's vectors.
     """
 
     def __init__(self):
-        self._ages: dict[int, dict[Expr, np.ndarray]] = {}
+        self._ages: dict[int, dict[int, np.ndarray]] = {}
 
-    def ages(self, branch_id: int, expr: Expr, ndims: int) -> np.ndarray:
-        per_expr = self._ages.setdefault(branch_id, {})
-        if expr not in per_expr:
-            per_expr[expr] = np.zeros(ndims, dtype=int)
-        return per_expr[expr]
+    def ages(self, branch_id: int, slot: int, ndims: int) -> np.ndarray:
+        per_slot = self._ages.setdefault(branch_id, {})
+        vec = per_slot.get(slot)
+        if vec is None:
+            vec = per_slot[slot] = np.zeros(ndims, dtype=int)
+        return vec
 
-    def record_choice(self, branch_id: int, expr: Expr, ndims: int,
+    def record_choice(self, branch_id: int, slot: int, ndims: int,
                       chosen: int) -> None:
-        ages = self.ages(branch_id, expr, ndims)
+        ages = self.ages(branch_id, slot, ndims)
         ages += 1
         ages[chosen] = 0
 
     def inherit(self, parent_id: int, child_ids: Sequence[int]) -> None:
-        per_expr = self._ages.pop(parent_id, None)
-        if per_expr:
+        per_slot = self._ages.pop(parent_id, None)
+        if per_slot:
             for cid in child_ids:
-                self._ages[cid] = {e: vec.copy() for e, vec in per_expr.items()}
+                self._ages[cid] = {s: vec.copy() for s, vec in per_slot.items()}

@@ -5,6 +5,10 @@ by one ulp per operation so that the returned interval contains the exact
 real result despite rounding.  Exact operations (negation, sums with zero
 rounding error, products with a zero factor) are not inflated.  A result
 that leaves the double range raises DomainError.
+
+The arithmetic is written once, as functions on float endpoints (`add`,
+`mul`, `power`, `sin`, ...); the `Interval` operators and the expression
+tapes of `expr` both call them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,146 @@ def _sum_is_exact(a: float, b: float, s: float) -> bool:
     return (a - (s - bp)) + (b - bp) == 0.0
 
 
+_INF = math.inf
+
+
+def _overflow(lo: float, hi: float) -> DomainError:
+    return DomainError(f"interval leaves the double range: [{lo}, {hi}]")
+
+
+# -- float-level operations ----------------------------------------------------
+#
+# Each takes and returns interval endpoints as plain floats.  The Interval
+# operators and the expression tapes (expr.py) both call these, so the two
+# evaluators round identically.  Operations that can overflow raise
+# DomainError; their results are otherwise ordered (lo <= hi) and never
+# NaN, so only the outer infinities need checking.
+
+def neg(lo: float, hi: float) -> tuple[float, float]:
+    return -hi, -lo
+
+
+def add(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    lo = alo + blo
+    hi = ahi + bhi
+    if not _sum_is_exact(alo, blo, lo):
+        lo = _down(lo)
+    if not _sum_is_exact(ahi, bhi, hi):
+        hi = _up(hi)
+    if lo == -_INF or hi == _INF:
+        raise _overflow(lo, hi)
+    return lo, hi
+
+
+def sub(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    lo = alo - bhi
+    hi = ahi - blo
+    if not _sum_is_exact(alo, -bhi, lo):
+        lo = _down(lo)
+    if not _sum_is_exact(ahi, -blo, hi):
+        hi = _up(hi)
+    if lo == -_INF or hi == _INF:
+        raise _overflow(lo, hi)
+    return lo, hi
+
+
+def mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    lo = min(products)
+    hi = max(products)
+    # A product is exact when one factor is exactly zero; products k < 2
+    # take alo, even k take blo.
+    i = products.index(lo)
+    if (alo if i < 2 else ahi) != 0.0 and (bhi if i & 1 else blo) != 0.0:
+        lo = _down(lo)
+    i = products.index(hi)
+    if (alo if i < 2 else ahi) != 0.0 and (bhi if i & 1 else blo) != 0.0:
+        hi = _up(hi)
+    if lo == -_INF or hi == _INF:
+        raise _overflow(lo, hi)
+    return lo, hi
+
+
+def div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    if blo <= 0.0 <= bhi:
+        raise DomainError(f"division by interval containing zero: [{blo!r}, {bhi!r}]")
+    quotients = (alo / blo, alo / bhi, ahi / blo, ahi / bhi)
+    lo = _down(min(quotients))
+    hi = _up(max(quotients))
+    if lo == -_INF or hi == _INF:
+        raise _overflow(lo, hi)
+    return lo, hi
+
+
+def power(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """Integer power, n >= 1, as a single monotone-piecewise operation."""
+    if n < 1 or n != int(n):
+        raise ValueError(f"exponent must be a positive integer, got {n}")
+    if n == 1:
+        return lo, hi
+    if n % 2 == 1:
+        plo, phi = _pow_down(lo, n), _pow_up(hi, n)
+    elif lo >= 0.0:
+        plo, phi = max(0.0, _pow_down(lo, n)), _pow_up(hi, n)
+    elif hi <= 0.0:
+        plo, phi = max(0.0, _pow_down(hi, n)), _pow_up(lo, n)
+    else:
+        # straddles zero: the minimum 0 is attained exactly
+        plo, phi = 0.0, _pow_up(max(-lo, hi), n)
+    if plo == -_INF or phi == _INF:
+        raise _overflow(plo, phi)
+    return plo, phi
+
+
+def sin(lo: float, hi: float) -> tuple[float, float]:
+    if hi - lo >= _TWO_PI:
+        return -1.0, 1.0
+    lo_v, hi_v = math.sin(lo), math.sin(hi)
+    rlo, rhi = _down(min(lo_v, hi_v)), _up(max(lo_v, hi_v))
+    if _grid_hits(lo, hi, _HALF_PI):
+        rhi = 1.0
+    if _grid_hits(lo, hi, -_HALF_PI):
+        rlo = -1.0
+    return max(rlo, -1.0), min(rhi, 1.0)
+
+
+def cos(lo: float, hi: float) -> tuple[float, float]:
+    if hi - lo >= _TWO_PI:
+        return -1.0, 1.0
+    lo_v, hi_v = math.cos(lo), math.cos(hi)
+    rlo, rhi = _down(min(lo_v, hi_v)), _up(max(lo_v, hi_v))
+    if _grid_hits(lo, hi, 0.0):
+        rhi = 1.0
+    if _grid_hits(lo, hi, math.pi):
+        rlo = -1.0
+    return max(rlo, -1.0), min(rhi, 1.0)
+
+
+def midpoint(lo: float, hi: float) -> float:
+    """The split point of [lo, hi]: 0.5 * (lo + hi), halving each endpoint
+    first when their sum leaves the double range."""
+    m = 0.5 * (lo + hi)
+    if -_INF < m < _INF:
+        return m
+    return 0.5 * lo + 0.5 * hi
+
+
+def halves(lo: tuple[float, ...], hi: tuple[float, ...], dim: int):
+    """The lower and the upper half, as (lo, hi) endpoint tuples, of the box
+    [lo, hi] split at the midpoint of dimension `dim`.
+
+    The halves partition the box; they share only the split plane.
+    Raises SplitDegenerate unless lo < mid < hi, which also rules out zero
+    width and a midpoint that rounds onto an endpoint.
+    """
+    cut = midpoint(lo[dim], hi[dim])
+    if not lo[dim] < cut < hi[dim]:
+        raise SplitDegenerate(
+            f"cut {cut} not strictly inside [{lo[dim]}, {hi[dim]}] of dimension {dim}")
+    return ((lo, hi[:dim] + (cut,) + hi[dim + 1:]),
+            (lo[:dim] + (cut,) + lo[dim + 1:], hi))
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval [lo, hi] with finite endpoints, lo <= hi.
@@ -44,7 +188,7 @@ class Interval:
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"interval leaves the double range: [{self.lo}, {self.hi}]")
+            raise _overflow(self.lo, self.hi)
         if self.lo > self.hi:
             raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
 
@@ -58,7 +202,7 @@ class Interval:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return midpoint(self.lo, self.hi)
 
     def encloses(self, other: Interval, slack: float = 0.0) -> bool:
         return self.lo - slack <= other.lo and other.hi <= self.hi + slack
@@ -66,96 +210,31 @@ class Interval:
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: the float-level operations above -------------------------
 
     def __neg__(self) -> Interval:
-        return Interval(-self.hi, -self.lo)
+        return Interval(*neg(self.lo, self.hi))
 
     def __add__(self, other: Interval) -> Interval:
-        lo = self.lo + other.lo
-        hi = self.hi + other.hi
-        if not _sum_is_exact(self.lo, other.lo, lo):
-            lo = _down(lo)
-        if not _sum_is_exact(self.hi, other.hi, hi):
-            hi = _up(hi)
-        return Interval(lo, hi)
+        return Interval(*add(self.lo, self.hi, other.lo, other.hi))
 
     def __sub__(self, other: Interval) -> Interval:
-        lo = self.lo - other.hi
-        hi = self.hi - other.lo
-        if not _sum_is_exact(self.lo, -other.hi, lo):
-            lo = _down(lo)
-        if not _sum_is_exact(self.hi, -other.lo, hi):
-            hi = _up(hi)
-        return Interval(lo, hi)
+        return Interval(*sub(self.lo, self.hi, other.lo, other.hi))
 
     def __mul__(self, other: Interval) -> Interval:
-        candidates = (
-            (self.lo, other.lo),
-            (self.lo, other.hi),
-            (self.hi, other.lo),
-            (self.hi, other.hi),
-        )
-        products = [a * b for a, b in candidates]
-        lo = min(products)
-        hi = max(products)
-        # A product is exact when one factor is exactly zero.
-        i = products.index(lo)
-        if not (candidates[i][0] == 0.0 or candidates[i][1] == 0.0):
-            lo = _down(lo)
-        i = products.index(hi)
-        if not (candidates[i][0] == 0.0 or candidates[i][1] == 0.0):
-            hi = _up(hi)
-        return Interval(lo, hi)
+        return Interval(*mul(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: Interval) -> Interval:
-        if other.lo <= 0.0 <= other.hi:
-            raise DomainError(f"division by interval containing zero: {other}")
-        quotients = [
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        ]
-        return Interval(_down(min(quotients)), _up(max(quotients)))
+        return Interval(*div(self.lo, self.hi, other.lo, other.hi))
 
     def power(self, n: int) -> Interval:
-        """Integer power, n >= 1, as a single monotone-piecewise operation."""
-        if n < 1 or n != int(n):
-            raise ValueError(f"exponent must be a positive integer, got {n}")
-        if n == 1:
-            return self
-        if n % 2 == 1:
-            return Interval(_pow_down(self.lo, n), _pow_up(self.hi, n))
-        # even power
-        if self.lo >= 0.0:
-            return Interval(max(0.0, _pow_down(self.lo, n)), _pow_up(self.hi, n))
-        if self.hi <= 0.0:
-            return Interval(max(0.0, _pow_down(self.hi, n)), _pow_up(self.lo, n))
-        # straddles zero: the minimum 0 is attained exactly
-        return Interval(0.0, _pow_up(max(-self.lo, self.hi), n))
+        return Interval(*power(self.lo, self.hi, n))
 
     def sin(self) -> Interval:
-        if self.width >= _TWO_PI:
-            return Interval(-1.0, 1.0)
-        lo_v, hi_v = math.sin(self.lo), math.sin(self.hi)
-        lo, hi = _down(min(lo_v, hi_v)), _up(max(lo_v, hi_v))
-        if _grid_hits(self.lo, self.hi, _HALF_PI):
-            hi = 1.0
-        if _grid_hits(self.lo, self.hi, -_HALF_PI):
-            lo = -1.0
-        return Interval(max(lo, -1.0), min(hi, 1.0))
+        return Interval(*sin(self.lo, self.hi))
 
     def cos(self) -> Interval:
-        if self.width >= _TWO_PI:
-            return Interval(-1.0, 1.0)
-        lo_v, hi_v = math.cos(self.lo), math.cos(self.hi)
-        lo, hi = _down(min(lo_v, hi_v)), _up(max(lo_v, hi_v))
-        if _grid_hits(self.lo, self.hi, 0.0):
-            hi = 1.0
-        if _grid_hits(self.lo, self.hi, math.pi):
-            lo = -1.0
-        return Interval(max(lo, -1.0), min(hi, 1.0))
+        return Interval(*cos(self.lo, self.hi))
 
 
 def _pow(x: float, n: int) -> float:
@@ -212,8 +291,17 @@ class Box:
         ivs = tuple(iv if isinstance(iv, Interval) else Interval(*iv) for _, iv in dims)
         return cls(names, ivs)
 
+    @classmethod
+    def from_endpoints(cls, names: tuple[str, ...], lo, hi) -> Box:
+        return cls(names, tuple(Interval(l, h) for l, h in zip(lo, hi)))
+
     def __len__(self) -> int:
         return len(self.names)
+
+    def endpoints(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The lower and the upper endpoints, in dimension order."""
+        return (tuple(iv.lo for iv in self.intervals),
+                tuple(iv.hi for iv in self.intervals))
 
     def interval(self, name: str) -> Interval:
         return self.intervals[self.names.index(name)]
@@ -233,20 +321,11 @@ class Box:
         return Box(self.names, tuple(ivs))
 
     def split(self, dim: int) -> tuple[Box, Box]:
-        """Split dimension `dim` at its midpoint.
-
-        The two children partition the box; they share only the split plane.
-        Raises SplitDegenerate unless lo < mid < hi, which also rules out
-        zero width and a midpoint that rounds onto an endpoint.
-        """
-        iv = self.intervals[dim]
-        cut = iv.mid
-        if not (iv.lo < cut < iv.hi):
-            raise SplitDegenerate(
-                f"cut {cut} not strictly inside [{iv.lo}, {iv.hi}] of {self.names[dim]}"
-            )
-        return (self.replace(dim, Interval(iv.lo, cut)),
-                self.replace(dim, Interval(cut, iv.hi)))
+        """The two halves of the box at the midpoint of dimension `dim`
+        (see `halves`)."""
+        lower, upper = halves(*self.endpoints(), dim)
+        return (Box.from_endpoints(self.names, *lower),
+                Box.from_endpoints(self.names, *upper))
 
     def sample(self, rng, n: int = 1) -> list[dict[str, float]]:
         """Uniform random points inside the box (for sampling-based checks)."""

@@ -185,6 +185,10 @@ def validate_problem(p: Problem) -> list[Violation]:
                 if bad:
                     out.append(Violation(
                         "ExistentialInRhs", i, f"rhs mentions {sorted(bad)}"))
+                unknown = leaf.atom.rhs.variables() - x_set - y_set
+                if unknown:
+                    out.append(Violation(
+                        "UndeclaredVariable", i, f"{sorted(unknown)}"))
         if n_linear > 1:
             out.append(Violation(
                 "MultipleLinearAtoms", i, f"{n_linear} inequalities mention x"))

@@ -1,17 +1,20 @@
 """Branch simplification: decide guards by interval evaluation, reduce the
 Boolean structure (`reduce_formula`, which the verifier also uses), and
-classify each branch.
+classify each branch box.
 
 A guard "body <= 0" over a box B is decided from I = enclosure of body on
 B: true when hi(I) <= 0, false when lo(I) > 0, undecided otherwise.  For a
 strict guard "body < 0" the rules are hi(I) < 0 (true) and lo(I) >= 0
 (false).  Boundary ties stay undecided rather than being decided unsoundly.
 
-After replacing decided guards by Boolean constants and simplifying, a
-branch is either proved (true/false constant), a single linear inequality
-over x with interval coefficients (a LinearRow, ready for the LP
-relaxation), or still undecided (some guard straddles zero and needs the
-box split).
+A branch formula is compiled once (`compile_branch`) into one tape over
+its box dimensions that holds every guard body and the linear atom's
+coefficients and right-hand side.  Classifying a box runs the guard part
+of that tape; after replacing decided guards by Boolean constants and
+simplifying, the branch is either proved (true/false constant), a single
+linear inequality over x with interval coefficients (a LinearRow, whose
+enclosures come from one run of the linear part of the tape), or still
+undecided (some guard straddles zero and needs the box split).
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import eval_on_box
-from .intervals import Box, Interval
-from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
-                    LinearAtom, Or, TrueF)
+from .expr import Const, Tape, compile_tape, enclose, eval_on_box
+from .intervals import Box
+from .model import (And, FalseF, Formula, Guard, GuardAtom, Linear, Or, TrueF,
+                    formula_leaves, guard_atoms)
 
 
 class Decision(enum.Enum):
@@ -32,33 +35,90 @@ class Decision(enum.Enum):
     UNDECIDED = "undecided"
 
 
-def classify_guard(g: GuardAtom, box: Box) -> Decision:
-    iv = eval_on_box(g.body, box)
-    if g.strict:
-        if iv.hi < 0.0:
+def decide_guard(strict: bool, lo: float, hi: float) -> Decision:
+    """The guard rule on the body enclosure [lo, hi]."""
+    if strict:
+        if hi < 0.0:
             return Decision.TRUE
-        if iv.lo >= 0.0:
+        if lo >= 0.0:
             return Decision.FALSE
     else:
-        if iv.hi <= 0.0:
+        if hi <= 0.0:
             return Decision.TRUE
-        if iv.lo > 0.0:
+        if lo > 0.0:
             return Decision.FALSE
     return Decision.UNDECIDED
 
 
-def reduce_formula(f: Formula, box: Box) -> Formula:
-    """Decide every guard leaf of f on box and propagate the constants.
+def classify_guard(g: GuardAtom, box: Box) -> Decision:
+    iv = enclose(g.body, box)
+    return decide_guard(g.strict, iv.lo, iv.hi)
+
+
+@dataclass(frozen=True)
+class CompiledBranch:
+    """A branch formula compiled over its box dimensions.
+
+    `tape` computes every guard body and, for a linear atom, the
+    coefficient of each x variable (the constant 0 where the atom has
+    none) and the right-hand side.  `guards` and `linear` are the parts
+    of the tape that the guard bodies and the linear atom need, and
+    `cones[s]` the part that slot s alone needs.  `guard_slot` maps each
+    guard atom of the formula, by identity, to its slot.
+    """
+
+    formula: Formula
+    tape: Tape
+    guards: Tape
+    linear: Tape | None
+    guard_slot: dict[int, int]
+    coeff_slots: tuple[int, ...]
+    rhs_slot: int | None
+    cones: dict[int, Tape]
+
+
+def compile_branch(formula: Formula, names: Sequence[str],
+                   x_vars: Sequence[str] = ()) -> CompiledBranch:
+    """Compile `formula` over the box dimensions `names`; the linear atom's
+    coefficients follow the order of `x_vars`."""
+    atoms = guard_atoms(formula)
+    linear = next((leaf.atom for leaf in formula_leaves(formula)
+                   if isinstance(leaf, Linear)), None)
+    exprs = [g.body for g in atoms]
+    if linear is not None:
+        coeffs = linear.coeff_map()
+        exprs += [coeffs.get(x, Const(0.0)) for x in x_vars] + [linear.rhs]
+    tape = compile_tape(exprs, names)
+    guard_slots, linear_slots = tape.roots[:len(atoms)], tape.roots[len(atoms):]
+    return CompiledBranch(
+        formula, tape,
+        guards=tape.restrict(guard_slots),
+        linear=tape.restrict(linear_slots) if linear_slots else None,
+        guard_slot={id(g): s for g, s in zip(atoms, guard_slots)},
+        coeff_slots=linear_slots[:-1],
+        rhs_slot=linear_slots[-1] if linear_slots else None,
+        cones={s: tape.restrict((s,)) for s in tape.roots})
+
+
+def reduce_formula(cb: CompiledBranch, L: Sequence[float],
+                   H: Sequence[float]) -> Formula:
+    """Decide every guard leaf of cb.formula from the slot endpoints L, H of
+    a run of cb.guards and propagate the constants.
 
     The three-valued evaluator of the package: the result is TrueF or
-    FalseF when the decided guards settle f, otherwise the residue, in the
-    normal form of constant propagation (T or phi -> T, F or phi -> phi,
-    T and phi -> phi, F and phi -> F, nested and/or flattened, singleton
-    and/or unwrapped).  Every guard leaf is classified, also where an
-    earlier sibling already settles its and/or.
+    FalseF when the decided guards settle the formula, otherwise the
+    residue, in the normal form of constant propagation (T or phi -> T,
+    F or phi -> phi, T and phi -> phi, F and phi -> F, nested and/or
+    flattened, singleton and/or unwrapped).  Every guard leaf is decided,
+    also where an earlier sibling already settles its and/or.
     """
+    return _reduce(cb.formula, cb.guard_slot, L, H)
+
+
+def _reduce(f: Formula, guard_slot: dict[int, int], L, H) -> Formula:
     if isinstance(f, Guard):
-        d = classify_guard(f.atom, box)
+        s = guard_slot[id(f.atom)]
+        d = decide_guard(f.atom.strict, L[s], H[s])
         if d is Decision.TRUE:
             return TrueF()
         if d is Decision.FALSE:
@@ -68,7 +128,7 @@ def reduce_formula(f: Formula, box: Box) -> Formula:
         return f
     node = type(f)
     absorbing, neutral = (FalseF, TrueF) if node is And else (TrueF, FalseF)
-    reduced = [reduce_formula(item, box) for item in f.items]
+    reduced = [_reduce(item, guard_slot, L, H) for item in f.items]
     items: list[Formula] = []
     for item in reduced:
         if isinstance(item, absorbing):
@@ -100,45 +160,51 @@ class ProvedFalse:
 class LinearRow:
     """Interval coefficients of the branch inequality on its box.
 
-    coeff_intervals follows the problem's x order (absent coefficients are
-    the point interval 0); rhs_interval encloses the right-hand side.  The
-    source atom is kept so splitting heuristics can re-evaluate the
-    coefficient expressions on sub-boxes.
+    coeff_lo/coeff_hi are the endpoints of the coefficient enclosures in
+    the problem's x order (an absent coefficient is the point 0); rhs_lo
+    and rhs_hi those of the right-hand side.
     """
 
-    coeff_intervals: tuple[Interval, ...]
-    rhs_interval: Interval
-    atom: LinearAtom
+    coeff_lo: tuple[float, ...]
+    coeff_hi: tuple[float, ...]
+    rhs_lo: float
+    rhs_hi: float
 
 
 @dataclass(frozen=True)
 class Undecided:
-    """Simplification got stuck on straddling guards; formula is the residue."""
+    """Simplification got stuck on straddling guards; formula is the residue,
+    and guards holds (slot, lo, hi) of the body enclosure of each of its
+    guard leaves, in leaf order."""
 
     formula: Formula
+    guards: tuple[tuple[int, float, float], ...]
 
 
 BranchStatus = ProvedTrue | ProvedFalse | LinearRow | Undecided
 
 
-def simplify_branch(br: Branch, x_vars: Sequence[str]) -> BranchStatus:
-    """Classify a branch on its own box.
+def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
+                    hi: Sequence[float]) -> BranchStatus:
+    """Classify the compiled branch on the box with endpoints lo, hi.
 
-    Decides guards, simplifies the Boolean structure, and returns
-    ProvedTrue/ProvedFalse for constants, a LinearRow when exactly the
+    Decides the guards from one run of the guard tape, simplifies the
+    Boolean structure, and returns ProvedTrue/ProvedFalse for constants,
+    a LinearRow (from one run of the linear tape) when exactly the
     linear inequality remains, or Undecided when guard leaves survive.
     """
-    residue = reduce_formula(br.formula, br.box)
+    L = H = ()
+    if cb.guard_slot:
+        L, H = eval_on_box(cb.guards, lo, hi)
+    residue = reduce_formula(cb, L, H)
     if isinstance(residue, TrueF):
         return ProvedTrue()
     if isinstance(residue, FalseF):
         return ProvedFalse()
     if isinstance(residue, Linear):
-        atom = residue.atom
-        coeff_map = atom.coeff_map()
-        ivs = tuple(
-            eval_on_box(coeff_map[x], br.box) if x in coeff_map else Interval.point(0.0)
-            for x in x_vars
-        )
-        return LinearRow(ivs, eval_on_box(atom.rhs, br.box), atom)
-    return Undecided(residue)
+        L, H = eval_on_box(cb.linear, lo, hi)
+        r = cb.rhs_slot
+        return LinearRow(tuple(L[s] for s in cb.coeff_slots),
+                         tuple(H[s] for s in cb.coeff_slots), L[r], H[r])
+    slots = [cb.guard_slot[id(g)] for g in guard_atoms(residue)]
+    return Undecided(residue, tuple((s, L[s], H[s]) for s in slots))

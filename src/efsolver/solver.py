@@ -1,8 +1,11 @@
 """Main solve loop and an independent solution verifier.
 
 The loop keeps the live branch boxes in one table (`_LiveBoxes`), in box
-id order.  Each box is classified on entry (proved true, proved false, a
-linear interval row, or undecided); proved-true boxes leave the table and
+id order, each box as two tuples of float endpoints.  Every branch is
+compiled once, when the table is built, into one interval tape
+(`simplify.compile_branch`) that all of its boxes share.  Each box is
+classified on entry (proved true, proved false, a linear interval row, or
+undecided) by running that tape; proved-true boxes leave the table and
 linear rows keep their coefficient and right-hand-side endpoints in the
 table's arrays.  The loop stops on a proved-false box (no x can exist),
 splits undecided boxes on their widest straddling guard, and otherwise
@@ -14,10 +17,10 @@ round under split-all) and the loop repeats until a solution is
 certified, infeasibility is proved, or the split/time budget runs out.
 
 The verifier is deliberately independent of the LP pipeline: it
-substitutes the numeric solution into each branch formula and proves the
-universal claim by interval evaluation (the same three-valued
-`reduce_formula` the loop uses) with recursive bisection, sampling box
-midpoints for counterexamples.
+substitutes the numeric solution into each branch formula, compiles the
+result once, and proves the universal claim by interval evaluation (the
+same three-valued `reduce_formula` the loop uses) with recursive
+bisection, sampling box midpoints for counterexamples.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ from .expr import Add, Const, Expr, Mul, Sub, eval_on_box
 from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
                          split_coefficient, splitheur)
-from .intervals import Box
+from .intervals import Box, halves, midpoint
 from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
-                    Or, Problem, TrueF, guard_atoms, validate_problem)
+                    Or, Problem, TrueF, validate_problem)
 from .relaxation import (adversarial_lhs, residual_vector, rohn_transform,
                          solve_feasibility)
-from .simplify import (BranchStatus, LinearRow, ProvedFalse, ProvedTrue,
-                       Undecided, reduce_formula, simplify_branch)
+from .simplify import (BranchStatus, CompiledBranch, LinearRow, ProvedFalse,
+                       ProvedTrue, Undecided, compile_branch, reduce_formula,
+                       simplify_branch)
 # Unused here, but perfbench/tracing.py wraps solver.classify_guard.
 from .simplify import classify_guard  # noqa: F401
 
@@ -93,66 +97,75 @@ class SolveOutcome:
         return self.outcome is Outcome.SOLUTION
 
 
+# (id, compiled branch, box lower endpoints, box upper endpoints,
+#  classification on the box, round-robin counter)
+_Row = tuple[int, CompiledBranch, tuple[float, ...], tuple[float, ...],
+             BranchStatus, int]
+
+
 class _LiveBoxes:
     """The live branch boxes, in id order.
 
-    Each row is (id, box, formula, classification on the box, round-robin
-    counter).  A linear row also keeps the endpoints of its coefficient
-    enclosures in p_lo/p_hi (n x r) and of its right-hand side in
-    q_lo/q_hi (n); the arrays hold zeros on the other rows.  Proved-true
-    boxes never enter.  `split` stages the halves of one row; `commit`
-    drops the split rows and appends the staged halves, which keeps the id
-    order because new ids are always the largest.  `kinds` counts the rows
-    per classification type; `widest_guard` holds, per box id, the widest
-    straddling guard of an undecided row once `_pick_undecided` has
-    enclosed it.
+    Each row is a `_Row`.  Every branch is compiled once, and the boxes
+    split from it share its tape.  A linear row also keeps the endpoints
+    of its coefficient enclosures in p_lo/p_hi (n x r) and of its
+    right-hand side in q_lo/q_hi (n); the arrays hold zeros on the other
+    rows.  Proved-true boxes never enter.  `split` stages the halves of
+    one row; `commit` drops the split rows and appends the staged halves,
+    which keeps the id order because new ids are always the largest.
+    `kinds` counts the rows per classification type; `widest_guard`
+    holds, per box id, the widest straddling guard of an undecided row
+    once `_pick_undecided` has looked at it.
     """
 
     def __init__(self, problem: Problem):
         self.x_vars = problem.x_vars
         self.next_id = 0
-        self.rows: list[tuple[int, Box, Formula, BranchStatus, int]] = []
+        self.rows: list[_Row] = []
         r = problem.r
         self.p_lo, self.p_hi = np.zeros((0, r)), np.zeros((0, r))
         self.q_lo, self.q_hi = np.zeros(0), np.zeros(0)
         self._split: list[int] = []
-        self._staged: list[tuple[int, Box, Formula, BranchStatus, int]] = []
+        self._staged: list[_Row] = []
         self.kinds: Counter[type] = Counter()
-        self.widest_guard: dict[int, tuple[float, GuardAtom | None, str]] = {}
+        self.widest_guard: dict[int, tuple] = {}
         for br in problem.branches:
-            self._stage(br.box, br.formula, 0)
+            cb = compile_branch(br.formula, br.box.names, self.x_vars)
+            self._stage(cb, *br.box.endpoints(), 0)
         self.commit()
 
     def split(self, i: int, dim: int) -> list[int]:
-        """Stage the two halves of row i along dim; their ids."""
-        bid, box, formula, _, rr = self.rows[i]
-        halves = box.split(dim)
+        """Stage the two halves of row i along dim (a dimension with
+        lo < mid < hi); their ids."""
+        bid, cb, lo, hi, _, rr = self.rows[i]
+        children = halves(lo, hi, dim)
         self._split.append(i)
         self.widest_guard.pop(bid, None)
-        return [self._stage(half, formula, rr + 1) for half in halves]
+        return [self._stage(cb, *child, rr + 1) for child in children]
 
-    def _stage(self, box: Box, formula: Formula, rr: int) -> int:
+    def _stage(self, cb: CompiledBranch, lo: tuple[float, ...],
+               hi: tuple[float, ...], rr: int) -> int:
         bid = self.next_id
         self.next_id += 1
-        status = simplify_branch(Branch(box, formula), self.x_vars)
+        status = simplify_branch(cb, lo, hi)
         if not isinstance(status, ProvedTrue):
-            self._staged.append((bid, box, formula, status, rr))
+            self._staged.append((bid, cb, lo, hi, status, rr))
         return bid
 
     def commit(self) -> None:
         keep = np.ones(len(self.rows), dtype=bool)
         keep[self._split] = False
         new = self._staged
-        self.kinds.subtract(type(self.rows[i][3]) for i in self._split)
-        self.kinds.update(type(row[3]) for row in new)
+        self.kinds.subtract(type(self.rows[i][4]) for i in self._split)
+        self.kinds.update(type(row[4]) for row in new)
         self.rows = [row for row, k in zip(self.rows, keep) if k] + new
         p_lo = np.zeros((len(new), len(self.x_vars)))
         p_hi, q_lo, q_hi = p_lo.copy(), np.zeros(len(new)), np.zeros(len(new))
-        for k, (_, _, _, status, _) in enumerate(new):
+        for k, row in enumerate(new):
+            status = row[4]
             if isinstance(status, LinearRow):
-                p_lo[k] = [iv.lo for iv in status.coeff_intervals]
-                p_hi[k] = [iv.hi for iv in status.coeff_intervals]
-                q_lo[k], q_hi[k] = status.rhs_interval.lo, status.rhs_interval.hi
+                p_lo[k], p_hi[k] = status.coeff_lo, status.coeff_hi
+                q_lo[k], q_hi[k] = status.rhs_lo, status.rhs_hi
         self.p_lo = np.concatenate([self.p_lo[keep], p_lo])
         self.p_hi = np.concatenate([self.p_hi[keep], p_hi])
         self.q_lo = np.concatenate([self.q_lo[keep], q_lo])
@@ -164,7 +177,11 @@ class _LiveBoxes:
         if not self.kinds[kind]:
             return None
         return next((i for i, row in enumerate(self.rows)
-                     if isinstance(row[3], kind)), None)
+                     if isinstance(row[4], kind)), None)
+
+    def witness(self, i: int) -> Branch:
+        _, cb, lo, hi, _, _ = self.rows[i]
+        return Branch(Box.from_endpoints(cb.tape.names, lo, hi), cb.formula)
 
 
 def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
@@ -192,16 +209,19 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             return "time budget exhausted"
         return None
 
-    def choose_dim(i: int, expr: Expr | None, sign: str | None) -> int:
-        """The dimension of row i's box to split: round-robin without an
-        expression, else the trial-split choice for improving expr.  Both
-        choosers return only dimensions that `Box.split` accepts."""
-        bid, box, _, _, rr = live.rows[i]
-        if expr is None:
-            return round_robin_var(box, rr)
-        vec = ages.ages(bid, expr, len(box))
-        dim = splitheur(expr, box, sign, vec, hc.aging_kappa)
-        ages.record_choice(bid, expr, len(box), dim)
+    def choose_dim(i: int, slot: int | None, base: tuple[float, float] | None,
+                   sign: str | None) -> int:
+        """The dimension of row i's box to split: round-robin without a
+        target slot, else the trial-split choice for improving the
+        enclosure `base` of that slot of the row's tape.  Both choosers
+        return only dimensions with lo < mid < hi."""
+        bid, cb, lo, hi, _, rr = live.rows[i]
+        if slot is None:
+            return round_robin_var(lo, hi, rr)
+        vec = ages.ages(bid, slot, len(lo))
+        dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign, vec,
+                        hc.aging_kappa)
+        ages.record_choice(bid, slot, len(lo), dim)
         return dim
 
     def do_split(i: int, dim: int, coefficient: int | None) -> None:
@@ -211,9 +231,8 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         stats.split_history.append((bid, coefficient, dim))
 
     def witness(i: int, reason: str) -> SolveOutcome:
-        bid, box, formula, _, _ = live.rows[i]
-        return SolveOutcome(Outcome.INFEASIBLE, stats, witness=Branch(box, formula),
-                            witness_id=bid, reason=reason)
+        return SolveOutcome(Outcome.INFEASIBLE, stats, witness=live.witness(i),
+                            witness_id=live.rows[i][0], reason=reason)
 
     while True:
         i = live.first(ProvedFalse)
@@ -226,15 +245,15 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                 return done(SolveOutcome(
                     Outcome.BUDGET_EXHAUSTED, stats,
                     reason="undecided branch with degenerate guard enclosures"))
-            i, guard, sign = target
+            i, slot, sign, base = target
             spent = spent_budget()
             if spent:
                 return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
                                          reason=f"{spent} before guard split"))
-            round_robin = hc.strategy is Strategy.ROUND_ROBIN
+            if hc.strategy is Strategy.ROUND_ROBIN:
+                slot = None
             try:
-                do_split(i, choose_dim(i, None if round_robin else guard.body,
-                                       sign), None)
+                do_split(i, choose_dim(i, slot, base, sign), None)
                 stats.rounds += 1
             except AllDimensionsDegenerate:
                 return done(SolveOutcome(
@@ -274,15 +293,16 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                 return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
                                          reason=spent))
             coefficient, sign = split_coefficient(p_width[i], sol, hc)
-            atom = live.rows[i][3].atom
+            cb, row = live.rows[i][1], live.rows[i][4]
             if coefficient is None:
-                expr = None
+                slot = base = None
             elif coefficient == RHS_COEFFICIENT:
-                expr = atom.rhs
+                slot, base = cb.rhs_slot, (row.rhs_lo, row.rhs_hi)
             else:
-                expr = atom.coeff_map()[problem.x_vars[coefficient]]
+                slot = cb.coeff_slots[coefficient]
+                base = row.coeff_lo[coefficient], row.coeff_hi[coefficient]
             try:
-                do_split(i, choose_dim(i, expr, sign), coefficient)
+                do_split(i, choose_dim(i, slot, base, sign), coefficient)
                 if round_splits == 0:
                     stats.rounds += 1
                 round_splits += 1
@@ -299,35 +319,35 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
 def _pick_undecided(live: _LiveBoxes):
     """The undecided row whose widest straddling guard enclosure is widest
-    overall (the first such row and guard on ties), that guard, and the
-    bound to improve ('+' when the upper bound is nearer to deciding the
-    guard).  Each row's widest guard is enclosed once and kept in the
-    table until the row is split."""
+    overall (the first such row and guard on ties): its index, the
+    guard's tape slot, the bound to improve ('+' when the upper bound is
+    nearer to deciding the guard) and the guard's enclosure.  Each row's
+    widest guard is found once and kept in the table until the row is
+    split."""
     best = None
     best_width = -1.0
-    for i, (bid, box, _, status, _) in enumerate(live.rows):
+    for i, (bid, _, _, _, status, _) in enumerate(live.rows):
         if not isinstance(status, Undecided):
             continue
         widest = live.widest_guard.get(bid)
         if widest is None:
-            widest = live.widest_guard[bid] = _widest_guard(status.formula, box)
-        width, g, sign = widest
+            widest = live.widest_guard[bid] = _widest_guard(status)
+        width, slot, sign, base = widest
         if width > best_width:
-            best = (i, g, sign)
+            best = (i, slot, sign, base)
             best_width = width
     if best is None or best_width <= 0.0:
         return None
     return best
 
 
-def _widest_guard(formula: Formula, box: Box):
-    """(width, guard, sign) of the first widest guard enclosure of formula
-    on box; width -1.0 and no guard when it has none."""
-    widest = (-1.0, None, "")
-    for g in guard_atoms(formula):
-        iv = eval_on_box(g.body, box)
-        if iv.width > widest[0]:
-            widest = (iv.width, g, "+" if abs(iv.hi) < abs(iv.lo) else "-")
+def _widest_guard(status: Undecided):
+    """(width, slot, sign, enclosure) of the first widest guard enclosure of
+    an undecided row; width -1.0 and no slot when it has no guard."""
+    widest = (-1.0, None, "", None)
+    for slot, lo, hi in status.guards:
+        if hi - lo > widest[0]:
+            widest = (hi - lo, slot, "+" if abs(hi) < abs(lo) else "-", (lo, hi))
     return widest
 
 
@@ -382,8 +402,8 @@ def verify_solution(problem: Problem, x, depth: int = 25,
     env = dict(zip(problem.x_vars, (float(v) for v in x)))
     sawunknown = False
     for i, br in enumerate(problem.branches):
-        f = _substitute_x(br.formula, env)
-        res = _check_forall(f, br.box, depth, [max_boxes])
+        cb = compile_branch(_substitute_x(br.formula, env), br.box.names)
+        res = _check_forall(cb, *br.box.endpoints(), depth, [max_boxes])
         if res == "unknown":
             sawunknown = True
         elif res is not None:
@@ -422,26 +442,29 @@ def _holds_at(f: Formula, point: dict[str, float]) -> bool:
     raise TypeError(f"unexpected formula node {type(f).__name__}")
 
 
-def _check_forall(f: Formula, box: Box, depth: int, budget: list[int]):
-    """None when proved, a counterexample point, or 'unknown'."""
+def _check_forall(cb: CompiledBranch, lo: tuple[float, ...],
+                  hi: tuple[float, ...], depth: int, budget: list[int]):
+    """None when the compiled formula holds on the box [lo, hi], a
+    counterexample point, or 'unknown'."""
     budget[0] -= 1
     if budget[0] < 0:
         return "unknown"
-    reduced = reduce_formula(f, box)
+    reduced = reduce_formula(cb, *eval_on_box(cb.guards, lo, hi))
     if isinstance(reduced, TrueF):
         return None
-    mid = box.midpoint()
-    if isinstance(reduced, FalseF) or not _holds_at(f, mid):
+    mid = {n: midpoint(l, h) for n, l, h in zip(cb.tape.names, lo, hi)}
+    if isinstance(reduced, FalseF) or not _holds_at(cb.formula, mid):
         return mid
     if depth <= 0:
         return "unknown"
+    widths = [h - l for l, h in zip(lo, hi)]
     try:
-        children = box.split(int(np.argmax(box.widths())))
+        children = halves(lo, hi, widths.index(max(widths)))
     except SplitDegenerate:
         return "unknown"
     sawunknown = False
-    for child in children:
-        res = _check_forall(f, child, depth - 1, budget)
+    for child_lo, child_hi in children:
+        res = _check_forall(cb, child_lo, child_hi, depth - 1, budget)
         if res == "unknown":
             sawunknown = True
         elif res is not None:

@@ -145,7 +145,7 @@ def random_robust_problem(rng, margin=1e-3):
             total = ef.Add(total, ef.Mul(ef.Const(float(xv)), coeff))
         upper = -np.inf
         for cell in _cells(box, 4):
-            upper = max(upper, ef.eval_on_box(total, cell).hi)
+            upper = max(upper, ef.enclose(total, cell).hi)
         atom = ef.LinearAtom(coeffs, ef.Const(float(upper + margin)))
         branches.append(ef.Branch(box, ef.Linear(atom)))
 

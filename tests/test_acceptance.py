@@ -177,7 +177,7 @@ def test_criterion_6_interval_soundness():
         problem = load_benchmark(name)
         for expr, box in benchmark_coefficient_exprs(problem):
             pairs += 1
-            enclosure = ef.eval_on_box(expr, box)
+            enclosure = ef.enclose(expr, box)
             slack = 1e-10 * max(1.0, abs(enclosure.lo), abs(enclosure.hi))
             for point in box.sample(rng, 10_000):
                 v = expr.evaluate(point)

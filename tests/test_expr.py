@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from efsolver.errors import UndeclaredVariable
-from efsolver.expr import Pow, Var, eval_on_box
+from efsolver.expr import Pow, Var, enclose
 from efsolver.intervals import Box, Interval
 from efsolver.parsing import parse_expression
 
@@ -10,7 +10,7 @@ from efsolver.parsing import parse_expression
 def test_product_range():
     t = Var("y1") * Var("y2")
     box = Box.of(("y1", (0, 1)), ("y2", (-1, 1)))
-    r = eval_on_box(t, box)
+    r = enclose(t, box)
     assert r.lo == pytest.approx(-1, abs=1e-12)
     assert r.hi == pytest.approx(1, abs=1e-12)
 
@@ -21,7 +21,7 @@ def test_benchmark_coefficient_enclosure():
     # enclosure must contain a dense sample of the true range
     t = parse_expression("2*y1^3*y2 - 2*y1^2 + y1")
     box = Box.of(("y1", (0.8, 1.2)), ("y2", (0.3, 0.49)))
-    r = eval_on_box(t, box)
+    r = enclose(t, box)
     assert r.lo == pytest.approx(-1.7728, rel=1e-12)
     assert r.hi == pytest.approx(1.61344, rel=1e-12)
 
@@ -32,19 +32,19 @@ def test_benchmark_coefficient_enclosure():
 
 def test_degenerate_point_box():
     t = parse_expression("y^2 + y")
-    r = eval_on_box(t, Box.of(("y", (0.0, 0.0))))
+    r = enclose(t, Box.of(("y", (0.0, 0.0))))
     assert r == Interval.point(0.0)
 
 
 def test_missing_variable_raises():
     with pytest.raises(UndeclaredVariable):
-        eval_on_box(Var("z"), Box.of(("y", (0, 1))))
+        enclose(Var("z"), Box.of(("y", (0, 1))))
 
 
 def test_missing_variable_inside_product_raises():
     t = parse_expression("(y + 1)*sin(y*z)")
     with pytest.raises(UndeclaredVariable) as exc:
-        eval_on_box(t, Box.of(("y", (0, 1))))
+        enclose(t, Box.of(("y", (0, 1))))
     assert exc.value.name == "z"
 
 

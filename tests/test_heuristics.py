@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from efsolver.errors import AllDimensionsDegenerate, SplitDegenerate
+from efsolver.expr import compile_tape, enclose
 from efsolver.heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                                  Strategy, coeff_score, round_robin_var,
                                  select_targets, split_coefficient, splitheur)
@@ -180,33 +181,45 @@ def test_vectorised_selection_matches_per_row_reference():
     assert kinds > 20  # rhs-only rows were exercised
 
 
+def choose(t, box, sign, ages, kappa):
+    """splitheur on the one-expression tape of t over box."""
+    tape = compile_tape((t,), box.names)
+    base = enclose(t, box)
+    return splitheur(tape, tape.roots[0], *box.endpoints(), (base.lo, base.hi),
+                     sign, ages, kappa)
+
+
+def rr_var(box, counter):
+    return round_robin_var(*box.endpoints(), counter)
+
+
 def test_splitheur_prefers_effective_dimension():
     # y1^2 over [-1,1] reaches its extremes on both children, so splitting
     # y1 moves neither bound; splitting y2 improves the upper bound by 1
     t = parse_expression("y1^2 + y2")
     box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
-    assert splitheur(t, box, "+", [0, 0], 0.0) == 1
+    assert choose(t, box, "+", [0, 0], 0.0) == 1
 
 
 def test_splitheur_aging_dominates():
     t = parse_expression("y1^2 + y2")
     box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
-    assert splitheur(t, box, "+", [10_000, 0], 0.1) == 0
+    assert choose(t, box, "+", [10_000, 0], 0.1) == 0
 
 
 def test_splitheur_lower_bound_target():
     t = parse_expression("y1")
     box = Box.of(("y1", (0.0, 4.0)), ("y2", (0.0, 4.0)))
     # only y1 affects t: raising the lower bound improves by 2 versus 0
-    assert splitheur(t, box, "-", [0, 0], 0.0) == 0
+    assert choose(t, box, "-", [0, 0], 0.0) == 0
 
 
 def test_splitheur_excludes_zero_width_dims():
     t = parse_expression("y1 + y2")
     box = Box.of(("y1", (1.0, 1.0)), ("y2", (0.0, 2.0)))
-    assert splitheur(t, box, "+", [0, 0], 0.0) == 1
+    assert choose(t, box, "+", [0, 0], 0.0) == 1
     with pytest.raises(AllDimensionsDegenerate):
-        splitheur(parse_expression("y1"), Box.of(("y1", (1.0, 1.0))),
+        choose(parse_expression("y1"), Box.of(("y1", (1.0, 1.0))),
                   "+", [0], 0.0)
 
 
@@ -216,21 +229,21 @@ ONE_ULP = (1.0, math.nextafter(1.0, 2.0))  # its midpoint rounds onto lo
 def test_one_ulp_dimension_is_never_chosen():
     box = Box.of(("y1", ONE_ULP), ("y2", (0.0, 2.0)))
     t = parse_expression("1000*y1 + y2")
-    assert splitheur(t, box, "+", [5, 0], 1.0) == 1
-    assert round_robin_var(box, 0) == 1
+    assert choose(t, box, "+", [5, 0], 1.0) == 1
+    assert rr_var(box, 0) == 1
     with pytest.raises(SplitDegenerate):
         box.split(0)
     thin = Box.of(("y1", ONE_ULP))
     with pytest.raises(AllDimensionsDegenerate):
-        splitheur(parse_expression("y1"), thin, "+", [0], 0.0)
+        choose(parse_expression("y1"), thin, "+", [0], 0.0)
     with pytest.raises(AllDimensionsDegenerate):
-        round_robin_var(thin, 0)
+        rr_var(thin, 0)
 
 
 def test_splitheur_deterministic():
     t = parse_expression("y1*y2 - y2^2")
     box = Box.of(("y1", (-2.0, 1.0)), ("y2", (0.5, 3.0)))
-    picks = {splitheur(t, box, "+", [1, 2], 0.05) for _ in range(5)}
+    picks = {choose(t, box, "+", [1, 2], 0.05) for _ in range(5)}
     assert len(picks) == 1
 
 
@@ -244,9 +257,9 @@ def test_splitheur_fairness_window():
     table = AgeTable()
     choices = []
     for _ in range(24):
-        ages = table.ages(0, t, len(box))
-        k = splitheur(t, box, "+", ages, kappa)
-        table.record_choice(0, t, len(box), k)
+        ages = table.ages(0, 0, len(box))
+        k = choose(t, box, "+", ages, kappa)
+        table.record_choice(0, 0, len(box), k)
         choices.append(k)
         box = box.split(k)[0]
     window = int(np.ceil(1 / kappa)) + len(box)
@@ -257,21 +270,22 @@ def test_splitheur_fairness_window():
 
 def test_round_robin_var_cycles_and_skips():
     box = Box.of(("y1", (0, 1)), ("y2", (0, 1)))
-    assert round_robin_var(box, 0) == 0
-    assert round_robin_var(box, 3) == 1
+    assert rr_var(box, 0) == 0
+    assert rr_var(box, 3) == 1
     box3 = Box.of(("y1", (0, 1)), ("y2", (1, 1)), ("y3", (0, 1)))
-    assert round_robin_var(box3, 1) == 2
+    assert rr_var(box3, 1) == 2
     with pytest.raises(AllDimensionsDegenerate):
-        round_robin_var(Box.of(("y1", (1, 1))), 0)
+        rr_var(Box.of(("y1", (1, 1))), 0)
 
 
 def test_age_table_inheritance():
-    t = parse_expression("y1")
+    slot = 3
     table = AgeTable()
-    table.record_choice(5, t, 2, 0)   # ages now [0, 1]
+    table.record_choice(5, slot, 2, 0)   # ages now [0, 1]
     table.inherit(5, [8, 9])
-    assert table.ages(8, t, 2).tolist() == [0, 1]
-    assert table.ages(9, t, 2).tolist() == [0, 1]
+    assert table.ages(8, slot, 2).tolist() == [0, 1]
+    assert table.ages(9, slot, 2).tolist() == [0, 1]
+    assert table.ages(8, slot + 1, 2).tolist() == [0, 0]
     assert 5 not in table._ages
 
 

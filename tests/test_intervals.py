@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from efsolver.errors import DomainError, EFSolverError, SplitDegenerate
-from efsolver.expr import eval_on_box
+from efsolver.expr import enclose
 from efsolver.intervals import Box, Interval
 from efsolver.parsing import parse_expression
 
@@ -96,7 +96,7 @@ def test_fundamental_containment(text, dims):
     # t(y) must lie inside the enclosure for 10^4 random sample points
     expr = parse_expression(text)
     box = Box.of(*((n, dims[n]) for n in dims))
-    enclosure = eval_on_box(expr, box)
+    enclosure = enclose(expr, box)
     rng = np.random.default_rng(12345)
     slack = 1e-10 * max(1.0, abs(enclosure.lo), abs(enclosure.hi))
     for point in box.sample(rng, 10_000):
@@ -108,14 +108,14 @@ def test_fundamental_containment(text, dims):
 def test_inclusion_monotonicity(text, dims):
     expr = parse_expression(text)
     box = Box.of(*((n, dims[n]) for n in dims))
-    outer = eval_on_box(expr, box)
+    outer = enclose(expr, box)
     rng = np.random.default_rng(7)
     inner_box = box
     for _ in range(6):
         dim = int(rng.integers(0, len(box)))
         lo_child, hi_child = inner_box.split(dim)
         inner_box = lo_child if rng.random() < 0.5 else hi_child
-        inner = eval_on_box(expr, inner_box)
+        inner = enclose(expr, inner_box)
         assert outer.encloses(inner, slack=1e-12)
         outer = inner
 
@@ -127,10 +127,10 @@ def test_enclosure_width_converges_under_bisection(benchmarks):
     br = problem.branches[0]
     for _, coeff in br.formula.atom.coeffs:
         box = br.box
-        w0 = eval_on_box(coeff, box).width
+        w0 = enclose(coeff, box).width
         for k in range(20):
             box = box.split(k % len(box))[0]
-        assert eval_on_box(coeff, box).width <= 1e-3 * w0
+        assert enclose(coeff, box).width <= 1e-3 * w0
 
 
 def test_split_box_midpoint():
@@ -179,3 +179,22 @@ def test_box_rejects_duplicates_and_empty():
         Box.of(("y", Interval(0, 1)), ("y", Interval(0, 2)))
     with pytest.raises(ValueError):
         Box((), ())
+
+
+def test_midpoint_of_interval_whose_endpoint_sum_overflows():
+    iv = Interval(1e308, 1.7e308)
+    assert math.isinf(iv.lo + iv.hi)
+    assert iv.lo < iv.mid < iv.hi
+    assert iv.mid == 0.5 * 1e308 + 0.5 * 1.7e308
+    lower, upper = Box.of(("y", iv)).split(0)
+    assert lower.intervals[0] == Interval(1e308, iv.mid)
+    assert upper.intervals[0] == Interval(iv.mid, 1.7e308)
+    wide = Interval(-1.7e308, 1.7e308)
+    assert wide.mid == 0.0
+
+
+def test_midpoint_unchanged_where_the_sum_is_finite():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a, b = sorted(rng.uniform(-1e6, 1e6, size=2) * 10.0 ** rng.integers(-5, 300))
+        assert Interval(float(a), float(b)).mid == 0.5 * (float(a) + float(b))

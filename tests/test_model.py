@@ -1,3 +1,5 @@
+import pytest
+
 import efsolver as ef
 from efsolver.model import (And, Branch, Guard, GuardAtom, Linear, LinearAtom,
                             Or, Problem, validate_problem)
@@ -67,3 +69,16 @@ def test_guard_only_branch_is_allowed():
     f = And((Guard(GuardAtom(ef.Var("y"))), Guard(GuardAtom(ef.Const(-1.0)))))
     p = Problem(("x1",), ("y",), (Branch(box, f),))
     assert validate_problem(p) == []
+
+
+def test_undeclared_variable_in_rhs_reported():
+    box = ef.Box.of(("y1", (0, 1)))
+    atom = LinearAtom((("x1", ef.Var("y1")),), ef.Var("z"))
+    p = Problem(("x1",), ("y1",), (Branch(box, Linear(atom)),))
+    violations = validate_problem(p)
+    assert [(v.kind, v.branch) for v in violations] == [("UndeclaredVariable", 0)]
+    assert "z" in violations[0].detail
+    # solve reports it up front, before any enclosure or split
+    with pytest.raises(ef.InvalidProblem) as exc:
+        ef.solve(p)
+    assert [v.kind for v in exc.value.violations] == ["UndeclaredVariable"]

@@ -2,23 +2,33 @@ import numpy as np
 import pytest
 
 import efsolver as ef
-from efsolver.expr import eval_on_box
-from efsolver.intervals import Box, Interval
+from efsolver.expr import enclose, eval_on_box
+from efsolver.intervals import Box
 from efsolver.model import And, FalseF, Guard, GuardAtom, Linear, Or, TrueF
 from efsolver.parsing import parse_expression
 from efsolver.simplify import (Decision, LinearRow, ProvedFalse, ProvedTrue,
-                               Undecided, classify_guard, reduce_formula,
-                               simplify_branch)
+                               Undecided, classify_guard, compile_branch,
+                               reduce_formula, simplify_branch)
 
 
 def guard(text, strict=False):
     return GuardAtom(parse_expression(text), strict)
 
 
+def reduce_on(f, box):
+    cb = compile_branch(f, box.names, ("x1",))
+    return reduce_formula(cb, *eval_on_box(cb.guards, *box.endpoints()))
+
+
+def classify(br, x_vars):
+    cb = compile_branch(br.formula, br.box.names, x_vars)
+    return simplify_branch(cb, *br.box.endpoints())
+
+
 def test_classify_guard_true_on_negative_enclosure():
     g = guard("y2 - y1")
     box = Box.of(("y1", (0.8, 1.2)), ("y2", (0.3, 0.49)))
-    enclosure = eval_on_box(g.body, box)
+    enclosure = enclose(g.body, box)
     assert enclosure.lo == pytest.approx(-0.9, abs=1e-12)
     assert enclosure.hi == pytest.approx(-0.31, abs=1e-12)
     assert classify_guard(g, box) is Decision.TRUE
@@ -72,41 +82,41 @@ STRADDLE = Box.of(("y1", (-1.0, 1.0)))  # G stays undecided here
 
 
 def test_reduce_formula_constants():
-    assert reduce_formula(Or((TrueF(), LIN)), STRADDLE) == TrueF()
-    assert reduce_formula(Or((FalseF(), LIN)), STRADDLE) == LIN
-    assert reduce_formula(And((Or((FalseF(), G)), TrueF())), STRADDLE) == G
-    assert reduce_formula(And((FalseF(), LIN)), STRADDLE) == FalseF()
-    assert reduce_formula(And(()), STRADDLE) == TrueF()
-    assert reduce_formula(Or(()), STRADDLE) == FalseF()
+    assert reduce_on(Or((TrueF(), LIN)), STRADDLE) == TrueF()
+    assert reduce_on(Or((FalseF(), LIN)), STRADDLE) == LIN
+    assert reduce_on(And((Or((FalseF(), G)), TrueF())), STRADDLE) == G
+    assert reduce_on(And((FalseF(), LIN)), STRADDLE) == FalseF()
+    assert reduce_on(And(()), STRADDLE) == TrueF()
+    assert reduce_on(Or(()), STRADDLE) == FalseF()
 
 
 def test_reduce_formula_flattens():
     nested = And((And((G, G)), Or((FalseF(), And((G,))))))
-    out = reduce_formula(nested, STRADDLE)
+    out = reduce_on(nested, STRADDLE)
     assert out == And((G, G, G))
 
 
 def test_reduce_formula_decides_guards():
     # y1 <= 0 is false on [1, 2] and true on [-2, -1]
-    assert reduce_formula(Or((G, LIN)), Box.of(("y1", (1.0, 2.0)))) == LIN
+    assert reduce_on(Or((G, LIN)), Box.of(("y1", (1.0, 2.0)))) == LIN
     negative = Box.of(("y1", (-2.0, -1.0)))
-    assert reduce_formula(And((G, Or((G, LIN)))), negative) == TrueF()
+    assert reduce_on(And((G, Or((G, LIN)))), negative) == TrueF()
 
 
 def test_simplify_branch_linear_row(benchmarks):
     problem = benchmarks["A"]
-    status = simplify_branch(problem.branches[0], problem.x_vars)
+    status = classify(problem.branches[0], problem.x_vars)
     assert isinstance(status, LinearRow)
-    assert len(status.coeff_intervals) == 5
-    assert status.rhs_interval == Interval.point(-0.0001)
-    assert all(iv.width > 0 for iv in status.coeff_intervals)
+    assert len(status.coeff_lo) == len(status.coeff_hi) == 5
+    assert status.rhs_lo == status.rhs_hi == -0.0001
+    assert all(h > l for l, h in zip(status.coeff_lo, status.coeff_hi))
 
 
 def test_simplify_branch_proved_true(two_branch_problem):
     br = two_branch_problem.branches[0]
     # on this sub-box y1 >= y2 holds outright, so the disjunction is true
     sub = Box.of(("y1", (0.9, 1.0)), ("y2", (-1.0, 0.0)))
-    status = simplify_branch(ef.Branch(sub, br.formula), two_branch_problem.x_vars)
+    status = classify(ef.Branch(sub, br.formula), two_branch_problem.x_vars)
     assert isinstance(status, ProvedTrue)
 
 
@@ -116,13 +126,13 @@ def test_simplify_branch_proved_false():
         forall-vars y1 ;
         branch y1 in [1,2] : y1 <= 0 and x1*y1 <= 1 ;
     """)
-    status = simplify_branch(p.branches[0], p.x_vars)
+    status = classify(p.branches[0], p.x_vars)
     assert isinstance(status, ProvedFalse)
 
 
 def test_simplify_branch_undecided(two_branch_problem):
     br = two_branch_problem.branches[0]
-    status = simplify_branch(br, two_branch_problem.x_vars)
+    status = classify(br, two_branch_problem.x_vars)
     assert isinstance(status, Undecided)
     leaves = list(ef.model.formula_leaves(status.formula))
     assert any(isinstance(l, Guard) for l in leaves)
@@ -134,9 +144,9 @@ def test_missing_coefficient_becomes_zero_interval():
         forall-vars y1 ;
         branch y1 in [0,1] : x2*y1 <= 1 ;
     """)
-    status = simplify_branch(p.branches[0], p.x_vars)
-    assert status.coeff_intervals[0] == Interval.point(0.0)
-    assert status.coeff_intervals[1].hi == pytest.approx(1.0)
+    status = classify(p.branches[0], p.x_vars)
+    assert status.coeff_lo[0] == status.coeff_hi[0] == 0.0
+    assert status.coeff_hi[1] == pytest.approx(1.0)
 
 
 def test_proved_false_admits_no_x():
@@ -148,7 +158,7 @@ def test_proved_false_admits_no_x():
         branch y1 in [1,2] : y1 <= 0 and x1*y1 <= 1 ;
     """)
     br = p.branches[0]
-    assert isinstance(simplify_branch(br, p.x_vars), ProvedFalse)
+    assert isinstance(classify(br, p.x_vars), ProvedFalse)
     from efsolver.solver import _holds_at, _substitute_x
     rng = np.random.default_rng(5)
     for xv in np.linspace(-10, 10, 41):

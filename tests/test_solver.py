@@ -261,18 +261,20 @@ def test_pinned_split_counts(benchmarks, name, strategy, counts):
 
 
 def pick_undecided_uncached(live):
-    """The guard pick re-enclosing every guard of every undecided row, as
-    `_pick_undecided` did before it kept each row's widest guard."""
+    """The guard pick re-enclosing every guard of every undecided row with
+    the tree walk, as `_pick_undecided` did before it kept each row's
+    widest guard and before rows carried their guard enclosures."""
     best = None
     best_width = -1.0
-    for i, (_, box, _, status, _) in enumerate(live.rows):
+    for i, (_, cb, lo, hi, status, _) in enumerate(live.rows):
         if not isinstance(status, Undecided):
             continue
+        box = ef.Box.from_endpoints(cb.tape.names, lo, hi)
         for g in guard_atoms(status.formula):
-            iv = ef.eval_on_box(g.body, box)
+            iv = g.body.interval(box.env())
             if iv.width > best_width:
                 sign = "+" if abs(iv.hi) < abs(iv.lo) else "-"
-                best = (i, g, sign)
+                best = (i, cb.guard_slot[id(g)], sign, (iv.lo, iv.hi))
                 best_width = iv.width
     if best is None or best_width <= 0.0:
         return None
@@ -301,7 +303,7 @@ def test_cached_guard_pick_matches_uncached(benchmarks, monkeypatch, source,
     def checked(live):
         pick = cached(live)
         assert pick == pick_undecided_uncached(live)
-        assert live.kinds == Counter(type(row[3]) for row in live.rows)
+        assert live.kinds == Counter(type(row[4]) for row in live.rows)
         picks.append(pick)
         return pick
 
@@ -390,3 +392,29 @@ def test_verify_depth_limit_returns_unknown():
     """)
     res = ef.verify_solution(p, np.array([1.0]), depth=6)
     assert res.status is VerifyStatus.UNKNOWN
+
+
+def test_box_near_the_double_range_is_split():
+    # the endpoint sum of [1e308, 1.7e308] overflows; the midpoint must
+    # still fall inside, so the undecided guard's box gets split
+    p = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [1e308,1.7e308] : y1 <= 1.5e308 or x1 <= 1 ;
+    """)
+    out = ef.solve(p, SolveConfig(max_splits=200))
+    assert out.stats.splits > 0
+    assert out.stats.split_history[0] == (0, None, 0)
+
+
+def test_linear_atom_is_not_enclosed_where_the_guards_decide():
+    # 1/y1 has no enclosure on [-1, 1], but the guard proves the first
+    # branch true there, so classification never encloses its coefficient
+    problem, out = solve_text("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [-1,1] : y1 <= 2 or x1*(1/y1) <= 1 ;
+        branch y1 in [1,2] : x1*y1 <= 1 ;
+    """)
+    assert out.outcome is Outcome.SOLUTION
+    assert out.x[0] <= 0.5
