@@ -1,4 +1,4 @@
-"""Two-phase primal simplex on a dense tableau, with sparse-row pivots.
+"""Two-phase primal simplex on a compact tableau.
 
 Solves   min c.w   s.t.  G w <= h,  E w = f,  w >= 0
 with optional free variables (per-variable sign flags), handled internally
@@ -11,15 +11,38 @@ entering rule to Bland's lowest-index rule, which guarantees termination;
 ordinary pivots switch back.  Optimality and feasibility tolerances are
 1e-9.  The returned point is a vertex (basic solution).
 
-The tableau has one row per constraint plus the objective row, and the
-columns [structural | slack | artificial | rhs].  A pivot updates only the
-columns where the pivot row is nonzero, so with m rows and k such columns
-it costs O(m k) instead of O(m (m + nvar)).  The restriction is exact: in
-any other column the full update subtracts colvals[i] * 0.0, which leaves
-every finite entry unchanged.  It is also what makes k small: the slack
-column of a row that has never been a pivot row is a unit column, so the
-pivot row is nonzero only in the structural columns, the slacks of earlier
-pivot rows and the rhs.
+The full tableau has one row per constraint plus the objective row, and
+the columns [structural | slack | artificial | rhs], one slack per
+inequality row.  The compact tableau keeps only the columns a pivot can
+touch:
+
+* the structural columns, the negative half of each free variable included;
+* the slack columns of negated (b < 0) rows and the artificials;
+* the rhs;
+* the slack of an ordinary inequality row, opened (materialised as the
+  unit column e_i) just before row i first becomes a pivot row.
+
+An unopened slack can be left out because it is exactly e_i with objective
+entry 0 while row i has never been a pivot row: a pivot in another row sees
+a zero in it, so the update leaves it unchanged; its reduced cost 0 is never
+below -EPS, so it never enters; and row i's basic variable is that slack,
+whose cost is 0 in both phases.  With m rows the width is the number of
+structural, negated-slack and artificial columns, plus one, plus the rows
+pivoted so far, instead of growing with m; no allocation scales with m * m.
+
+A pivot updates the whole compact tableau with one broadcast product.  That
+is the full update restricted to the kept columns, and it is exact: in a
+column where the pivot row is zero it subtracts colvals[i] * 0.0, which
+leaves every finite entry unchanged (a zero may at most change sign).  The
+tableau is stored column-major, so the ratio test reads contiguous columns
+and opening a slack moves contiguous blocks.
+
+Tie-breaks are those of the full tableau.  The kept columns stay sorted by
+their original column id (an opened slack is inserted at its sorted place),
+so argmin's first occurrence and Bland's lowest index still mean the lowest
+original id, and the basis records original ids, so the leaving rule's
+lowest-basis-index tie break is unchanged.  The pivots are thus those of the
+full tableau, with the same float arithmetic on every entry they read.
 """
 
 from __future__ import annotations
@@ -32,6 +55,7 @@ import numpy as np
 EPS = 1e-9
 _RATIO_TIE = 1e-12
 _DEGENERATE_LIMIT = 64
+_SPARE = 16  # room for opened slacks before the tableau is reallocated
 
 
 class SimplexStatus(enum.Enum):
@@ -62,51 +86,106 @@ def _as_vector(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=float))
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    nz = np.flatnonzero(T[row])
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T[:, nz] -= np.outer(colvals, T[row, nz])
-    basis[row] = col
+class _Tableau:
+    """The kept columns buf[:, :width], sorted by original id with the rhs
+    last, column-major so that a column is contiguous; ids[:width] are
+    their original ids.  basis[i] is the original id of row i's basic
+    column, closed[i] the original id of row i's unopened slack, or -1."""
+
+    def __init__(self, buf: np.ndarray, width: int, ids: np.ndarray,
+                 basis: np.ndarray, closed: np.ndarray):
+        self.buf = buf
+        self.work = np.empty_like(buf)
+        self.width = width
+        self.ids = ids
+        self.basis = basis
+        self.closed = closed
+
+    @property
+    def T(self) -> np.ndarray:
+        return self.buf[:, :self.width]
+
+    def pivot(self, row: int, col: int) -> None:
+        """Pivot on (row, col), opening row's slack first if need be."""
+        if self.closed[row] >= 0:
+            col = self._open(row, col)
+        w = self.width
+        _pivot(self.buf[:, :w], self.basis, row, col, self.ids,
+               self.work[:, :w])
+
+    def _open(self, row: int, col: int) -> int:
+        """Insert row's unopened slack as e_row at its sorted place; return
+        the new index of column `col`."""
+        w = self.width
+        if w == self.buf.shape[1]:
+            buf = np.zeros((2 * w, self.buf.shape[0])).T
+            buf[:, :w] = self.buf
+            self.buf, self.work = buf, np.empty_like(buf)
+            self.ids = np.resize(self.ids, 2 * w)
+        buf, ids, sid = self.buf, self.ids, self.closed[row]
+        pos = int(ids[:w - 1].searchsorted(sid))
+        buf[:, pos + 1:w + 1] = buf[:, pos:w]
+        buf[:, pos] = 0.0
+        buf[row, pos] = 1.0
+        ids[pos + 1:w + 1] = ids[pos:w]
+        ids[pos] = sid
+        self.width = w + 1
+        self.closed[row] = -1
+        return col + 1 if col >= pos else col
+
+    def drop_rows(self, keep: np.ndarray) -> None:
+        """Keep the constraint rows where keep[:-1] and the objective row."""
+        self.buf = np.asfortranarray(self.buf[keep])
+        self.work = np.empty_like(self.buf)
+        self.basis = self.basis[keep[:-1]]
+        self.closed = self.closed[keep[:-1]]
 
 
-def _choose_entering(zrow: np.ndarray, allowed: int, bland: bool) -> int | None:
-    costs = zrow[:allowed]
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
+           ids: np.ndarray, work: np.ndarray) -> None:
+    """Pivot T on (row, col); `work` is scratch of T's shape and layout."""
+    prow = T[row] / T[row, col]
+    np.multiply(T[:, col, None], prow, out=work)
+    T -= work
+    T[row] = prow
+    basis[row] = ids[col]
+
+
+def _choose_entering(costs: np.ndarray, bland: bool) -> int | None:
     if bland:
-        idx = np.flatnonzero(costs < -EPS)
+        idx = (costs < -EPS).nonzero()[0]
         return int(idx[0]) if idx.size else None
-    j = int(np.argmin(costs))
+    j = int(costs.argmin())
     return j if costs[j] < -EPS else None
 
 
 def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
-    m = T.shape[0] - 1
-    colvals = T[:m, col]
-    eligible = colvals > EPS
-    if not eligible.any():
+    colvals = T[:-1, col]
+    rows = (colvals > EPS).nonzero()[0]
+    if not rows.size:
         return None
-    rhs = np.maximum(T[:m, -1], 0.0)
-    ratios = np.where(eligible, rhs / np.where(eligible, colvals, 1.0), np.inf)
-    tied = np.flatnonzero(ratios <= ratios.min() + _RATIO_TIE)
-    return int(tied[np.argmin(basis[tied])])
+    ratios = np.maximum(T[:-1, -1][rows], 0.0) / colvals[rows]
+    tied = rows[ratios <= np.minimum.reduce(ratios) + _RATIO_TIE]
+    if tied.size == 1:
+        return int(tied[0])
+    return int(tied[basis[tied].argmin()])
 
 
-def _run(T: np.ndarray, basis: np.ndarray, allowed: int,
-         max_iter: int) -> SimplexStatus:
-    """Pivot until optimal or unbounded.  Columns >= `allowed` never enter."""
+def _run(tab: _Tableau, max_iter: int) -> SimplexStatus:
+    """Pivot until optimal or unbounded; every kept column may enter."""
     bland = False
     degenerate_run = 0
     for _ in range(max_iter):
-        col = _choose_entering(T[-1], allowed, bland)
+        T = tab.T
+        col = _choose_entering(T[-1, :-1], bland)
         if col is None:
             return SimplexStatus.OPTIMAL
-        row = _choose_leaving(T, basis, col)
+        row = _choose_leaving(T, tab.basis, col)
         if row is None:
             return SimplexStatus.UNBOUNDED
         before = T[-1, -1]
-        _pivot(T, basis, row, col)
-        if abs(T[-1, -1] - before) <= EPS * max(1.0, abs(before)):
+        tab.pivot(row, col)
+        if abs(tab.T[-1, -1] - before) <= EPS * max(1.0, abs(before)):
             degenerate_run += 1
             if degenerate_run >= _DEGENERATE_LIMIT:
                 bland = True
@@ -134,64 +213,87 @@ def simplex_solve(c, G=None, h=None, E=None, f=None, nonneg=None,
         raise ValueError("constraint matrix/vector shapes disagree")
 
     # Free variables become differences of two nonnegative columns.
-    free_idx = np.array([i for i in range(nvar) if not nonneg[i]], dtype=int)
+    free_idx = np.array([i for i, keep in enumerate(nonneg) if not keep],
+                        dtype=int)
     n_struct = nvar + free_idx.size
     n_ub, m = G.shape[0], G.shape[0] + E.shape[0]
-    n_cols = n_struct + n_ub
+    n_cols = n_struct + n_ub  # original ids: structural, slacks, artificials
     b = np.concatenate([h, f])
     neg = b < 0.0
+    neg_ub = np.flatnonzero(neg[:n_ub])
 
     # Rows whose slack keeps coefficient +1 start with that slack in the
-    # basis; the rest (negated inequality rows, then equality rows) start
-    # with an artificial.
-    art_rows = np.flatnonzero(np.append(neg[:n_ub], np.ones(m - n_ub, bool)))
-    n_art = art_rows.size
-    T = np.zeros((m + 1, n_cols + n_art + 1))
-    T[:n_ub, :nvar] = G
-    T[:n_ub, nvar:n_struct] = -G[:, free_idx]
-    T[n_ub:m, :nvar] = E
-    T[n_ub:m, nvar:n_struct] = -E[:, free_idx]
-    T[np.arange(n_ub), n_struct + np.arange(n_ub)] = 1.0
-    T[:m, :n_cols][neg] *= -1.0
-    T[:m, -1] = np.abs(b)
-    T[art_rows, n_cols + np.arange(n_art)] = 1.0
-    basis = n_struct + np.arange(m)
+    # basis, unopened; the rest (negated inequality rows, then equality
+    # rows) start with an artificial, and a negated row keeps its slack.
+    n_art = neg_ub.size + m - n_ub
+    art0 = n_struct + neg_ub.size
+    width = art0 + n_art + 1
+    buf = np.zeros((width + _SPARE, m + 1)).T
+    buf[:n_ub, :nvar] = G
+    buf[n_ub:m, :nvar] = E
+    buf[:m, nvar:n_struct] = -buf[:m, free_idx]
+    buf[:m, width - 1] = np.abs(b)
+    ids = np.arange(width + _SPARE)
+    ids[art0:] += n_cols - art0
+    basis = np.arange(n_struct, n_struct + m)
+    closed = basis.copy()
+    art_rows = np.arange(n_ub, m)
+    if neg.any():
+        buf[neg_ub, n_struct + np.arange(neg_ub.size)] = 1.0
+        buf[:m, :art0][neg] *= -1.0
+        ids[n_struct:art0] = n_struct + neg_ub
+        art_rows = np.concatenate([neg_ub, art_rows])
+    buf[art_rows, art0 + np.arange(n_art)] = 1.0
     basis[art_rows] = n_cols + np.arange(n_art)
+    closed[art_rows] = -1
+    tab = _Tableau(buf, width, ids, basis, closed)
 
     if n_art:
         # phase-1 objective: sum of artificials, priced out over the basis
-        T[-1, n_cols:n_cols + n_art] = 1.0
+        T = tab.T
+        T[-1, art0:-1] = 1.0
         for i in art_rows:
             T[-1] -= T[i]
-        status = _run(T, basis, n_cols + n_art, max_iter)
+        status = _run(tab, max_iter)
+        T = tab.T
         if status is not SimplexStatus.OPTIMAL or -T[-1, -1] > 1e-7:
             return SimplexResult(SimplexStatus.INFEASIBLE)
-        # pivot remaining basic artificials out, or drop redundant rows
+        # Pivot remaining basic artificials out, or drop redundant rows.  A
+        # row with a basic artificial has been a pivot row or starts with
+        # its artificial, so it has no unopened slack to open.
+        art0 = tab.width - 1 - n_art
         keep = np.ones(m + 1, dtype=bool)
-        for i in np.flatnonzero(basis >= n_cols):
-            cols = np.flatnonzero(np.abs(T[i, :n_cols]) > EPS)
+        for i in np.flatnonzero(tab.basis >= n_cols):
+            cols = np.flatnonzero(np.abs(T[i, :art0]) > EPS)
             if cols.size:
-                _pivot(T, basis, i, int(cols[0]))
+                tab.pivot(i, int(cols[0]))
             else:
                 keep[i] = False
-        # drop the artificial columns by moving the rhs into the first one
-        T[:, n_cols] = T[:, -1]
-        T = T[:, :n_cols + 1] if keep.all() else T[keep, :n_cols + 1]
-        basis = basis[keep[:m]]
-        m = basis.size
+        if not keep.all():
+            tab.drop_rows(keep)
+        # drop the artificial columns, which sort last, by moving the rhs
+        # into the first one
+        tab.buf[:, art0] = tab.buf[:, tab.width - 1]
+        tab.ids[art0] = n_cols
+        tab.width = art0 + 1
 
-    # phase 2; basic columns are unit columns, so only the rows whose basic
-    # column has a nonzero cost change the priced-out objective row
+    # phase 2; basic columns are unit columns and only structural ones have
+    # a cost, so only their rows change the priced-out objective row (a
+    # structural column's compact index is its original id)
+    T = tab.T
     T[-1] = 0.0
     T[-1, :n_struct] = np.concatenate([c, -c[free_idx]])
-    for i in np.flatnonzero(T[-1, basis]):
+    cost = np.zeros(n_cols)
+    cost[:n_struct] = T[-1, :n_struct]
+    basis = tab.basis
+    for i in np.flatnonzero(cost[basis]):
         T[-1] -= T[-1, basis[i]] * T[i]
-    status = _run(T, basis, n_cols, max_iter)
+    status = _run(tab, max_iter)
     if status is SimplexStatus.UNBOUNDED:
         return SimplexResult(SimplexStatus.UNBOUNDED)
 
     values = np.zeros(n_cols)
-    values[basis] = np.maximum(T[:m, -1], 0.0)
+    values[tab.basis] = np.maximum(tab.T[:-1, -1], 0.0)
     x = values[:nvar].copy()
     x[free_idx] -= values[nvar:n_struct]
     return SimplexResult(SimplexStatus.OPTIMAL, x, float(c @ x))

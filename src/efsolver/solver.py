@@ -26,14 +26,15 @@ bisection, sampling box midpoints for counterexamples.
 from __future__ import annotations
 
 import enum
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AllDimensionsDegenerate, EqualitiesInfeasible,
-                     InvalidProblem, SplitDegenerate)
+from .errors import (AllDimensionsDegenerate, DomainError,
+                     EqualitiesInfeasible, InvalidProblem, SplitDegenerate)
 from .expr import Add, Const, Expr, Mul, Sub, eval_on_box
 from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
@@ -387,9 +388,12 @@ def verify_solution(problem: Problem, x, depth: int = 25,
 
     Equalities are checked numerically to EQUALITY_TOL.  Each universal
     branch is proved by interval evaluation with recursive bisection up to
-    `depth` levels; midpoints are sampled to find counterexamples.
-    max_boxes caps the total bisection work per branch (exceeding it
-    reports Unknown rather than exploring an exponential tree).
+    `depth` levels; midpoints are sampled to find counterexamples.  A
+    guard without an enclosure on a box (a division by an interval that
+    contains zero, say) is undecided there, and a midpoint where a leaf is
+    undefined is no counterexample.  max_boxes caps the total bisection
+    work per branch (exceeding it reports Unknown rather than exploring an
+    exponential tree).
     """
     x = np.asarray(x, dtype=float)
     C, d = problem.eq_matrix(), problem.eq_vector()
@@ -427,19 +431,48 @@ def _substitute_x(f: Formula, env: dict[str, float]) -> Formula:
     return f
 
 
-def _holds_at(f: Formula, point: dict[str, float]) -> bool:
+def _holds_at(f: Formula, point: dict[str, float]) -> bool | None:
+    """The truth of f at point, or None where a leaf it needs is undefined."""
     if isinstance(f, TrueF):
         return True
     if isinstance(f, FalseF):
         return False
     if isinstance(f, Guard):
-        v = f.atom.body.evaluate(point)
-        return v < 0.0 if f.atom.strict else v <= 0.0
-    if isinstance(f, And):
-        return all(_holds_at(i, point) for i in f.items)
-    if isinstance(f, Or):
-        return any(_holds_at(i, point) for i in f.items)
+        try:
+            v = f.atom.body.evaluate(point)
+        except (ArithmeticError, ValueError):
+            return None
+        return bool(v < 0.0 if f.atom.strict else v <= 0.0)
+    if isinstance(f, (And, Or)):
+        absorbing = isinstance(f, Or)
+        undefined = False
+        for item in f.items:
+            v = _holds_at(item, point)
+            if v is absorbing:
+                return v
+            undefined = undefined or v is None
+        return None if undefined else not absorbing
     raise TypeError(f"unexpected formula node {type(f).__name__}")
+
+
+def _guard_enclosures(cb: CompiledBranch, lo: tuple[float, ...],
+                      hi: tuple[float, ...]) -> tuple[list[float], list[float]]:
+    """The guard enclosures of one guard-tape run, or, where that run has
+    no enclosure, of one run per guard slot; a slot without an enclosure
+    gets [-inf, +inf], which leaves its guard undecided."""
+    try:
+        return eval_on_box(cb.guards, lo, hi)
+    except DomainError:
+        pass
+    n = len(lo) + len(cb.guards.init)
+    L, H = [-math.inf] * n, [math.inf] * n
+    for s in set(cb.guard_slot.values()):
+        try:
+            Ls, Hs = eval_on_box(cb.cones[s], lo, hi)
+        except DomainError:
+            continue
+        L[s], H[s] = Ls[s], Hs[s]
+    return L, H
 
 
 def _check_forall(cb: CompiledBranch, lo: tuple[float, ...],
@@ -449,11 +482,11 @@ def _check_forall(cb: CompiledBranch, lo: tuple[float, ...],
     budget[0] -= 1
     if budget[0] < 0:
         return "unknown"
-    reduced = reduce_formula(cb, *eval_on_box(cb.guards, lo, hi))
+    reduced = reduce_formula(cb, *_guard_enclosures(cb, lo, hi))
     if isinstance(reduced, TrueF):
         return None
     mid = {n: midpoint(l, h) for n, l, h in zip(cb.tape.names, lo, hi)}
-    if isinstance(reduced, FalseF) or not _holds_at(cb.formula, mid):
+    if isinstance(reduced, FalseF) or _holds_at(cb.formula, mid) is False:
         return mid
     if depth <= 0:
         return "unknown"

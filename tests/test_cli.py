@@ -25,6 +25,18 @@ def test_solve_benchmark_verified(bench_file, capsys):
     assert "verified: yes" in out
 
 
+def test_verify_with_guard_undefined_on_a_box(tmp_path, capsys):
+    # 1/y1 has no enclosure on [-1,1], so the combined guard run fails;
+    # guard by guard, y1 <= 2 still proves the first branch
+    path = tmp_path / "undefined.efp"
+    path.write_text("exists x1 ;\n"
+                    "forall-vars y1 ;\n"
+                    "branch y1 in [-1,1] : y1 <= 2 or x1*(1/y1) <= 1 ;\n"
+                    "branch y1 in [1,2] : x1*y1 <= 1 ;\n", encoding="utf-8")
+    assert main(["solve", str(path), "--verify"]) == 0
+    assert "verified: yes" in capsys.readouterr().out
+
+
 def test_solve_infeasible_exit_code(bench_file, capsys):
     code = main(["solve", bench_file("eq_conflict")])
     assert code == 1

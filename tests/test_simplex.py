@@ -5,7 +5,7 @@ import pytest
 import simplex_reference
 
 import efsolver as ef
-from efsolver import simplex
+from efsolver import relaxation, simplex
 from efsolver.simplex import SimplexStatus, simplex_solve
 
 
@@ -105,13 +105,15 @@ def test_determinism():
 # -- exactness of the sparse-row pivots ----------------------------------------
 
 def record_pivots(monkeypatch, module):
-    """The (row, col) of every pivot `module` makes from now on."""
+    """The (row, col) of every pivot `module` makes from now on, with col
+    the entering column's original id, read from the basis after the
+    pivot: the compact tableau passes `_pivot` its own column index."""
     seq = []
     pivot = module._pivot
 
-    def recording(T, basis, row, col):
-        seq.append((int(row), int(col)))
-        pivot(T, basis, row, col)
+    def recording(T, basis, row, col, *rest):
+        pivot(T, basis, row, col, *rest)
+        seq.append((int(row), int(basis[row])))
 
     monkeypatch.setattr(module, "_pivot", recording)
     return seq
@@ -125,9 +127,16 @@ def pivots(monkeypatch):
 
 def random_lp(rng, family):
     """A small random LP of one family; integer data in half the draws
-    makes ties in the entering and leaving rules."""
-    nvar = int(rng.integers(1, 7))
-    n_ub = int(rng.integers(1, 8))
+    makes ties in the entering and leaving rules.
+
+    A tall LP has 40-120 inequality rows.  In half of them the rows are
+    facets around a sphere in the positive orthant, so the simplex walks
+    along many of them and opens many slacks; equalities, some with a
+    redundant copy, come in half of them.
+    """
+    tall = family == "tall"
+    nvar = int(rng.integers(2, 8) if tall else rng.integers(1, 7))
+    n_ub = int(rng.integers(40, 121) if tall else rng.integers(1, 8))
     integer = rng.random() < 0.5
 
     def matrix(k):
@@ -139,10 +148,14 @@ def random_lp(rng, family):
     c = rng.integers(-3, 4, nvar).astype(float) if integer else rng.normal(size=nvar)
     G, h = matrix(n_ub), rng.uniform(0.5, 3.0, n_ub)
     E, f, nonneg = None, None, None
-    if family in ("equalities", "redundant"):
+    if tall and rng.random() < 0.5:
+        G = np.abs(G) + 0.1
+        G /= np.linalg.norm(G, axis=1)[:, None]
+        c, h = -np.abs(c), np.ones(n_ub)
+    if family in ("equalities", "redundant") or (tall and rng.random() < 0.5):
         E = matrix(int(rng.integers(1, 4)))
         f = E @ np.maximum(rng.normal(size=nvar), 0.0)
-        if family == "redundant":
+        if family == "redundant" or (tall and rng.random() < 0.5):
             E = np.vstack([E, 2.0 * E[0]])
             f = np.append(f, 2.0 * f[0])
     elif family == "negative_rhs":
@@ -186,6 +199,7 @@ FAMILIES = {
     "zero_rhs": {"optimal", "unbounded"},
     "unbounded": {"unbounded"},
     "infeasible": {"infeasible"},
+    "tall": {"optimal", "infeasible"},
 }
 
 
@@ -197,6 +211,40 @@ def test_sparse_pivots_match_dense_reference(pivots, family, statuses):
         status, _ = assert_same_solve(pivots, *random_lp(rng, family))
         seen.add(status.value)
     assert seen == statuses
+
+
+def test_tall_lps_cover_the_compact_layout(pivots, monkeypatch):
+    # the draws of the "tall" family above, checked for what they cover:
+    # more opened slacks than spare columns, an opened slack re-entering,
+    # and a redundant row dropped after slacks were opened
+    widths, opened_at_drop = [], []
+    pivot = simplex._pivot
+
+    def measuring(T, *rest):
+        widths.append(T.shape[1])
+        pivot(T, *rest)
+
+    drop_rows = simplex._Tableau.drop_rows
+
+    def dropping(tab, keep):
+        opened_at_drop.append(int((tab.ids[:tab.width] < n_slack_end).sum()
+                                  - n_struct))
+        drop_rows(tab, keep)
+
+    monkeypatch.setattr(simplex, "_pivot", measuring)
+    monkeypatch.setattr(simplex._Tableau, "drop_rows", dropping)
+    rng = np.random.default_rng(list(FAMILIES).index("tall"))
+    grown = reentered = 0
+    for _ in range(150):
+        c, G, h, E, f, nonneg = random_lp(rng, "tall")
+        n_struct, n_eq = c.size, 0 if E is None else E.shape[0]
+        n_slack_end = n_struct + G.shape[0]
+        widths.clear()
+        assert_same_solve(pivots, c, G, h, E, f, nonneg)
+        grown += max(widths, default=0) > n_struct + n_eq + 1 + simplex._SPARE
+        reentered += any(n_struct <= col < n_slack_end for _, col in pivots[0])
+    assert grown and reentered
+    assert max(opened_at_drop) > 0
 
 
 def test_degenerate_lp_reaches_bland_rule_identically(pivots):
@@ -233,3 +281,32 @@ def test_pinned_pivot_counts(benchmarks, monkeypatch, name, strategy, counts):
         max_splits=5000))
     assert out.is_solution
     assert (out.stats.splits, out.stats.lp_solves, len(pivots)) == counts
+
+
+def test_tableau_width_follows_pivots_not_rows(benchmarks, monkeypatch):
+    # round-robin B grows to over 570 rows; the compact tableau holds the
+    # 2r+2 structural columns, the equality's artificial, the rhs and one
+    # slack per pivot so far (the current pivot's included)
+    shapes = []
+    solve, pivot = relaxation.simplex_solve, simplex._pivot
+
+    def solving(*args, **kwargs):
+        shapes.append([])
+        return solve(*args, **kwargs)
+
+    def pivoting(T, *rest):
+        shapes[-1].append(T.shape)
+        pivot(T, *rest)
+
+    monkeypatch.setattr(relaxation, "simplex_solve", solving)
+    monkeypatch.setattr(simplex, "_pivot", pivoting)
+    problem = benchmarks["B"]
+    out = ef.solve(problem, ef.SolveConfig(
+        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.ROUND_ROBIN),
+        max_splits=5000))
+    assert out.is_solution and out.stats.splits == 568
+    r = len(problem.x_vars)
+    assert max(rows for one in shapes for rows, _ in one) > 570
+    for one in shapes:
+        for k, (_, width) in enumerate(one):
+            assert width <= 2 * r + 3 + k + 2

@@ -224,7 +224,7 @@ def test_infeasible_witness_is_sound():
     points = witness.box.sample(rng, 1000)
     for xv in np.linspace(-10, 10, 21):
         f = _substitute_x(witness.formula, {"x1": float(xv)})
-        assert not any(_holds_at(f, pt) for pt in points)
+        assert all(_holds_at(f, pt) is False for pt in points)
 
 
 def test_deterministic_split_counts(benchmarks):
@@ -380,6 +380,22 @@ def test_verify_needs_bisection_for_disjunction():
     # with x = +1 the second disjunct fails on (0.6, 1]
     res = ef.verify_solution(p, np.array([5.0]), depth=15)
     assert res.status is VerifyStatus.COUNTEREXAMPLE
+
+
+def test_verify_undefined_point_is_no_counterexample():
+    # the only leaf is undefined at the midpoint y1 = 0 and has no
+    # enclosure on any box around it: bisection ends at the depth limit
+    p = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [-1,1] : x1*(1/y1) <= 1 ;
+    """)
+    res = ef.verify_solution(p, np.array([0.0]), depth=8)
+    assert res.status is VerifyStatus.UNKNOWN
+    # where the leaf is defined and false, the verifier still finds it
+    res = ef.verify_solution(p, np.array([5.0]), depth=8)
+    assert res.status is VerifyStatus.COUNTEREXAMPLE
+    assert res.point == pytest.approx({"y1": 0.5})
 
 
 def test_verify_depth_limit_returns_unknown():
