@@ -45,6 +45,7 @@ class RunReport:
     splits: int
     rounds: int
     lp_solves: int
+    guard_tightenings: int
     wall_time_ms: float
     strategy: str
     epsilon: float
@@ -67,6 +68,7 @@ def make_report(result: SolveOutcome, cfg: SolveConfig,
         splits=result.stats.splits,
         rounds=result.stats.rounds,
         lp_solves=result.stats.lp_solves,
+        guard_tightenings=result.stats.guard_tightenings,
         wall_time_ms=result.stats.wall_time * 1000.0,
         strategy=cfg.heuristic.strategy.value,
         epsilon=cfg.heuristic.epsilon,
@@ -126,6 +128,7 @@ def _print_human(problem, result: SolveOutcome, report: RunReport) -> None:
     if result.witness_id is not None:
         print(f"witness branch: {result.witness_id}")
     print(f"splits: {report.splits}   lp solves: {report.lp_solves}   "
+          f"guard tightenings: {report.guard_tightenings}   "
           f"time: {report.wall_time_ms:.1f} ms")
     if report.verified is not None:
         print(f"verified: {'yes' if report.verified else 'NO'}")

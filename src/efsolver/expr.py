@@ -16,6 +16,13 @@ which the `Interval` operators call as well, so a tape gives bit for bit
 the tree walk's enclosure.  The tree walk stays as the test oracle.  Both
 are naive (no dependency tracking), so the enclosure generally
 overestimates; containment is guaranteed.
+
+`mean_value_form` derives from a tape the mean-value form of one of its
+slots: a second interval tape that propagates forward-mode derivatives
+over the slot's operations, from the slot endpoints of a run on the box,
+and sums f(c) + sum_j f'_j(Y) (Y_j - c_j).  `mean_value` intersects it
+with the natural enclosure, which removes much of the dependency
+overestimation on small boxes.
 """
 
 from __future__ import annotations
@@ -418,3 +425,138 @@ def enclose(t: Expr, box: Box) -> Interval:
     L, H = eval_on_box(tape, *box.endpoints())
     s = tape.roots[0]
     return Interval(L[s], H[s])
+
+
+# -- mean-value forms -----------------------------------------------------------
+
+_ONE = -1  # a structural derivative of one, before it needs a slot
+
+
+@dataclass(frozen=True)
+class MeanValueForm:
+    """The mean-value form of slot `slot` of a tape,
+
+        f(c) + sum_j f'_j(Y) * (Y_j - c_j),    c the midpoint of the box Y,
+
+    an enclosure of f = slot `slot` on Y wherever the natural run of the
+    tape has one (Moore, Kearfott & Cloud, Introduction to Interval
+    Analysis, 2009, sec. 6.4).  `cone` is the slot's cone, run on the
+    point box c for f(c).  `program` is an interval tape over 2N inputs:
+    the N slot enclosures of a run of the tape on Y, then those of the cone
+    run on c.  Its operations propagate forward-mode derivatives over the
+    cone and sum the form into its one root.
+    """
+
+    slot: int
+    cone: Tape
+    program: Tape
+
+
+def mean_value_form(tape: Tape, slot: int) -> MeanValueForm:
+    """Derive the mean-value form of slot `slot` of `tape`.
+
+    Each derivative rule calls the `intervals` helpers on the natural
+    enclosures of the operands: u'v + uv' for a product, (u' - (u/v) v')/v
+    for a quotient, n u^(n-1) u' for a power, cos(u) u' and -sin(u) u' for
+    sine and cosine.  Structurally zero derivatives are dropped and
+    products with a structural one skipped, so a dimension the slot does
+    not depend on costs nothing.
+    """
+    cone = tape.restrict((slot,))
+    n = len(tape.names)
+    N = n + len(tape.init)
+    init: list[float] = []
+    ops: list[Op] = []
+    slot_of: dict[tuple, int] = {}
+
+    def new_slot(value: float) -> int:
+        init.append(value)
+        return 2 * N + len(init) - 1
+
+    def const(value: float) -> int:
+        key = ("const", value)
+        if key not in slot_of:
+            slot_of[key] = new_slot(value)
+        return slot_of[key]
+
+    def apply(fn, a, b=None) -> int:
+        a, b = (const(1.0) if d == _ONE else d for d in (a, b))
+        key = (fn, a, b)
+        if key not in slot_of:
+            slot_of[key] = dst = new_slot(0.0)
+            ops.append((fn, a, b, dst))
+        return slot_of[key]
+
+    def times(p, q):
+        if p is None or q is None:
+            return None
+        if p == _ONE or q == _ONE:
+            return q if p == _ONE else p
+        return apply(iv.mul, p, q)
+
+    def plus(p, q):
+        if p is None or q is None:
+            return q if p is None else p
+        return apply(iv.add, p, q)
+
+    def minus(p, q):
+        if q is None:
+            return p
+        return apply(iv.neg, q) if p is None else apply(iv.sub, p, q)
+
+    zero = (None,) * n
+    grad: dict[int, tuple] = {j: tuple(_ONE if k == j else None for k in range(n))
+                              for j in range(n)}
+    for fn, a, b, dst in cone.ops:
+        da = grad.get(a, zero)
+        db = grad.get(b, zero) if b is not None else zero
+        if da == db == zero:
+            continue
+        if fn is iv.neg:
+            g = [minus(None, p) for p in da]
+        elif fn is iv.add:
+            g = [plus(p, q) for p, q in zip(da, db)]
+        elif fn is iv.sub:
+            g = [minus(p, q) for p, q in zip(da, db)]
+        elif fn is iv.mul:
+            g = [plus(times(p, b), times(a, q)) for p, q in zip(da, db)]
+        elif fn is iv.div:
+            g = [None if num is None else apply(iv.div, num, b)
+                 for num in (minus(p, times(dst, q)) for p, q in zip(da, db))]
+        else:
+            if fn is iv.sin:
+                factor = apply(iv.cos, a)
+            elif fn is iv.cos:
+                factor = apply(iv.neg, apply(iv.sin, a))
+            elif fn.keywords["n"] == 1:  # partial(iv.power, n=k) from here on
+                factor = _ONE
+            else:
+                k = fn.keywords["n"]
+                lower = a if k == 2 else apply(partial(iv.power, n=k - 1), a)
+                factor = apply(iv.mul, const(float(k)), lower)
+            g = [times(factor, p) for p in da]
+        grad[dst] = tuple(g)
+
+    form = N + slot  # f(c), from the cone run on the point box
+    for j, d in enumerate(grad.get(slot, zero)):
+        if d is not None:
+            form = apply(iv.add, form, times(d, apply(iv.sub, j, N + j)))
+    names = (tuple(f"Y[{s}]" for s in range(N))
+             + tuple(f"c[{s}]" for s in range(N)))
+    return MeanValueForm(slot, cone, Tape(names, tuple(init), tuple(ops), (form,)))
+
+
+def mean_value(form: MeanValueForm, mid: Sequence[float], L: Sequence[float],
+               H: Sequence[float]) -> tuple[float, float]:
+    """The enclosure of the form's slot on the box Y: the natural one, from
+    the slot endpoints L, H of a run of the tape on Y, intersected with the
+    mean-value form at mid, the midpoint of Y.  Where the form has no
+    enclosure (it raises DomainError) the natural one."""
+    s = form.slot
+    try:
+        PL, PH = eval_on_box(form.cone, mid, mid)
+        ML, MH = eval_on_box(form.program, [*L, *PL], [*H, *PH])
+    except DomainError:
+        return L[s], H[s]
+    r = form.program.roots[0]
+    return max(L[s], ML[r]), min(H[s], MH[r])

@@ -83,17 +83,26 @@ def mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
     products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
     lo = min(products)
     hi = max(products)
-    # A product is exact when one factor is exactly zero; products k < 2
-    # take alo, even k take blo.
-    i = products.index(lo)
-    if (alo if i < 2 else ahi) != 0.0 and (bhi if i & 1 else blo) != 0.0:
+    # A product is exact when one factor is exactly zero, and then it is
+    # zero.  A zero endpoint stays unrounded only when no product of two
+    # nonzero factors underflowed to zero, which would tie with it.
+    exact_zero = (lo == 0.0 or hi == 0.0) and not _underflows(alo, ahi, blo, bhi)
+    if lo != 0.0 or not exact_zero:
         lo = _down(lo)
-    i = products.index(hi)
-    if (alo if i < 2 else ahi) != 0.0 and (bhi if i & 1 else blo) != 0.0:
+    if hi != 0.0 or not exact_zero:
         hi = _up(hi)
     if lo == -_INF or hi == _INF:
         raise _overflow(lo, hi)
     return lo, hi
+
+
+def _underflows(alo: float, ahi: float, blo: float, bhi: float) -> bool:
+    """Does a product of two nonzero endpoints round to zero?  Exactly when
+    the product of the smallest nonzero magnitudes does, since rounding is
+    monotone."""
+    a = min(abs(alo) or _INF, abs(ahi) or _INF)
+    b = min(abs(blo) or _INF, abs(bhi) or _INF)
+    return a * b == 0.0
 
 
 def div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:

@@ -78,6 +78,9 @@ class SolveStats:
     splits: int = 0
     rounds: int = 0  # iterations that performed at least one split
     lp_solves: int = 0
+    # guard leaves the mean-value form decided where the natural enclosure
+    # straddled zero, summed over every box classified
+    guard_tightenings: int = 0
     wall_time: float = 0.0
     # (branch_id, coefficient index or RHS_COEFFICIENT or None, dimension)
     split_history: list[tuple[int, int | None, int]] = field(default_factory=list)
@@ -116,7 +119,8 @@ class _LiveBoxes:
     which keeps the id order because new ids are always the largest.
     `kinds` counts the rows per classification type; `widest_guard`
     holds, per box id, the widest straddling guard of an undecided row
-    once `_pick_undecided` has looked at it.
+    once `_pick_undecided` has looked at it.  `guard_tightenings` sums
+    the classifications' `tightened` counts.
     """
 
     def __init__(self, problem: Problem):
@@ -130,6 +134,7 @@ class _LiveBoxes:
         self._staged: list[_Row] = []
         self.kinds: Counter[type] = Counter()
         self.widest_guard: dict[int, tuple] = {}
+        self.guard_tightenings = 0
         for br in problem.branches:
             cb = compile_branch(br.formula, br.box.names, self.x_vars)
             self._stage(cb, *br.box.endpoints(), 0)
@@ -149,6 +154,7 @@ class _LiveBoxes:
         bid = self.next_id
         self.next_id += 1
         status = simplify_branch(cb, lo, hi)
+        self.guard_tightenings += status.tightened
         if not isinstance(status, ProvedTrue):
             self._staged.append((bid, cb, lo, hi, status, rr))
         return bid
@@ -200,6 +206,7 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
     def done(outcome: SolveOutcome) -> SolveOutcome:
         stats.wall_time = time.perf_counter() - t0
+        stats.guard_tightenings = live.guard_tightenings
         return outcome
 
     def spent_budget() -> str | None:

@@ -191,3 +191,21 @@ def test_bench_table_marks_budget(capsys):
     out = capsys.readouterr().out
     assert "A" in out
     assert "             -         -" in out  # unfinished runs marked '-'
+
+
+def test_guard_tightenings_reported_on_eq_guarded(bench_file, capsys):
+    # the guard (y1 - y1) + 0.25 < 0 straddles naturally on every box, and
+    # its mean-value form, the point 0.25, decides it false on the initial
+    # box and on both halves of the one split the linear row needs
+    problem = ef.parse_problem(benchmark_text("eq_guarded"))
+    assert ef.solve(problem).stats.guard_tightenings == 3
+    assert ef.solve(problem, ef.SolveConfig(max_splits=0)).stats.guard_tightenings == 1
+
+    assert main(["solve", bench_file("eq_guarded")]) == 0
+    assert "guard tightenings: 3" in capsys.readouterr().out
+    assert main(["solve", bench_file("eq_guarded"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["guard_tightenings"] == 3
+    # instances without guards never tighten
+    assert main(["solve", bench_file("A"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["guard_tightenings"] == 0

@@ -1,8 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from efsolver import intervals
 from efsolver.errors import DomainError, EFSolverError, SplitDegenerate
 from efsolver.expr import enclose
 from efsolver.intervals import Box, Interval
@@ -13,6 +17,32 @@ def test_mul_endpoint_combinations():
     r = Interval(-1, 3) * Interval(-3, 1)
     assert r.lo == pytest.approx(-9, abs=1e-12)
     assert r.hi == pytest.approx(3, abs=1e-12)
+
+
+def test_underflowing_product_is_rounded_outward():
+    # 1e-300 * 1e-300 underflows to 0.0 and ties with the exact 0 * 1e-300;
+    # the exact range [0, 1e-600] needs the upper endpoint rounded up
+    lo, hi = intervals.mul(0.0, 1e-300, 1e-300, 1e-300)
+    assert lo <= 0.0 and hi > 0.0
+    lo, hi = intervals.mul(-1e-300, 0.0, 1e-300, 1e-300)
+    assert lo < 0.0 and hi >= 0.0
+    # a zero factor alone keeps the zero endpoint exact
+    assert intervals.mul(0.0, 1.0, 0.0, 1.0)[0] == 0.0
+
+
+tiny = (st.floats(-1e-300, 1e-300, allow_nan=False)
+        | st.floats(-1e-160, 1e-160, allow_nan=False)
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+        | st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(a=st.tuples(tiny, tiny), b=st.tuples(tiny, tiny))
+def test_mul_encloses_the_exact_products(a, b):
+    (alo, ahi), (blo, bhi) = sorted(a), sorted(b)
+    lo, hi = intervals.mul(alo, ahi, blo, bhi)
+    exact = [Fraction(x) * Fraction(y) for x in (alo, ahi) for y in (blo, bhi)]
+    assert Fraction(lo) <= min(exact) and max(exact) <= Fraction(hi)
 
 
 def test_sin_monotone_piecewise():

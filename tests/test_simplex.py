@@ -269,7 +269,7 @@ PINNED_PIVOTS = [
     ("B", "split-worst", (98, 99, 865)),
     ("C", "split-worst", (56, 57, 308)),
     ("A", "round-robin", (43, 44, 395)),
-    ("eq_guarded", "split-all", (3, 1, 3)),
+    ("eq_guarded", "split-all", (1, 2, 6)),
 ]
 
 
