@@ -11,7 +11,8 @@ split next.
 
 from .errors import (AllDimensionsDegenerate, DomainError, EFSolverError,
                      EqualitiesInfeasible, InvalidProblem, ParseError,
-                     SplitDegenerate, UndeclaredVariable)
+                     SimplexIterationLimit, SplitDegenerate,
+                     UndeclaredVariable)
 from .expr import (Add, Const, Cos, Div, Expr, Mul, Neg, Pow, Sin, Sub, Tape,
                    Var, compile_tape, enclose, eval_on_box)
 from .heuristics import (AgeTable, HeuristicConfig, Strategy, coeff_score,
@@ -21,7 +22,7 @@ from .intervals import Box, Interval
 from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
                     LinearAtom, Or, Problem, TrueF, Violation,
                     validate_problem)
-from .parsing import parse_expression, parse_problem, problem_to_text
+from .parsing import parse_expression, parse_problem
 from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
                          rohn_transform, solve_feasibility)
 from .simplex import SimplexResult, SimplexStatus, simplex_solve

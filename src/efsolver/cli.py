@@ -9,7 +9,9 @@ Exit codes for `solve`: 0 solution found, 1 infeasible, 2 budget
 exhausted, 3 input error (bad command line, unreadable, unparsable or
 invalid problem, a number or enclosure outside the double range); `bench`
 exits 0 or 3.  With --json, machine-readable output is one JSON object
-per run, newline-delimited.  --verify runs `verify_solution` after solve.
+per run, newline-delimited.  --verify runs `verify_solution` after solve
+and reports its outcome (verified, counterexample or unknown) as
+`verify_status`.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .benchmarks import CORE_INSTANCES, load_benchmark
 from .errors import EFSolverError, InvalidProblem
 from .heuristics import HeuristicConfig, Strategy
 from .parsing import parse_problem
-from .solver import (Outcome, SolveConfig, SolveOutcome, VerifyResult,
-                     VerifyStatus, solve, verify_solution)
+from .solver import (Outcome, SolveConfig, SolveOutcome, VerifyResult, solve,
+                     verify_solution)
 
 EXIT_SOLUTION = 0
 EXIT_INFEASIBLE = 1
@@ -49,7 +51,8 @@ class RunReport:
     wall_time_ms: float
     strategy: str
     epsilon: float
-    verified: bool | None
+    # the verifier's outcome (a VerifyStatus value), or None without --verify
+    verify_status: str | None
     instance: str | None = None
 
     def to_json(self) -> str:
@@ -59,9 +62,6 @@ class RunReport:
 def make_report(result: SolveOutcome, cfg: SolveConfig,
                 verification: VerifyResult | None = None,
                 instance: str | None = None) -> RunReport:
-    verified = None
-    if verification is not None:
-        verified = verification.status is VerifyStatus.VERIFIED
     return RunReport(
         outcome=result.outcome.value,
         x=[float(v) for v in result.x] if result.x is not None else None,
@@ -72,7 +72,8 @@ def make_report(result: SolveOutcome, cfg: SolveConfig,
         wall_time_ms=result.stats.wall_time * 1000.0,
         strategy=cfg.heuristic.strategy.value,
         epsilon=cfg.heuristic.epsilon,
-        verified=verified,
+        verify_status=(None if verification is None
+                       else verification.status.value),
         instance=instance,
     )
 
@@ -130,8 +131,8 @@ def _print_human(problem, result: SolveOutcome, report: RunReport) -> None:
     print(f"splits: {report.splits}   lp solves: {report.lp_solves}   "
           f"guard tightenings: {report.guard_tightenings}   "
           f"time: {report.wall_time_ms:.1f} ms")
-    if report.verified is not None:
-        print(f"verified: {'yes' if report.verified else 'NO'}")
+    if report.verify_status is not None:
+        print(f"verify status: {report.verify_status}")
 
 
 def cmd_bench(args) -> int:

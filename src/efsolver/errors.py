@@ -22,6 +22,10 @@ class EqualitiesInfeasible(EFSolverError):
     """The linear equality system Cx = d has no solution."""
 
 
+class SimplexIterationLimit(EFSolverError):
+    """The simplex method reached its iteration limit without finishing."""
+
+
 class ParseError(EFSolverError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")

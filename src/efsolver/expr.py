@@ -1,7 +1,8 @@
 """Arithmetic expression trees over named variables, and their interval tapes.
 
 Nodes: Const, Var, Neg, Add, Sub, Mul, Div, Pow (positive integer
-exponent), Sin, Cos.  Trees are immutable and hashable.  Each tree has
+exponent), Sin, Cos.  Trees are immutable and hashable; the parser
+builds them, and so can the node constructors.  Each tree has
 two evaluators of its own: plain floating point (`evaluate`) and
 conservative interval evaluation by a tree walk over `Interval` objects
 (`interval`), which returns an enclosure of the true range.
@@ -36,12 +37,9 @@ from . import intervals as iv
 from .errors import DomainError, UndeclaredVariable
 from .intervals import Box, Interval
 
-# operator precedence levels used by the printer
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
 
 class Expr:
-    """Base class; use the concrete node types or the operators below."""
+    """Base class of the node types below."""
 
     def evaluate(self, env: Mapping[str, float]) -> float:
         raise NotImplementedError
@@ -51,47 +49,6 @@ class Expr:
 
     def variables(self) -> frozenset[str]:
         raise NotImplementedError
-
-    def _prec(self) -> int:
-        raise NotImplementedError
-
-    def __add__(self, other) -> Expr:
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other) -> Expr:
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other) -> Expr:
-        return Sub(self, as_expr(other))
-
-    def __rsub__(self, other) -> Expr:
-        return Sub(as_expr(other), self)
-
-    def __mul__(self, other) -> Expr:
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other) -> Expr:
-        return Mul(as_expr(other), self)
-
-    def __truediv__(self, other) -> Expr:
-        return Div(self, as_expr(other))
-
-    def __rtruediv__(self, other) -> Expr:
-        return Div(as_expr(other), self)
-
-    def __pow__(self, n: int) -> Expr:
-        return Pow(self, n)
-
-    def __neg__(self) -> Expr:
-        return Neg(self)
-
-
-def as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, float)):
-        return Const(float(v))
-    raise TypeError(f"cannot convert {v!r} to an expression")
 
 
 @dataclass(frozen=True)
@@ -106,12 +63,6 @@ class Const(Expr):
 
     def variables(self):
         return frozenset()
-
-    def _prec(self):
-        return _PREC_ATOM if self.value >= 0 else _PREC_UNARY
-
-    def __str__(self):
-        return repr(self.value) if self.value != int(self.value) else repr(int(self.value))
 
 
 @dataclass(frozen=True)
@@ -133,12 +84,6 @@ class Var(Expr):
     def variables(self):
         return frozenset((self.name,))
 
-    def _prec(self):
-        return _PREC_ATOM
-
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
@@ -152,12 +97,6 @@ class Neg(Expr):
 
     def variables(self):
         return self.arg.variables()
-
-    def _prec(self):
-        return _PREC_UNARY
-
-    def __str__(self):
-        return f"-{_wrap(self.arg, _PREC_UNARY)}"
 
 
 @dataclass(frozen=True)
@@ -174,12 +113,6 @@ class Add(Expr):
     def variables(self):
         return self.left.variables() | self.right.variables()
 
-    def _prec(self):
-        return _PREC_ADD
-
-    def __str__(self):
-        return f"{_wrap(self.left, _PREC_ADD)} + {_wrap(self.right, _PREC_ADD + 1)}"
-
 
 @dataclass(frozen=True)
 class Sub(Expr):
@@ -194,12 +127,6 @@ class Sub(Expr):
 
     def variables(self):
         return self.left.variables() | self.right.variables()
-
-    def _prec(self):
-        return _PREC_ADD
-
-    def __str__(self):
-        return f"{_wrap(self.left, _PREC_ADD)} - {_wrap(self.right, _PREC_ADD + 1)}"
 
 
 @dataclass(frozen=True)
@@ -216,12 +143,6 @@ class Mul(Expr):
     def variables(self):
         return self.left.variables() | self.right.variables()
 
-    def _prec(self):
-        return _PREC_MUL
-
-    def __str__(self):
-        return f"{_wrap(self.left, _PREC_MUL)}*{_wrap(self.right, _PREC_MUL + 1)}"
-
 
 @dataclass(frozen=True)
 class Div(Expr):
@@ -236,12 +157,6 @@ class Div(Expr):
 
     def variables(self):
         return self.left.variables() | self.right.variables()
-
-    def _prec(self):
-        return _PREC_MUL
-
-    def __str__(self):
-        return f"{_wrap(self.left, _PREC_MUL)}/{_wrap(self.right, _PREC_MUL + 1)}"
 
 
 @dataclass(frozen=True)
@@ -262,12 +177,6 @@ class Pow(Expr):
     def variables(self):
         return self.base.variables()
 
-    def _prec(self):
-        return _PREC_POW
-
-    def __str__(self):
-        return f"{_wrap(self.base, _PREC_POW + 1)}^{self.exponent}"
-
 
 @dataclass(frozen=True)
 class Sin(Expr):
@@ -282,12 +191,6 @@ class Sin(Expr):
     def variables(self):
         return self.arg.variables()
 
-    def _prec(self):
-        return _PREC_ATOM
-
-    def __str__(self):
-        return f"sin({self.arg})"
-
 
 @dataclass(frozen=True)
 class Cos(Expr):
@@ -301,17 +204,6 @@ class Cos(Expr):
 
     def variables(self):
         return self.arg.variables()
-
-    def _prec(self):
-        return _PREC_ATOM
-
-    def __str__(self):
-        return f"cos({self.arg})"
-
-
-def _wrap(e: Expr, min_prec: int) -> str:
-    s = str(e)
-    return f"({s})" if e._prec() < min_prec else s
 
 
 # -- interval tapes -------------------------------------------------------------

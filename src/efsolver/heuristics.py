@@ -9,11 +9,12 @@ Three decisions are made when the LP relaxation reports rho > 0:
   information used at all);
 
 * which interval coefficient to improve, only for the rows actually split
-  (`split_coefficient`): the score width(p_j) * (max(x1_j, x2_j) + epsilon)
-  (`coeff_score`) estimates how much shrinking column j moves the
-  residual.  The epsilon term keeps columns whose LP value happens to be
-  zero from being starved: with epsilon = 0 the score degenerates to 0
-  there and the argmax can stall on a useless column forever;
+  (`split_coefficient`, which scores every column with `coeff_score`): the
+  score width(p_j) * (max(x1_j, x2_j) + epsilon) estimates how much
+  shrinking column j moves the residual.  The epsilon term keeps columns
+  whose LP value happens to be zero from being starved: with epsilon = 0
+  the score degenerates to 0 there and the argmax can stall on a useless
+  column forever;
 
 * which box variable to split for that coefficient expression
   (`splitheur`, with ages from `AgeTable`): trial evaluation of both
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import AllDimensionsDegenerate
 from .expr import Tape, eval_on_box
-from .intervals import Interval, midpoint
+from .intervals import midpoint
 from .relaxation import LPSolution
 
 RHS_COEFFICIENT = -1  # coefficient marker: improve the right-hand side
@@ -73,9 +74,11 @@ class HeuristicConfig:
             raise ValueError("aging_kappa must be >= 0")
 
 
-def coeff_score(p: Interval, x1j: float, x2j: float, epsilon: float) -> float:
-    """width(p) * (max(x1, x2) + epsilon): expected residual improvement."""
-    return p.width * (max(x1j, x2j) + epsilon)
+def coeff_score(width, x1, x2, epsilon: float):
+    """width * (max(x1, x2) + epsilon), elementwise over scalars or arrays:
+    the expected residual improvement from shrinking a coefficient
+    enclosure of that width whose column has LP values x1, x2."""
+    return width * (np.maximum(x1, x2) + epsilon)
 
 
 def select_targets(p_width: np.ndarray, q_width: np.ndarray,
@@ -120,7 +123,7 @@ def split_coefficient(p_width: np.ndarray, sol: LPSolution,
         return None, None
     if not (p_width > 0).any():
         return RHS_COEFFICIENT, "-"
-    scores = p_width * (np.maximum(sol.x1, sol.x2) + cfg.epsilon)
+    scores = coeff_score(p_width, sol.x1, sol.x2, cfg.epsilon)
     # zero-width coefficients cannot be tightened; never pick them
     j = int(np.argmax(np.where(p_width > 0, scores, -np.inf)))
     return j, "+" if sol.x1[j] - sol.x2[j] >= 0 else "-"

@@ -213,9 +213,6 @@ class Interval:
     def mid(self) -> float:
         return midpoint(self.lo, self.hi)
 
-    def encloses(self, other: Interval, slack: float = 0.0) -> bool:
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 
@@ -315,19 +312,8 @@ class Box:
     def interval(self, name: str) -> Interval:
         return self.intervals[self.names.index(name)]
 
-    def env(self) -> dict[str, Interval]:
-        return dict(zip(self.names, self.intervals))
-
-    def widths(self) -> tuple[float, ...]:
-        return tuple(iv.width for iv in self.intervals)
-
     def midpoint(self) -> dict[str, float]:
         return {n: iv.mid for n, iv in zip(self.names, self.intervals)}
-
-    def replace(self, dim: int, iv: Interval) -> Box:
-        ivs = list(self.intervals)
-        ivs[dim] = iv
-        return Box(self.names, tuple(ivs))
 
     def split(self, dim: int) -> tuple[Box, Box]:
         """The two halves of the box at the midpoint of dimension `dim`
@@ -335,16 +321,6 @@ class Box:
         lower, upper = halves(*self.endpoints(), dim)
         return (Box.from_endpoints(self.names, *lower),
                 Box.from_endpoints(self.names, *upper))
-
-    def sample(self, rng, n: int = 1) -> list[dict[str, float]]:
-        """Uniform random points inside the box (for sampling-based checks)."""
-        pts = []
-        for _ in range(n):
-            pts.append({
-                name: iv.lo + rng.random() * iv.width if iv.width > 0 else iv.lo
-                for name, iv in zip(self.names, self.intervals)
-            })
-        return pts
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{n} in {iv!r}" for n, iv in zip(self.names, self.intervals))

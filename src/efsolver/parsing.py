@@ -515,41 +515,3 @@ def parse_expression(text: str) -> Expr:
         p.error("trailing input after expression")
     return e
 
-
-# -- printing ---------------------------------------------------------------
-
-def problem_to_text(p: Problem) -> str:
-    """Render a problem in the input format.
-
-    The output is canonical (guards as "body <= 0", linear atoms as
-    explicit coefficient products); parsing it yields a structurally
-    identical Problem.
-    """
-    lines = [
-        "exists " + " ".join(p.x_vars) + " ;",
-        "forall-vars " + " ".join(p.y_vars) + " ;",
-    ]
-    for br in p.branches:
-        dims = ", ".join(
-            f"{n} in [{iv.lo!r},{iv.hi!r}]"
-            for n, iv in zip(br.box.names, br.box.intervals))
-        lines.append(f"branch {dims} : {_formula_text(br.formula)} ;")
-    for row, d in zip(p.equalities, p.eq_rhs):
-        terms = " + ".join(f"{c!r}*{x}" for c, x in zip(row, p.x_vars) if c != 0.0)
-        lines.append(f"eq {terms or '0*' + p.x_vars[0]} = {d!r} ;")
-    return "\n".join(lines) + "\n"
-
-
-def _formula_text(f: Formula, ctx: str = "top") -> str:
-    if isinstance(f, Guard):
-        return f"{f.atom.body} {'<' if f.atom.strict else '<='} 0"
-    if isinstance(f, Linear):
-        terms = " + ".join(f"{n}*({c})" for n, c in f.atom.coeffs)
-        return f"{terms} <= {f.atom.rhs}"
-    if isinstance(f, Or):
-        s = " or ".join(_formula_text(i, "or-operand") for i in f.items)
-        return f"({s})" if ctx == "or-operand" else s
-    if isinstance(f, And):
-        s = " and ".join(_formula_text(i, "and-operand") for i in f.items)
-        return f"({s})" if ctx != "top" else s
-    raise ValueError(f"cannot print formula node {type(f).__name__}")

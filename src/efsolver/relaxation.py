@@ -92,12 +92,11 @@ def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
                    eq_coeffs: np.ndarray | None = None,
                    eq_rhs: np.ndarray | None = None) -> FeasibilityLP:
     """Pack the endpoint arrays (n x r, n x r, n) and the equalities
-    C x = d into the LP data; the arrays are not copied."""
+    C x = d (r columns, as `validate_problem` ensures) into the LP data;
+    the arrays are not copied."""
     r = p_hi.shape[1]
     C = np.zeros((0, r)) if eq_coeffs is None else np.asarray(eq_coeffs, dtype=float)
     d = np.zeros(0) if eq_rhs is None else np.asarray(eq_rhs, dtype=float)
-    if C.size and C.shape[1] != r:
-        raise ValueError(f"equality block has {C.shape[1]} columns, expected {r}")
     return FeasibilityLP(p_hi, p_lo, q_lo, C, d)
 
 

@@ -52,10 +52,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimplexIterationLimit
+
 EPS = 1e-9
 _RATIO_TIE = 1e-12
 _DEGENERATE_LIMIT = 64
 _SPARE = 16  # room for opened slacks before the tableau is reallocated
+MAX_ITER = 200_000  # pivots per phase before SimplexIterationLimit
 
 
 class SimplexStatus(enum.Enum):
@@ -171,11 +174,11 @@ def _choose_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     return int(tied[basis[tied].argmin()])
 
 
-def _run(tab: _Tableau, max_iter: int) -> SimplexStatus:
+def _run(tab: _Tableau) -> SimplexStatus:
     """Pivot until optimal or unbounded; every kept column may enter."""
     bland = False
     degenerate_run = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         T = tab.T
         col = _choose_entering(T[-1, :-1], bland)
         if col is None:
@@ -192,14 +195,17 @@ def _run(tab: _Tableau, max_iter: int) -> SimplexStatus:
         else:
             degenerate_run = 0
             bland = False
-    raise RuntimeError("simplex iteration limit exceeded")
+    raise SimplexIterationLimit(
+        f"simplex iteration limit reached ({MAX_ITER} pivots in one phase)")
 
 
-def simplex_solve(c, G=None, h=None, E=None, f=None, nonneg=None,
-                  max_iter: int = 200_000) -> SimplexResult:
+def simplex_solve(c, G=None, h=None, E=None, f=None,
+                  nonneg=None) -> SimplexResult:
     """Solve min c.w s.t. G w <= h, E w = f, with w_i >= 0 where nonneg[i].
 
-    nonneg defaults to all-True; variables flagged False are free.
+    nonneg defaults to all-True; variables flagged False are free.  A
+    phase that does not finish within MAX_ITER pivots raises
+    SimplexIterationLimit.
     """
     c = _as_vector(c)
     nvar = c.size
@@ -254,7 +260,7 @@ def simplex_solve(c, G=None, h=None, E=None, f=None, nonneg=None,
         T[-1, art0:-1] = 1.0
         for i in art_rows:
             T[-1] -= T[i]
-        status = _run(tab, max_iter)
+        status = _run(tab)
         T = tab.T
         if status is not SimplexStatus.OPTIMAL or -T[-1, -1] > 1e-7:
             return SimplexResult(SimplexStatus.INFEASIBLE)
@@ -288,7 +294,7 @@ def simplex_solve(c, G=None, h=None, E=None, f=None, nonneg=None,
     basis = tab.basis
     for i in np.flatnonzero(cost[basis]):
         T[-1] -= T[-1, basis[i]] * T[i]
-    status = _run(tab, max_iter)
+    status = _run(tab)
     if status is SimplexStatus.UNBOUNDED:
         return SimplexResult(SimplexStatus.UNBOUNDED)
 

@@ -13,9 +13,9 @@ the mean-value form f(c) + sum_j f'_j(B) (B_j - c_j) around the midpoint
 c of B (`expr.mean_value`); both enclose the body on B, so the
 intersection does too, and it is never wider than the natural one.  A
 decided guard costs no more than before.  The form decides the guards
-only: an Undecided status keeps the natural enclosures of its guard
-leaves, because the guard pick and the trial splits of `splitheur` that
-read them score the children with natural enclosures, and comparing a
+only: an Undecided status keeps the natural enclosure of its widest guard
+leaf, because the guard pick and the trial splits of `splitheur` that
+read it score the children with natural enclosures, and comparing a
 tightened parent with natural children misleads the variable choice
 (224 splits become 441 on the benchmark's guarded workload, seed 101).
 
@@ -200,12 +200,15 @@ class LinearRow(_Status):
 
 @dataclass(frozen=True)
 class Undecided(_Status):
-    """Simplification got stuck on straddling guards; formula is the residue,
-    and guards holds (slot, lo, hi) of the natural body enclosure of each
-    of its guard leaves, in leaf order."""
+    """Simplification got stuck on straddling guards; formula is the
+    residue.  slot is the tape slot of its first widest guard leaf, in leaf
+    order, and lo, hi are that leaf's natural body enclosure: the guard
+    the solver splits for when it picks this box."""
 
     formula: Formula
-    guards: tuple[tuple[int, float, float], ...]
+    slot: int
+    lo: float
+    hi: float
 
 
 BranchStatus = ProvedTrue | ProvedFalse | LinearRow | Undecided
@@ -238,9 +241,10 @@ def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
         return LinearRow(tuple(L[s] for s in cb.coeff_slots),
                          tuple(H[s] for s in cb.coeff_slots), L[r], H[r],
                          tightened=tightened)
-    slots = [cb.guard_slot[id(g)] for g in guard_atoms(residue)]
-    return Undecided(residue, tuple((s, L[s], H[s]) for s in slots),
-                     tightened=tightened)
+    # max keeps the first of equally wide leaves
+    slot = max((cb.guard_slot[id(g)] for g in guard_atoms(residue)),
+               key=lambda s: H[s] - L[s])
+    return Undecided(residue, slot, L[slot], H[slot], tightened=tightened)
 
 
 def _tighten(cb: CompiledBranch, lo: Sequence[float], hi: Sequence[float],

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AllDimensionsDegenerate, DomainError,
-                     EqualitiesInfeasible, InvalidProblem, SplitDegenerate)
+                     EqualitiesInfeasible, InvalidProblem,
+                     SimplexIterationLimit, SplitDegenerate)
 from .expr import Add, Const, Expr, Mul, Sub, eval_on_box
 from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
@@ -47,7 +48,9 @@ from .relaxation import (adversarial_lhs, residual_vector, rohn_transform,
 from .simplify import (BranchStatus, CompiledBranch, LinearRow, ProvedFalse,
                        ProvedTrue, Undecided, compile_branch, reduce_formula,
                        simplify_branch)
-# Unused here, but perfbench/tracing.py wraps solver.classify_guard.
+# Unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
+# solver.classify_guard; a benchmark change that drops that hook can delete
+# this import and simplify.classify_guard.
 from .simplify import classify_guard  # noqa: F401
 
 ACCEPT_TOL = 1e-9
@@ -117,10 +120,8 @@ class _LiveBoxes:
     rows.  Proved-true boxes never enter.  `split` stages the halves of
     one row; `commit` drops the split rows and appends the staged halves,
     which keeps the id order because new ids are always the largest.
-    `kinds` counts the rows per classification type; `widest_guard`
-    holds, per box id, the widest straddling guard of an undecided row
-    once `_pick_undecided` has looked at it.  `guard_tightenings` sums
-    the classifications' `tightened` counts.
+    `kinds` counts the rows per classification type, and
+    `guard_tightenings` sums the classifications' `tightened` counts.
     """
 
     def __init__(self, problem: Problem):
@@ -133,7 +134,6 @@ class _LiveBoxes:
         self._split: list[int] = []
         self._staged: list[_Row] = []
         self.kinds: Counter[type] = Counter()
-        self.widest_guard: dict[int, tuple] = {}
         self.guard_tightenings = 0
         for br in problem.branches:
             cb = compile_branch(br.formula, br.box.names, self.x_vars)
@@ -143,10 +143,9 @@ class _LiveBoxes:
     def split(self, i: int, dim: int) -> list[int]:
         """Stage the two halves of row i along dim (a dimension with
         lo < mid < hi); their ids."""
-        bid, cb, lo, hi, _, rr = self.rows[i]
+        _, cb, lo, hi, _, rr = self.rows[i]
         children = halves(lo, hi, dim)
         self._split.append(i)
-        self.widest_guard.pop(bid, None)
         return [self._stage(cb, *child, rr + 1) for child in children]
 
     def _stage(self, cb: CompiledBranch, lo: tuple[float, ...],
@@ -277,6 +276,9 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             sol = solve_feasibility(lp)
         except EqualitiesInfeasible as exc:
             return done(SolveOutcome(Outcome.INFEASIBLE, stats, reason=str(exc)))
+        except SimplexIterationLimit as exc:
+            return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
+                                     reason=str(exc)))
         resid = residual_vector(lp, sol)
 
         if sol.rho <= -ACCEPT_TOL:
@@ -326,37 +328,21 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
 
 def _pick_undecided(live: _LiveBoxes):
-    """The undecided row whose widest straddling guard enclosure is widest
-    overall (the first such row and guard on ties): its index, the
-    guard's tape slot, the bound to improve ('+' when the upper bound is
-    nearer to deciding the guard) and the guard's enclosure.  Each row's
-    widest guard is found once and kept in the table until the row is
-    split."""
-    best = None
-    best_width = -1.0
-    for i, (bid, _, _, _, status, _) in enumerate(live.rows):
-        if not isinstance(status, Undecided):
-            continue
-        widest = live.widest_guard.get(bid)
-        if widest is None:
-            widest = live.widest_guard[bid] = _widest_guard(status)
-        width, slot, sign, base = widest
-        if width > best_width:
-            best = (i, slot, sign, base)
-            best_width = width
-    if best is None or best_width <= 0.0:
+    """The undecided row whose widest guard enclosure (`Undecided.slot`,
+    found when the row was classified) is widest overall, the first such
+    row on ties: its index, the guard's tape slot, the bound to improve
+    ('+' when the upper bound is nearer to deciding the guard) and the
+    guard's enclosure.  None when no such enclosure has positive width."""
+    best, best_width = None, 0.0
+    for i, row in enumerate(live.rows):
+        status = row[4]
+        if isinstance(status, Undecided) and status.hi - status.lo > best_width:
+            best, best_width = i, status.hi - status.lo
+    if best is None:
         return None
-    return best
-
-
-def _widest_guard(status: Undecided):
-    """(width, slot, sign, enclosure) of the first widest guard enclosure of
-    an undecided row; width -1.0 and no slot when it has no guard."""
-    widest = (-1.0, None, "", None)
-    for slot, lo, hi in status.guards:
-        if hi - lo > widest[0]:
-            widest = (hi - lo, slot, "+" if abs(hi) < abs(lo) else "-", (lo, hi))
-    return widest
+    status = live.rows[best][4]
+    sign = "+" if abs(status.hi) < abs(status.lo) else "-"
+    return best, status.slot, sign, (status.lo, status.hi)
 
 
 def _solution(x, live: _LiveBoxes, stats: SolveStats) -> SolveOutcome:

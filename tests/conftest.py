@@ -30,6 +30,17 @@ def benchmarks():
     return {name: load_benchmark(name) for name in benchmark_names()}
 
 
+def box_env(box):
+    """The box as the variable scope of the tree walk `Expr.interval`."""
+    return dict(zip(box.names, box.intervals))
+
+
+def sample_points(box, rng, n):
+    """n uniform random points of the box, as variable assignments."""
+    return [{name: iv.lo + rng.random() * iv.width if iv.width > 0 else iv.lo
+             for name, iv in zip(box.names, box.intervals)} for _ in range(n)]
+
+
 def benchmark_coefficient_exprs(problem):
     """All (expr, box) pairs appearing in a problem's linear atoms."""
     pairs = []

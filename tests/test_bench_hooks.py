@@ -1,9 +1,9 @@
 """The traced benchmark run (perfbench/tracing.py) wraps library functions
 at their import sites and reads a few of their argument and result shapes.
-This test installs the tracer, solves and verifies instance A under
-split-all, and checks that every layer recorded spans, so a refactor that
-renames or reshapes a wrapped function fails here rather than in the
-benchmark."""
+These tests install the tracer, solve and verify instance A under
+split-all and an instance whose guards need picks, and check that every
+layer recorded spans, so a refactor that renames or reshapes a wrapped
+function fails here rather than in the benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -22,10 +22,10 @@ def load_tracing():
     return module
 
 
-def test_tracer_hooks_record_every_layer():
-    tracing = load_tracing()
+def traced_solve(tracing, problem):
+    """Solve and verify `problem` under split-all with the tracer installed;
+    the outcome, the verdict and the pass totals."""
     original = solver.solve
-    problem = load_benchmark("A")
     tracer = tracing.Tracer()
     tracer.pass_id = 0
     tracing.install(tracer)
@@ -36,9 +36,14 @@ def test_tracer_hooks_record_every_layer():
     finally:
         tracer.uninstall()
     assert solver.solve is original
+    return out, verdict, tracer.pass_totals()[0]
+
+
+def test_tracer_hooks_record_every_layer():
+    tracing = load_tracing()
+    out, verdict, totals = traced_solve(tracing, load_benchmark("A"))
 
     assert out.is_solution and verdict.status is ef.VerifyStatus.VERIFIED
-    totals = tracer.pass_totals()[0]
     for span in ("solver.solve", "simplify.simplify_branch", "relaxation.build",
                  "relaxation.lp", "relaxation.residual", "simplex.solve",
                  "heuristics.select", "heuristics.splitheur", "heuristics.ages",
@@ -58,3 +63,19 @@ def test_tracer_hooks_record_every_layer():
                                     out.stats.splits, out.stats.lp_solves)
     # every span belongs to a layer the metrics know
     assert metrics["trace.coverage_frac"][0] > 0.99
+
+
+def test_tracer_hooks_record_guard_picks():
+    # the guard straddles zero on the first boxes, so the solver picks it
+    # for splitting before the first LP
+    tracing = load_tracing()
+    out, verdict, totals = traced_solve(tracing, ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [0,1] : y1^2 - y1 + 0.3 <= 0 or x1*y1 <= 1 ;
+        branch y1 in [0,1] : -x1 <= 0 ;
+    """))
+    assert out.is_solution and verdict.status is ef.VerifyStatus.VERIFIED
+    assert totals["solver.pick_undecided:calls"] > 0
+    assert totals["guard_picks"] > 0
+    assert totals["guard_picks"] == out.stats.splits == 3

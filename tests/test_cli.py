@@ -22,7 +22,7 @@ def test_solve_benchmark_verified(bench_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "outcome: solution" in out
-    assert "verified: yes" in out
+    assert "verify status: verified" in out
 
 
 def test_verify_with_guard_undefined_on_a_box(tmp_path, capsys):
@@ -34,7 +34,7 @@ def test_verify_with_guard_undefined_on_a_box(tmp_path, capsys):
                     "branch y1 in [-1,1] : y1 <= 2 or x1*(1/y1) <= 1 ;\n"
                     "branch y1 in [1,2] : x1*y1 <= 1 ;\n", encoding="utf-8")
     assert main(["solve", str(path), "--verify"]) == 0
-    assert "verified: yes" in capsys.readouterr().out
+    assert "verify status: verified" in capsys.readouterr().out
 
 
 def test_solve_infeasible_exit_code(bench_file, capsys):
@@ -114,17 +114,34 @@ def test_solve_prints_one_error_line_per_violation(tmp_path, capsys):
 def test_verify_flag_runs_verifier_after_solve(bench_file, capsys, monkeypatch):
     from efsolver import cli
     seen = []
+    status = ef.VerifyStatus.COUNTEREXAMPLE
 
     def verify(problem, x):
         seen.append(list(x))
-        return ef.VerifyResult(ef.VerifyStatus.COUNTEREXAMPLE)
+        return ef.VerifyResult(status)
 
     monkeypatch.setattr(cli, "verify_solution", verify)
     assert main(["solve", bench_file("A")]) == 0
-    assert "verified:" not in capsys.readouterr().out and not seen
-    assert main(["solve", bench_file("A"), "--json", "--verify"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert seen == [report["x"]] and report["verified"] is False
+    assert "verify status:" not in capsys.readouterr().out and not seen
+    assert main(["solve", bench_file("A"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify_status"] is None
+    # each of the verifier's three outcomes reaches both outputs as is
+    for status in ef.VerifyStatus:
+        assert main(["solve", bench_file("A"), "--json", "--verify"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert seen[-1] == report["x"] and report["verify_status"] == status.value
+        assert main(["solve", bench_file("A"), "--verify"]) == 0
+        assert f"verify status: {status.value}\n" in capsys.readouterr().out
+
+
+def test_simplex_iteration_limit_exits_2(bench_file, capsys, monkeypatch):
+    from efsolver import simplex
+    monkeypatch.setattr(simplex, "MAX_ITER", 1)
+    assert main(["solve", bench_file("A")]) == 2
+    captured = capsys.readouterr()
+    assert "outcome: budget-exhausted" in captured.out
+    assert "reason: simplex iteration limit reached" in captured.out
+    assert "Traceback" not in captured.err + captured.out
 
 
 def run_cli(argv):
@@ -165,7 +182,7 @@ def test_solve_json_report(bench_file, capsys):
     assert report["outcome"] == "solution"
     assert report["strategy"] == "split-all"
     assert report["epsilon"] == 0.001
-    assert report["verified"] is True
+    assert report["verify_status"] == "verified"
     assert report["splits"] >= report["rounds"] >= 1
     assert report["lp_solves"] >= 1
     assert report["wall_time_ms"] >= 0

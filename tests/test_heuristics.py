@@ -17,9 +17,13 @@ from conftest import EndpointSystem
 
 
 def test_coeff_score_values():
-    assert coeff_score(Interval(-1, 3), 0.0, 0.0, 0.0) == 0.0
-    assert coeff_score(Interval(-1, 3), 0.0, 0.0, 0.001) == pytest.approx(0.004)
-    assert coeff_score(Interval(2, 2), 5.0, 0.0, 0.5) == 0.0
+    assert coeff_score(4.0, 0.0, 0.0, 0.0) == 0.0
+    assert coeff_score(4.0, 0.0, 0.0, 0.001) == pytest.approx(0.004)
+    assert coeff_score(0.0, 5.0, 0.0, 0.5) == 0.0
+    # elementwise over a row, as split_coefficient calls it
+    scores = coeff_score(np.array([4.0, 0.0, 2.0]), np.array([0.0, 5.0, 1.0]),
+                         np.array([0.0, 0.0, 3.0]), 0.5)
+    assert scores.tolist() == [2.0, 0.0, 7.0]
 
 
 def test_coeff_score_theorem_hypotheses():
@@ -32,7 +36,7 @@ def test_coeff_score_theorem_hypotheses():
         prev = np.inf
         for k in range(9):
             w = 10.0 ** -k
-            s = coeff_score(Interval(0, w), x1, x2, eps)
+            s = coeff_score(w, x1, x2, eps)
             assert 0 < s < prev
             prev = s
         assert prev < 1e-7 * (max(x1, x2) + eps)
@@ -128,7 +132,7 @@ def reference_targets(rows, sol, residual, cfg):
         if (widths > 0).any():
             if cfg.strategy is Strategy.ROUND_ROBIN:
                 return (i, None, None)
-            scores = np.array([coeff_score(p, sol.x1[j], sol.x2[j], cfg.epsilon)
+            scores = np.array([p.width * (max(sol.x1[j], sol.x2[j]) + cfg.epsilon)
                                for j, p in enumerate(coeffs)])
             j = int(np.argmax(np.where(widths > 0, scores, -np.inf)))
             return (i, j, "+" if sol.x1[j] - sol.x2[j] >= 0 else "-")

@@ -4,9 +4,7 @@ import pytest
 
 from efsolver.errors import ParseError, UndeclaredVariable
 from efsolver.model import And, Guard, Linear, Or
-from efsolver.parsing import parse_problem, problem_to_text
-
-from conftest import TWO_BRANCH_TEXT
+from efsolver.parsing import parse_problem
 
 
 def test_two_branch_structure(two_branch_problem):
@@ -146,18 +144,6 @@ def test_box_dims_reordered_to_declaration():
     assert box.interval("y1").lo == 1.0
 
 
-@pytest.mark.parametrize("name", ["A", "B", "C", "D", "eq_pinned", "eq_guarded",
-                                  "eq_conflict"])
-def test_round_trip_benchmarks(name, benchmarks):
-    p = benchmarks[name]
-    assert parse_problem(problem_to_text(p)) == p
-
-
-def test_round_trip_two_branch():
-    p = parse_problem(TWO_BRANCH_TEXT)
-    assert parse_problem(problem_to_text(p)) == p
-
-
 def test_fractional_exponent_rejected():
     with pytest.raises(ParseError):
         parse_problem("exists x1 ;\nforall-vars y ;\n"
@@ -232,18 +218,3 @@ def test_equality_with_non_finite_constant_rejected(equality):
                       "branch y in [0,1] : x1 <= 1 ;\n"
                       f"eq {equality} ;")
     assert (exc.value.line, exc.value.column) == (4, 4)
-
-
-def test_round_trip_random_problems():
-    # programmatically built trees may use forms the parser never produces
-    # (e.g. negative literals); one print/parse pass normalises, after
-    # which the round trip is exact
-    import numpy as np
-
-    from conftest import random_robust_problem
-
-    rng = np.random.default_rng(2718)
-    for _ in range(40):
-        built, _ = random_robust_problem(rng)
-        p = parse_problem(problem_to_text(built))
-        assert parse_problem(problem_to_text(p)) == p

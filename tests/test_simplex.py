@@ -37,6 +37,16 @@ def test_simple_bounded():
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_iteration_limit_raises_a_typed_error(monkeypatch):
+    # max w1 + w2 on w1, w2 <= 1 takes two pivots and one optimality test
+    monkeypatch.setattr(simplex, "MAX_ITER", 2)
+    with pytest.raises(ef.SimplexIterationLimit, match=r"\(2 pivots in one phase"):
+        simplex_solve([-1.0, -1.0], G=[[1.0, 0.0], [0.0, 1.0]], h=[1.0, 1.0])
+    monkeypatch.setattr(simplex, "MAX_ITER", 3)
+    assert simplex_solve([-1.0, -1.0], G=[[1.0, 0.0], [0.0, 1.0]],
+                         h=[1.0, 1.0]).status is SimplexStatus.OPTIMAL
+
+
 def test_free_variable_lower_bounded():
     # min rho subject to rho >= 2, rho free
     res = simplex_solve([1.0], G=[[-1.0]], h=[-2.0], nonneg=[False])

@@ -10,6 +10,8 @@ from efsolver.simplify import (Decision, LinearRow, ProvedFalse, ProvedTrue,
                                Undecided, classify_guard, compile_branch,
                                reduce_formula, simplify_branch)
 
+from conftest import sample_points
+
 
 def guard(text, strict=False):
     return GuardAtom(parse_expression(text), strict)
@@ -34,7 +36,7 @@ def test_classify_guard_true_on_negative_enclosure():
     assert classify_guard(g, box) is Decision.TRUE
     # sampled soundness: the guard holds at random points
     rng = np.random.default_rng(0)
-    for pt in box.sample(rng, 1000):
+    for pt in sample_points(box, rng, 1000):
         assert g.body.evaluate(pt) <= 0
 
 
@@ -43,7 +45,7 @@ def test_classify_guard_false_on_positive_enclosure():
     box = Box.of(("y1", (0.1, 2.0)))
     assert classify_guard(g, box) is Decision.FALSE
     rng = np.random.default_rng(1)
-    for pt in box.sample(rng, 1000):
+    for pt in sample_points(box, rng, 1000):
         assert g.body.evaluate(pt) > 0
 
 
@@ -136,6 +138,8 @@ def test_simplify_branch_undecided(two_branch_problem):
     assert isinstance(status, Undecided)
     leaves = list(ef.model.formula_leaves(status.formula))
     assert any(isinstance(l, Guard) for l in leaves)
+    # the natural enclosure of the one guard, y2 - y1 <= 0, for the guard pick
+    assert (status.lo, status.hi) == (-2.0, 1.0)
 
 
 def test_missing_coefficient_becomes_zero_interval():
@@ -163,5 +167,5 @@ def test_proved_false_admits_no_x():
     rng = np.random.default_rng(5)
     for xv in np.linspace(-10, 10, 41):
         f = _substitute_x(br.formula, {"x1": float(xv)})
-        for pt in br.box.sample(rng, 25):
+        for pt in sample_points(br.box, rng, 25):
             assert not _holds_at(f, pt)

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import efsolver as ef
-from efsolver import solver
+from efsolver import simplex, solver
 from efsolver.model import guard_atoms
 from efsolver.simplify import Undecided
 from efsolver.solver import (Outcome, SolveConfig, VerifyStatus,
                              _holds_at, _substitute_x)
 
-from conftest import random_robust_problem
+from conftest import box_env, random_robust_problem, sample_points
 
 
 def solve_text(text, **kw):
@@ -103,11 +103,36 @@ def test_example_b_split_all(benchmarks):
     assert ef.verify_solution(benchmarks["B"], out.x, 25)
 
 
-def test_undecided_guard_branch_gets_split(benchmarks):
+# The guard's zero set misses [0, 1], but its natural enclosure straddles
+# zero on the initial box and on the halves of the first splits, so the
+# first branch stays undecided until the guard picks have split it.
+GUARD_OR = """
+    exists x1 ;
+    forall-vars y1 ;
+    branch y1 in [0,1] : y1^2 - y1 + 0.3 <= 0 or x1*y1 <= 1 ;
+    branch y1 in [0,1] : -x1 <= 0 ;
+"""
+
+
+def test_undecided_guard_branch_gets_split(monkeypatch):
+    pick, picks = solver._pick_undecided, []
+
+    def recorded(live):
+        picks.append(pick(live))
+        return picks[-1]
+
+    monkeypatch.setattr(solver, "_pick_undecided", recorded)
+    p, out = solve_text(GUARD_OR, max_splits=500)
+    assert out.outcome is Outcome.SOLUTION
+    assert sum(chosen is not None for chosen in picks) >= 1
+    assert out.stats.splits >= 1
+    assert ef.verify_solution(p, out.x)
+
+
+def test_eq_guarded_solution_is_pinned_by_its_equalities(benchmarks):
     p = benchmarks["eq_guarded"]
     out = ef.solve(p, SolveConfig(max_splits=500))
     assert out.outcome is Outcome.SOLUTION
-    assert out.stats.splits >= 1
     assert out.x == pytest.approx([1.0, 2.0], abs=1e-7)
     assert ef.verify_solution(p, out.x)
 
@@ -201,6 +226,14 @@ def test_stop_reason_names_the_budget(benchmarks, two_branch_problem, source,
     assert out.reason == reason
 
 
+def test_simplex_iteration_limit_is_a_budget_outcome(benchmarks, monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ITER", 1)
+    out = ef.solve(benchmarks["A"])
+    assert out.outcome is Outcome.BUDGET_EXHAUSTED
+    assert out.reason == "simplex iteration limit reached (1 pivots in one phase)"
+    assert out.stats.lp_solves == 1
+
+
 def test_exact_point_system_infeasible():
     # zero-width coefficients cannot improve by splitting; the LP verdict
     # is final and the solver reports infeasibility, not budget exhaustion
@@ -221,7 +254,7 @@ def test_infeasible_witness_is_sound():
     """)
     witness = out.witness
     rng = np.random.default_rng(9)
-    points = witness.box.sample(rng, 1000)
+    points = sample_points(witness.box, rng, 1000)
     for xv in np.linspace(-10, 10, 21):
         f = _substitute_x(witness.formula, {"x1": float(xv)})
         assert all(_holds_at(f, pt) is False for pt in points)
@@ -260,10 +293,9 @@ def test_pinned_split_counts(benchmarks, name, strategy, counts):
     assert (out.stats.splits, out.stats.rounds, out.stats.lp_solves) == counts
 
 
-def pick_undecided_uncached(live):
+def pick_undecided_tree_walk(live):
     """The guard pick re-enclosing every guard of every undecided row with
-    the tree walk, as `_pick_undecided` did before it kept each row's
-    widest guard and before rows carried their guard enclosures."""
+    the tree walk: the first row and guard of widest enclosure."""
     best = None
     best_width = -1.0
     for i, (_, cb, lo, hi, status, _) in enumerate(live.rows):
@@ -271,7 +303,7 @@ def pick_undecided_uncached(live):
             continue
         box = ef.Box.from_endpoints(cb.tape.names, lo, hi)
         for g in guard_atoms(status.formula):
-            iv = g.body.interval(box.env())
+            iv = g.body.interval(box_env(box))
             if iv.width > best_width:
                 sign = "+" if abs(iv.hi) < abs(iv.lo) else "-"
                 best = (i, cb.guard_slot[id(g)], sign, (iv.lo, iv.hi))
@@ -292,20 +324,18 @@ def generated_guarded_instance(monkeypatch, seed, slot):
 
 
 @pytest.mark.parametrize("source,guard_splits", [
-    ("eq_guarded", 0), ("generated", 30)])
-def test_cached_guard_pick_matches_uncached(benchmarks, monkeypatch, source,
-                                            guard_splits):
-    problem = (benchmarks["eq_guarded"] if source == "eq_guarded"
+    ("guard_or", 3), ("generated", 30)])
+def test_guard_pick_matches_tree_walk(monkeypatch, source, guard_splits):
+    problem = (ef.parse_problem(GUARD_OR) if source == "guard_or"
                else generated_guarded_instance(monkeypatch, 101, 3))
-    cached = solver._pick_undecided
+    pick = solver._pick_undecided
     picks = []
 
     def checked(live):
-        pick = cached(live)
-        assert pick == pick_undecided_uncached(live)
+        picks.append(pick(live))
+        assert picks[-1] == pick_undecided_tree_walk(live)
         assert live.kinds == Counter(type(row[4]) for row in live.rows)
-        picks.append(pick)
-        return pick
+        return picks[-1]
 
     monkeypatch.setattr(solver, "_pick_undecided", checked)
     out = ef.solve(problem, SolveConfig(heuristic=ef.HeuristicConfig(
