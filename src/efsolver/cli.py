@@ -7,7 +7,8 @@
 
 Exit codes for `solve`: 0 solution found, 1 infeasible, 2 budget
 exhausted, 3 input error (bad command line, unreadable, unparsable or
-invalid problem, a number or enclosure outside the double range); `bench`
+invalid problem, a number or enclosure outside the double range, input
+nested too deeply for the recursive parser and evaluators); `bench`
 exits 0 or 3.  With --json, machine-readable output is one JSON object
 per run, newline-delimited.  --verify runs `verify_solution` after solve
 and reports its outcome (verified, counterexample or unknown) as
@@ -51,6 +52,8 @@ class RunReport:
     wall_time_ms: float
     strategy: str
     epsilon: float
+    reason: str
+    witness_id: int | None
     # the verifier's outcome (a VerifyStatus value), or None without --verify
     verify_status: str | None
     instance: str | None = None
@@ -72,6 +75,8 @@ def make_report(result: SolveOutcome, cfg: SolveConfig,
         wall_time_ms=result.stats.wall_time * 1000.0,
         strategy=cfg.heuristic.strategy.value,
         epsilon=cfg.heuristic.epsilon,
+        reason=result.reason,
+        witness_id=result.witness_id,
         verify_status=(None if verification is None
                        else verification.status.value),
         instance=instance,
@@ -225,6 +230,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except EFSolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -89,46 +89,34 @@ class LPSolution:
 
 
 def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
-                   eq_coeffs: np.ndarray | None = None,
-                   eq_rhs: np.ndarray | None = None) -> FeasibilityLP:
+                   eq_coeffs: np.ndarray, eq_rhs: np.ndarray) -> FeasibilityLP:
     """Pack the endpoint arrays (n x r, n x r, n) and the equalities
-    C x = d (r columns, as `validate_problem` ensures) into the LP data;
-    the arrays are not copied."""
-    r = p_hi.shape[1]
-    C = np.zeros((0, r)) if eq_coeffs is None else np.asarray(eq_coeffs, dtype=float)
-    d = np.zeros(0) if eq_rhs is None else np.asarray(eq_rhs, dtype=float)
-    return FeasibilityLP(p_hi, p_lo, q_lo, C, d)
+    C x = d (k x r, k) into the LP data; the arrays are not copied."""
+    return FeasibilityLP(p_hi, p_lo, q_lo, eq_coeffs, eq_rhs)
 
 
 def solve_feasibility(lp: FeasibilityLP) -> LPSolution:
     """Minimise the worst row violation rho subject to rho >= -RHO_FLOOR.
 
-    One simplex solve.  rho enters as a free variable written as
+    One simplex solve over w = (x1, x2, rho').  rho' is free and
     rho = rho' + rho0 with rho0 = -min(min(b), RHO_FLOOR), so every
-    inequality right-hand side, the floor's included, is nonnegative and
-    the slack basis is immediately feasible (phase 1 then only works on
-    equality rows).  Raises EqualitiesInfeasible when C x = d admits no
-    solution; with the floor the LP is never unbounded.
+    inequality right-hand side, the floor's included, is nonnegative, as
+    `simplex_solve` requires: the slack basis is immediately feasible and
+    phase 1 only works on equality rows.  Raises EqualitiesInfeasible
+    when C x = d admits no solution; with the floor the LP is never
+    unbounded.
     """
     n, r = lp.n, lp.r
     rho0 = -float(lp.b.min(initial=RHO_FLOOR))
-    nvar = 2 * r + 1
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-
-    G = np.zeros((n + 1, nvar))
+    G = np.zeros((n + 1, 2 * r + 1))
     G[:n, :r] = lp.p_hi
     G[:n, r:2 * r] = -lp.p_lo
     G[:, -1] = -1.0      # the last row is the floor rho >= -RHO_FLOOR
     h = np.append(lp.b + rho0, RHO_FLOOR + rho0)
+    C = lp.eq_coeffs
+    E = np.hstack([C, -C, np.zeros((C.shape[0], 1))])
 
-    E = np.zeros((lp.eq_coeffs.shape[0], nvar))
-    if E.shape[0]:
-        E[:, :r] = lp.eq_coeffs
-        E[:, r:2 * r] = -lp.eq_coeffs
-    nonneg = [True] * (2 * r) + [False]
-
-    res = simplex_solve(c, G, h, E, lp.eq_rhs, nonneg=nonneg)
+    res = simplex_solve(G, h, E, lp.eq_rhs)
     if res.status is not SimplexStatus.OPTIMAL:
         # inequality rows are always satisfiable by a large rho and the
         # floor bounds rho below, so only the equality block can be at fault

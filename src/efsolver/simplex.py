@@ -1,8 +1,13 @@
-"""Two-phase primal simplex on a compact tableau.
+"""Two-phase primal simplex on a compact tableau, for the residual LP.
 
-Solves   min c.w   s.t.  G w <= h,  E w = f,  w >= 0
-with optional free variables (per-variable sign flags), handled internally
-by a positive/negative column split.
+Solves   min w[-1]   s.t.  G w <= h,  E w = f,  w[:-1] >= 0,  w[-1] free,
+the LP `relaxation.solve_feasibility` poses: w[-1] is the worst row
+violation rho.  It requires h >= 0, which `solve_feasibility` guarantees
+by shifting rho by rho0 = -min(min(b), RHO_FLOOR): each b_i - min(b)
+rounds to a value >= 0.  So the slack basis satisfies every inequality
+row, and only equality rows (negated where f < 0) start with an
+artificial.  The free w[-1] is column nvar - 1 minus a nonnegative
+column at index nvar, its negation.
 
 Pivoting is deterministic: entering column by most negative reduced cost
 with lowest-index tie break, leaving row by minimum ratio with
@@ -16,10 +21,10 @@ the columns [structural | slack | artificial | rhs], one slack per
 inequality row.  The compact tableau keeps only the columns a pivot can
 touch:
 
-* the structural columns, the negative half of each free variable included;
-* the slack columns of negated (b < 0) rows and the artificials;
+* the structural columns, the negative half of w[-1] included;
+* the artificials of the equality rows;
 * the rhs;
-* the slack of an ordinary inequality row, opened (materialised as the
+* the slack of an inequality row, opened (materialised as the
   unit column e_i) just before row i first becomes a pivot row.
 
 An unopened slack can be left out because it is exactly e_i with objective
@@ -27,8 +32,8 @@ entry 0 while row i has never been a pivot row: a pivot in another row sees
 a zero in it, so the update leaves it unchanged; its reduced cost 0 is never
 below -EPS, so it never enters; and row i's basic variable is that slack,
 whose cost is 0 in both phases.  With m rows the width is the number of
-structural, negated-slack and artificial columns, plus one, plus the rows
-pivoted so far, instead of growing with m; no allocation scales with m * m.
+structural and artificial columns, plus one, plus the rows pivoted so far,
+instead of growing with m; no allocation scales with m * m.
 
 A pivot updates the whole compact tableau with one broadcast product.  That
 is the full update restricted to the kept columns, and it is exact: in a
@@ -71,22 +76,6 @@ class SimplexStatus(enum.Enum):
 class SimplexResult:
     status: SimplexStatus
     x: np.ndarray | None = None
-    objective: float | None = None
-
-
-def _as_matrix(m, ncols: int) -> np.ndarray:
-    if m is None:
-        return np.zeros((0, ncols))
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    return m
-
-
-def _as_vector(v) -> np.ndarray:
-    if v is None:
-        return np.zeros(0)
-    return np.atleast_1d(np.asarray(v, dtype=float))
 
 
 class _Tableau:
@@ -199,57 +188,35 @@ def _run(tab: _Tableau) -> SimplexStatus:
         f"simplex iteration limit reached ({MAX_ITER} pivots in one phase)")
 
 
-def simplex_solve(c, G=None, h=None, E=None, f=None,
-                  nonneg=None) -> SimplexResult:
-    """Solve min c.w s.t. G w <= h, E w = f, with w_i >= 0 where nonneg[i].
+def simplex_solve(G: np.ndarray, h: np.ndarray, E: np.ndarray,
+                  f: np.ndarray) -> SimplexResult:
+    """Solve min w[-1] s.t. G w <= h, E w = f, w[:-1] >= 0, given h >= 0.
 
-    nonneg defaults to all-True; variables flagged False are free.  A
-    phase that does not finish within MAX_ITER pivots raises
+    A phase that does not finish within MAX_ITER pivots raises
     SimplexIterationLimit.
     """
-    c = _as_vector(c)
-    nvar = c.size
-    G = _as_matrix(G, nvar)
-    h = _as_vector(h)
-    E = _as_matrix(E, nvar)
-    f = _as_vector(f)
-    if nonneg is None:
-        nonneg = [True] * nvar
-    if G.shape[0] != h.size or E.shape[0] != f.size:
-        raise ValueError("constraint matrix/vector shapes disagree")
-
-    # Free variables become differences of two nonnegative columns.
-    free_idx = np.array([i for i, keep in enumerate(nonneg) if not keep],
-                        dtype=int)
-    n_struct = nvar + free_idx.size
+    nvar = G.shape[1]
+    n_struct = nvar + 1
     n_ub, m = G.shape[0], G.shape[0] + E.shape[0]
     n_cols = n_struct + n_ub  # original ids: structural, slacks, artificials
-    b = np.concatenate([h, f])
-    neg = b < 0.0
-    neg_ub = np.flatnonzero(neg[:n_ub])
 
-    # Rows whose slack keeps coefficient +1 start with that slack in the
-    # basis, unopened; the rest (negated inequality rows, then equality
-    # rows) start with an artificial, and a negated row keeps its slack.
-    n_art = neg_ub.size + m - n_ub
-    art0 = n_struct + neg_ub.size
-    width = art0 + n_art + 1
+    # Each inequality row starts with its slack in the basis, unopened; each
+    # equality row starts with an artificial.  abs turns an h entry of -0.0
+    # into +0.0 and the rhs of an equality row negated below into -f.
+    n_art = m - n_ub
+    width = n_struct + n_art + 1
     buf = np.zeros((width + _SPARE, m + 1)).T
     buf[:n_ub, :nvar] = G
     buf[n_ub:m, :nvar] = E
-    buf[:m, nvar:n_struct] = -buf[:m, free_idx]
-    buf[:m, width - 1] = np.abs(b)
+    buf[:m, nvar] = -buf[:m, nvar - 1]
+    buf[:m, width - 1] = np.abs(np.concatenate([h, f]))
+    buf[n_ub + np.flatnonzero(f < 0.0), :n_struct] *= -1.0
     ids = np.arange(width + _SPARE)
-    ids[art0:] += n_cols - art0
+    ids[n_struct:] += n_ub
     basis = np.arange(n_struct, n_struct + m)
     closed = basis.copy()
     art_rows = np.arange(n_ub, m)
-    if neg.any():
-        buf[neg_ub, n_struct + np.arange(neg_ub.size)] = 1.0
-        buf[:m, :art0][neg] *= -1.0
-        ids[n_struct:art0] = n_struct + neg_ub
-        art_rows = np.concatenate([neg_ub, art_rows])
-    buf[art_rows, art0 + np.arange(n_art)] = 1.0
+    buf[art_rows, n_struct + np.arange(n_art)] = 1.0
     basis[art_rows] = n_cols + np.arange(n_art)
     closed[art_rows] = -1
     tab = _Tableau(buf, width, ids, basis, closed)
@@ -257,7 +224,7 @@ def simplex_solve(c, G=None, h=None, E=None, f=None,
     if n_art:
         # phase-1 objective: sum of artificials, priced out over the basis
         T = tab.T
-        T[-1, art0:-1] = 1.0
+        T[-1, n_struct:-1] = 1.0
         for i in art_rows:
             T[-1] -= T[i]
         status = _run(tab)
@@ -283,16 +250,14 @@ def simplex_solve(c, G=None, h=None, E=None, f=None,
         tab.ids[art0] = n_cols
         tab.width = art0 + 1
 
-    # phase 2; basic columns are unit columns and only structural ones have
-    # a cost, so only their rows change the priced-out objective row (a
-    # structural column's compact index is its original id)
+    # phase 2; basic columns are unit columns and only the two columns of
+    # w[-1] have a cost, so only their rows change the priced-out objective
+    # row (a structural column's compact index is its original id)
     T = tab.T
     T[-1] = 0.0
-    T[-1, :n_struct] = np.concatenate([c, -c[free_idx]])
-    cost = np.zeros(n_cols)
-    cost[:n_struct] = T[-1, :n_struct]
+    T[-1, nvar - 1], T[-1, nvar] = 1.0, -1.0
     basis = tab.basis
-    for i in np.flatnonzero(cost[basis]):
+    for i in np.flatnonzero((basis == nvar - 1) | (basis == nvar)):
         T[-1] -= T[-1, basis[i]] * T[i]
     status = _run(tab)
     if status is SimplexStatus.UNBOUNDED:
@@ -301,5 +266,5 @@ def simplex_solve(c, G=None, h=None, E=None, f=None,
     values = np.zeros(n_cols)
     values[tab.basis] = np.maximum(tab.T[:-1, -1], 0.0)
     x = values[:nvar].copy()
-    x[free_idx] -= values[nvar:n_struct]
-    return SimplexResult(SimplexStatus.OPTIMAL, x, float(c @ x))
+    x[-1] -= values[nvar]
+    return SimplexResult(SimplexStatus.OPTIMAL, x)

@@ -90,6 +90,8 @@ class EndpointSystem:
         return self.q_hi - self.q_lo
 
     def lp(self, eq_coeffs=None, eq_rhs=None):
+        if eq_coeffs is None:
+            eq_coeffs, eq_rhs = np.zeros((0, self.r)), np.zeros(0)
         return rohn_transform(self.p_lo, self.p_hi, self.q_lo, eq_coeffs, eq_rhs)
 
 

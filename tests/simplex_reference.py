@@ -4,7 +4,7 @@ as it was before pivots were restricted to the pivot row's nonzero columns.
 Every pivot updates the whole tableau (`T -= np.outer(...)`), the
 artificial columns are dropped by an `np.ix_` gather, and the basis is a
 list.  `tests/test_simplex.py` requires the sparse-row `efsolver.simplex`
-to take the same pivots and return the same status, objective and x.
+to take the same pivots and return the same status and x.
 
 Solves   min c.w   s.t.  G w <= h,  E w = f,  w >= 0
 with optional free variables (per-variable sign flags), handled internally
@@ -195,4 +195,4 @@ def simplex_solve(c, G=None, h=None, E=None, f=None, nonneg=None,
     x = values[:nvar].copy()
     for k, i in enumerate(free_idx):
         x[i] -= values[nvar + k]
-    return SimplexResult(SimplexStatus.OPTIMAL, x, float(c @ x))
+    return SimplexResult(SimplexStatus.OPTIMAL, x)

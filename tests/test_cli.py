@@ -226,3 +226,35 @@ def test_guard_tightenings_reported_on_eq_guarded(bench_file, capsys):
     # instances without guards never tighten
     assert main(["solve", bench_file("A"), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["guard_tightenings"] == 0
+
+
+@pytest.mark.parametrize("formula", [
+    "+".join(["y1"] * 3000) + " <= 5000",
+    "(" * 2000 + "y1" + ")" * 2000 + " <= 5000",
+], ids=["long-sum", "deep-parentheses"])
+def test_deeply_nested_input_is_an_input_error(tmp_path, capsys, formula):
+    # exit 1 would read as "infeasible"
+    path = tmp_path / "deep.efp"
+    path.write_text("exists x1 ;\nforall-vars y1 ;\n"
+                    f"branch y1 in [0,1] : {formula} or x1 <= 1 ;\n",
+                    encoding="utf-8")
+    assert main(["solve", str(path), "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert "error: input nested too deeply" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_json_report_carries_reason_and_witness(bench_file, tmp_path, capsys):
+    assert main(["solve", bench_file("eq_conflict"), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "equality system" in report["reason"]
+    assert report["witness_id"] is None
+
+    path = tmp_path / "false.efp"
+    path.write_text("exists x1 ;\nforall-vars y1 ;\n"
+                    "branch y1 in [0,1] : y1 >= 2 ;\n", encoding="utf-8")
+    assert main(["solve", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness_id"] == 0
+
+    assert main(["solve", bench_file("B"), "--json", "--max-splits", "0"]) == 2
+    assert json.loads(capsys.readouterr().out)["reason"] == "split budget exhausted"

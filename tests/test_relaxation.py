@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from efsolver.errors import EqualitiesInfeasible
 from efsolver.intervals import Interval
@@ -181,7 +182,6 @@ def test_residual_lp_matches_scipy_linprog(with_equalities):
     Pbar x1 - Punder x2 - rho <= q_lo, C (x1 - x2) = d, x1, x2 >= 0.
     The floored solve reports UNBOUNDED exactly when that LP is unbounded
     or its minimum is at or below -RHO_FLOOR."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(31 + with_equalities)
     outcomes = set()
     for _ in range(150):
