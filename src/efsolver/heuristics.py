@@ -27,6 +27,7 @@ Three decisions are made when the LP relaxation reports rho > 0:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,8 +71,8 @@ class HeuristicConfig:
         # written so that NaN fails too
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
-        if not self.aging_kappa >= 0:
-            raise ValueError("aging_kappa must be >= 0")
+        if not (self.aging_kappa >= 0 and math.isfinite(self.aging_kappa)):
+            raise ValueError("aging_kappa must be finite and >= 0")
 
 
 def coeff_score(width, x1, x2, epsilon: float):

@@ -145,6 +145,14 @@ def validate_problem(p: Problem) -> list[Violation]:
     out: list[Violation] = []
     x_set, y_set = set(p.x_vars), set(p.y_vars)
 
+    def check_names(i: int, e: Expr, kind: str, label: str):
+        names = e.variables()
+        if names & x_set:
+            out.append(Violation(kind, i, f"{label} mentions {sorted(names & x_set)}"))
+        if names - x_set - y_set:
+            out.append(Violation(
+                "UndeclaredVariable", i, f"{sorted(names - x_set - y_set)}"))
+
     if p.r < 1:
         out.append(Violation("NoExistentialVariables"))
     if not p.branches:
@@ -158,37 +166,16 @@ def validate_problem(p: Problem) -> list[Violation]:
         n_linear = 0
         for leaf in formula_leaves(br.formula):
             if isinstance(leaf, Guard):
-                bad = leaf.atom.body.variables() & x_set
-                if bad:
-                    out.append(Violation(
-                        "ExistentialInGuard", i, f"guard mentions {sorted(bad)}"))
-                unknown = leaf.atom.body.variables() - x_set - y_set
-                if unknown:
-                    out.append(Violation(
-                        "UndeclaredVariable", i, f"{sorted(unknown)}"))
+                check_names(i, leaf.atom.body, "ExistentialInGuard", "guard")
             elif isinstance(leaf, Linear):
                 n_linear += 1
                 for name, coeff in leaf.atom.coeffs:
                     if name not in x_set:
                         out.append(Violation(
                             "UnknownCoefficientVariable", i, name))
-                    bad = coeff.variables() & x_set
-                    if bad:
-                        out.append(Violation(
-                            "ExistentialInCoefficient", i,
-                            f"coefficient of {name} mentions {sorted(bad)}"))
-                    unknown = coeff.variables() - x_set - y_set
-                    if unknown:
-                        out.append(Violation(
-                            "UndeclaredVariable", i, f"{sorted(unknown)}"))
-                bad = leaf.atom.rhs.variables() & x_set
-                if bad:
-                    out.append(Violation(
-                        "ExistentialInRhs", i, f"rhs mentions {sorted(bad)}"))
-                unknown = leaf.atom.rhs.variables() - x_set - y_set
-                if unknown:
-                    out.append(Violation(
-                        "UndeclaredVariable", i, f"{sorted(unknown)}"))
+                    check_names(i, coeff, "ExistentialInCoefficient",
+                                f"coefficient of {name}")
+                check_names(i, leaf.atom.rhs, "ExistentialInRhs", "rhs")
         if n_linear > 1:
             out.append(Violation(
                 "MultipleLinearAtoms", i, f"{n_linear} inequalities mention x"))

@@ -22,6 +22,7 @@ by the normalisation itself.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, UndeclaredVariable
@@ -30,9 +31,18 @@ from .intervals import Box, Interval
 from .model import (And, Branch, Formula, Guard, GuardAtom, Linear,
                     LinearAtom, Or, Problem)
 
-_SYMBOLS = ("<=", ">=", ";", ",", ":", "(", ")", "[", "]", "=", "<", ">",
-            "+", "-", "*", "/", "^")
 _RELOPS = ("<=", "<", ">=", ">")
+
+# One alternative per token class; blanks and comments match unnamed and
+# produce no token.  \d is a decimal digit (what float() and int() read),
+# so a numeral such as '²' lexes as a name and fails as undeclared.
+_TOKEN = re.compile(r"""
+    (?P<NL>\n)
+  | [ \t\r]+ | \#[^\n]*
+  | (?P<NUM>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<NAME>forall-vars|(?!\d)\w+)
+  | (?P<SYM><=|>=|[;,:()\[\]=<>+\-*/^])
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -45,69 +55,19 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            toks.append(_Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            # the statement keyword 'forall-vars' contains a hyphen
-            if word == "forall" and text[j:j + 5] == "-vars":
-                word = "forall-vars"
-                j += 5
-            toks.append(_Token("NAME", word, line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _SYMBOLS:
-            toks.append(_Token("SYM", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _SYMBOLS:
-            toks.append(_Token("SYM", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("EOF", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line,
+                             pos - line_start + 1)
+        pos = m.end()
+        if m.lastgroup == "NL":
+            line, line_start = line + 1, pos
+        elif m.lastgroup:
+            toks.append(_Token(m.lastgroup, m.group(), line,
+                               m.start() - line_start + 1))
+    toks.append(_Token("EOF", "", line, pos - line_start + 1))
     return toks
 
 
@@ -314,25 +274,15 @@ class _Parser:
         self.expect("=")
         rhs = self._expr()
         self.expect(";")
-        self._check_declared(lhs, start)
-        self._check_declared(rhs, start)
-        try:
-            lcs, lconst = decompose_linear(lhs, set(self.x_vars))
-            rcs, rconst = decompose_linear(rhs, set(self.x_vars))
-        except _LinearityError as exc:
-            self.error(f"equality is not linear in x: {exc}", start)
-        row = []
-        for x in self.x_vars:
-            c = 0.0
-            if x in lcs:
-                c += self._const_value(lcs[x], start)
-            if x in rcs:
-                c -= self._const_value(rcs[x], start)
-            row.append(c)
-        d = self._const_value(rconst, start) - self._const_value(lconst, start)
+        self._check_declared(start, lhs, rhs)
+        atom = self._linear_atom(lhs, rhs, start, "equality is not linear in x")
+        coeffs = atom.coeff_map()
+        row = tuple(self._const_value(coeffs[x], start) if x in coeffs else 0.0
+                    for x in self.x_vars)
+        d = self._const_value(atom.rhs, start)
         if not all(math.isfinite(v) for v in (*row, d)):
             self.error("equality constants must be finite", start)
-        return tuple(row), d
+        return row, d
 
     def _const_value(self, e: Expr, tok: _Token) -> float:
         if e.variables():
@@ -408,35 +358,38 @@ class _Parser:
             self.error(f"expected a comparison operator, found {op_tok.text!r}")
         op = self.advance().text
         rhs = self._expr()
-        self._check_declared(lhs, start)
-        self._check_declared(rhs, start)
-
-        x_set = set(self.x_vars)
-        has_x = bool((lhs.variables() | rhs.variables()) & x_set)
+        self._check_declared(start, lhs, rhs)
         if op in (">=", ">"):
             lhs, rhs = rhs, lhs
             op = "<=" if op == ">=" else "<"
-        if not has_x:
+        if not (lhs.variables() | rhs.variables()) & set(self.x_vars):
             return Guard(GuardAtom(_sub(lhs, rhs), strict=(op == "<")))
         if op == "<":
             self.error("the inequality containing existential variables "
                        "must be non-strict", start)
+        return Linear(self._linear_atom(
+            lhs, rhs, start, "inequality is not linear in existential variables"))
+
+    def _linear_atom(self, lhs: Expr, rhs: Expr, start: _Token,
+                     what: str) -> LinearAtom:
+        """lhs <= rhs (or lhs = rhs) as sum coeff*x <= (or =) remainder."""
+        x_set = set(self.x_vars)
         try:
             lcs, lconst = decompose_linear(lhs, x_set)
             rcs, rconst = decompose_linear(rhs, x_set)
         except _LinearityError as exc:
-            self.error(f"inequality is not linear in existential variables: {exc}",
-                       start)
+            self.error(f"{what}: {exc}", start)
         merged: dict[str, Expr] = dict(lcs)
         for n, c in rcs.items():
             merged[n] = _sub(merged[n], c) if n in merged else Neg(c)
         coeffs = tuple((x, merged[x]) for x in self.x_vars if x in merged)
-        return Linear(LinearAtom(coeffs, _sub(rconst, lconst)))
+        return LinearAtom(coeffs, _sub(rconst, lconst))
 
-    def _check_declared(self, e: Expr, tok: _Token):
-        unknown = e.variables() - set(self.x_vars) - set(self.y_vars)
-        if unknown:
-            raise UndeclaredVariable(sorted(unknown)[0], tok.line, tok.col)
+    def _check_declared(self, tok: _Token, *exprs: Expr):
+        for e in exprs:
+            unknown = e.variables() - set(self.x_vars) - set(self.y_vars)
+            if unknown:
+                raise UndeclaredVariable(sorted(unknown)[0], tok.line, tok.col)
 
     # -- expressions --------------------------------------------------------
 

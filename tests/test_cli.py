@@ -99,6 +99,16 @@ def test_solve_non_finite_input_exit_code(tmp_path, capsys, statement):
     assert captured.out == ""
 
 
+def test_solve_non_decimal_numeral_exit_code(tmp_path, capsys):
+    bad = tmp_path / "numeral.efp"
+    bad.write_text("exists x1 ;\nforall-vars y1 ;\n"
+                   "branch y1 in [0,1] : y1 <= \u00b2 or x1 <= 1 ;\n", encoding="utf-8")
+    assert main(["solve", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_solve_prints_one_error_line_per_violation(tmp_path, capsys):
     # parses, but each branch has two inequalities over x
     bad = tmp_path / "two.efp"
@@ -166,6 +176,7 @@ def run_cli(argv):
     ["solve", "A", "--max-splits", "abc"],
     ["solve"],
     [],
+    ["solve", "A", "--kappa", "inf"],
 ])
 def test_bad_command_line_exit_code(bench_file, capsys, args):
     argv = [bench_file(a) if a == "A" else a for a in args]

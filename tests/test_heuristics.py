@@ -293,6 +293,13 @@ def test_age_table_inheritance():
     assert 5 not in table._ages
 
 
+def test_heuristic_config_rejects_infinite_kappa():
+    # an infinite aging credit times a zero age is NaN, which no score
+    # beats, so every box would look unsplittable
+    with pytest.raises(ValueError, match="finite"):
+        HeuristicConfig(aging_kappa=math.inf)
+
+
 def test_heuristic_config_validation():
     with pytest.raises(ValueError):
         HeuristicConfig(epsilon=-1.0)

@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from efsolver.errors import ParseError, UndeclaredVariable
-from efsolver.model import And, Guard, Linear, Or
+from efsolver.errors import EFSolverError, ParseError, UndeclaredVariable
+from efsolver.model import And, Guard, Linear, Or, Problem
 from efsolver.parsing import parse_problem
 
 
@@ -218,3 +220,43 @@ def test_equality_with_non_finite_constant_rejected(equality):
                       "branch y in [0,1] : x1 <= 1 ;\n"
                       f"eq {equality} ;")
     assert (exc.value.line, exc.value.column) == (4, 4)
+
+
+@pytest.mark.parametrize("formula,error", [
+    ("y1 <= \u00b2 or x1 <= 1", UndeclaredVariable),  # superscript two
+    ("y1^\u00b2 <= 1 or x1 <= 1", ParseError),
+])
+def test_non_decimal_numeral_is_an_input_error(formula, error):
+    # '\u00b2' is a digit to str.isdigit but not a decimal digit, so
+    # float() and int() reject it; the lexer reads it as a name
+    with pytest.raises(error):
+        parse_problem(f"exists x1 ;\nforall-vars y1 ;\nbranch y1 in [0,1] : {formula} ;")
+
+
+@pytest.mark.parametrize("text,column", [
+    ("exists x1 ;", 12),            # a trailing one-character symbol
+    ("exists x1 ; # note", 19),     # a trailing comment
+])
+def test_end_of_input_column(text, column):
+    with pytest.raises(ParseError, match="end of input") as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+HEADS = ["", "exists x1 x2 ;\nforall-vars y1 y2 ;\n",
+         "exists x1 x2 ;\nforall-vars y1 y2 ;\nbranch y1 in [0,1], y2 in [-1,1] : "]
+PIECES = ["exists", "forall-vars", "branch", "eq", "in", "and", "or", "sin",
+          "cos", "x1", "x2", "y1", "y2", "z", "0", "1", "2.5", ".5", "1e3",
+          "1e400", "<=", "<", ">=", ">", "=", ";", ",", ":", "(", ")", "[",
+          "]", "+", "-", "*", "/", "^", "#", "\n", "\u00b2", "\u00bd", "\u00e9"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(head=st.sampled_from(HEADS),
+       body=st.lists(st.sampled_from(PIECES), max_size=30),
+       sep=st.sampled_from(["", " "]))
+def test_parse_problem_returns_a_problem_or_raises_efsolver_error(head, body, sep):
+    try:
+        assert isinstance(parse_problem(head + sep.join(body)), Problem)
+    except EFSolverError:
+        pass
