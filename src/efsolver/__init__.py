@@ -26,9 +26,9 @@ from .parsing import parse_expression, parse_problem
 from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
                          rohn_transform, solve_feasibility)
 from .simplex import SimplexResult, SimplexStatus, simplex_solve
-from .simplify import (BranchStatus, CompiledBranch, Decision, LinearRow,
-                       ProvedFalse, ProvedTrue, Undecided, classify_guard,
-                       compile_branch, reduce_formula, simplify_branch)
+from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
+                       classify_guard, compile_branch, reduce_formula,
+                       simplify_branch)
 from .solver import (Outcome, SolveConfig, SolveOutcome, SolveStats,
                      VerifyResult, VerifyStatus, solve, verify_solution)
 

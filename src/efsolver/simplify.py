@@ -1,6 +1,12 @@
 """Branch simplification: decide guards by interval evaluation, reduce the
-Boolean structure (`reduce_formula`, which the verifier also uses), and
-classify each branch box.
+Boolean structure in three values, and classify each branch box.
+
+The three values are Python's True, False and None (undecided), and one
+walk (`_reduce`) evaluates every formula in them, strong Kleene style,
+with a leaf decider: `reduce_formula` decides the guard leaves from slot
+enclosures on a box, for the solver's classification and the verifier's
+boxes, and `reduce_at_point` from float values at a point, for the
+verifier's midpoints.
 
 A guard "body <= 0" over a box B is decided from I = enclosure of body on
 B: true when hi(I) <= 0, false when lo(I) > 0, undecided otherwise.  For a
@@ -22,48 +28,42 @@ tightened parent with natural children misleads the variable choice
 A branch formula is compiled once (`compile_branch`) into one tape over
 its box dimensions that holds every guard body and the linear atom's
 coefficients and right-hand side.  Classifying a box runs the guard part
-of that tape; after replacing decided guards by Boolean constants and
-simplifying, the branch is either proved (true/false constant), a single
-linear inequality over x with interval coefficients (a LinearRow, whose
-enclosures come from one run of the linear part of the tape), or still
-undecided (some guard straddles zero and needs the box split).
+of that tape; the verdict is that the branch is proved true or false on
+the box, a single linear inequality over x with interval coefficients (a
+LinearRow, whose enclosures come from one run of the linear part of the
+tape), or still undecided (some guard straddles zero and needs the box
+split).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .expr import (Const, MeanValueForm, Tape, compile_tape, enclose,
                    eval_on_box, mean_value, mean_value_form)
 from .intervals import Box, midpoint
-from .model import (And, FalseF, Formula, Guard, GuardAtom, Linear, Or, TrueF,
+from .model import (And, Formula, Guard, GuardAtom, Linear, Or, TrueF,
                     formula_leaves, guard_atoms)
 
 
-class Decision(enum.Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNDECIDED = "undecided"
-
-
-def decide_guard(strict: bool, lo: float, hi: float) -> Decision:
-    """The guard rule on the body enclosure [lo, hi]."""
+def decide_guard(strict: bool, lo: float, hi: float) -> bool | None:
+    """The guard rule on the body enclosure [lo, hi]: True, False, or None
+    (undecided).  A NaN endpoint leaves the guard undecided."""
     if strict:
         if hi < 0.0:
-            return Decision.TRUE
+            return True
         if lo >= 0.0:
-            return Decision.FALSE
+            return False
     else:
         if hi <= 0.0:
-            return Decision.TRUE
+            return True
         if lo > 0.0:
-            return Decision.FALSE
-    return Decision.UNDECIDED
+            return False
+    return None
 
 
-def classify_guard(g: GuardAtom, box: Box) -> Decision:
+def classify_guard(g: GuardAtom, box: Box) -> bool | None:
     iv = enclose(g.body, box)
     return decide_guard(g.strict, iv.lo, iv.hi)
 
@@ -120,71 +120,62 @@ def compile_branch(formula: Formula, names: Sequence[str],
         mean_value={})
 
 
+# A verdict: True, False, the Linear leaf when only it is left, or the
+# slots of the undecided guard leaves that still matter, in leaf order.
+Verdict = bool | Linear | list[int]
+
+
 def reduce_formula(cb: CompiledBranch, L: Sequence[float],
-                   H: Sequence[float]) -> Formula:
-    """Decide every guard leaf of cb.formula from the slot endpoints L, H of
-    a run of cb.guards and propagate the constants.
-
-    The three-valued evaluator of the package: the result is TrueF or
-    FalseF when the decided guards settle the formula, otherwise the
-    residue, in the normal form of constant propagation (T or phi -> T,
-    F or phi -> phi, T and phi -> phi, F and phi -> F, nested and/or
-    flattened, singleton and/or unwrapped).  Every guard leaf is decided,
-    also where an earlier sibling already settles its and/or.
-    """
-    return _reduce(cb.formula, cb.guard_slot, L, H)
+                   H: Sequence[float]) -> Verdict:
+    """The verdict of cb.formula on a box, each guard leaf decided from the
+    slot endpoints L, H of a run of cb.guards."""
+    return _reduce(cb.formula, cb.guard_slot,
+                   lambda g, s: decide_guard(g.strict, L[s], H[s]))
 
 
-def _reduce(f: Formula, guard_slot: dict[int, int], L, H) -> Formula:
+def reduce_at_point(cb: CompiledBranch, point: dict[str, float]) -> Verdict:
+    """The verdict of cb.formula at `point`, each guard body evaluated there
+    in floating point; a body that raises or gives NaN is undecided."""
+    return _reduce(cb.formula, cb.guard_slot, lambda g, s: _decide_at(g, point))
+
+
+def _decide_at(g: GuardAtom, point: dict[str, float]) -> bool | None:
+    try:
+        v = g.body.evaluate(point)
+    except (ArithmeticError, ValueError):
+        return None
+    return decide_guard(g.strict, v, v)
+
+
+def _reduce(f: Formula, guard_slot: dict[int, int], decide) -> Verdict:
+    """The three-valued (strong Kleene) walk of the package: the verdict of
+    f where decide(atom, slot) gives each guard leaf True, False or None.
+    An and/or stops at its first item that settles it."""
     if isinstance(f, Guard):
         s = guard_slot[id(f.atom)]
-        d = decide_guard(f.atom.strict, L[s], H[s])
-        if d is Decision.TRUE:
-            return TrueF()
-        if d is Decision.FALSE:
-            return FalseF()
+        d = decide(f.atom, s)
+        return [s] if d is None else d
+    if isinstance(f, (And, Or)):
+        absorbing = isinstance(f, Or)
+        out = neutral = not absorbing
+        for item in f.items:
+            v = _reduce(item, guard_slot, decide)
+            if v is absorbing:
+                return v
+            if isinstance(v, list):
+                out = out + v if isinstance(out, list) else v
+            elif v is not neutral and out is neutral:
+                out = v  # the Linear leaf, which a later neutral item keeps
+        return out
+    if isinstance(f, Linear):
         return f
-    if not isinstance(f, (And, Or)):
-        return f
-    node = type(f)
-    absorbing, neutral = (FalseF, TrueF) if node is And else (TrueF, FalseF)
-    reduced = [_reduce(item, guard_slot, L, H) for item in f.items]
-    items: list[Formula] = []
-    for item in reduced:
-        if isinstance(item, absorbing):
-            return item
-        if isinstance(item, neutral):
-            continue
-        if isinstance(item, node):
-            items.extend(item.items)
-        else:
-            items.append(item)
-    if not items:
-        return neutral()
-    return items[0] if len(items) == 1 else node(tuple(items))
+    return isinstance(f, TrueF)
 
 
 # -- branch status ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Status:
-    # guard leaves that the mean-value form decided where the natural
-    # enclosure straddled zero
-    tightened: int = field(default=0, kw_only=True)
-
-
-@dataclass(frozen=True)
-class ProvedTrue(_Status):
-    pass
-
-
-@dataclass(frozen=True)
-class ProvedFalse(_Status):
-    pass
-
-
-@dataclass(frozen=True)
-class LinearRow(_Status):
+class LinearRow:
     """Interval coefficients of the branch inequality on its box.
 
     coeff_lo/coeff_hi are the endpoints of the coefficient enclosures in
@@ -199,52 +190,47 @@ class LinearRow(_Status):
 
 
 @dataclass(frozen=True)
-class Undecided(_Status):
-    """Simplification got stuck on straddling guards; formula is the
-    residue.  slot is the tape slot of its first widest guard leaf, in leaf
-    order, and lo, hi are that leaf's natural body enclosure: the guard
-    the solver splits for when it picks this box."""
+class Undecided:
+    """Guard leaves straddle zero.  slot is the tape slot of the first
+    widest of them, in leaf order, and lo, hi are that leaf's natural body
+    enclosure: the guard the solver splits for when it picks this box."""
 
-    formula: Formula
     slot: int
     lo: float
     hi: float
 
 
-BranchStatus = ProvedTrue | ProvedFalse | LinearRow | Undecided
+# True and False for a branch proved true or false on its box
+BranchStatus = bool | LinearRow | Undecided
 
 
 def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
-                    hi: Sequence[float]) -> BranchStatus:
+                    hi: Sequence[float]) -> tuple[BranchStatus, int]:
     """Classify the compiled branch on the box with endpoints lo, hi.
 
     Decides the guards from one run of the guard tape, tightened by the
-    mean-value form where that run leaves a guard leaf undecided,
-    simplifies the Boolean structure, and returns ProvedTrue/ProvedFalse
-    for constants, a LinearRow (from one run of the linear tape) when
-    exactly the linear inequality remains, or Undecided when guard leaves
-    survive.
+    mean-value form where that run leaves a guard leaf undecided, and
+    returns the status with the number of guard leaves the form decided.
+    The status is the verdict of `reduce_formula`, with a LinearRow (from
+    one run of the linear tape) for the Linear leaf and an Undecided for
+    the slots of the surviving guard leaves.
     """
     L = H = DL = DH = ()
     tightened = 0
     if cb.guard_slot:
         L, H = eval_on_box(cb.guards, lo, hi)
         DL, DH, tightened = _tighten(cb, lo, hi, L, H)
-    residue = reduce_formula(cb, DL, DH)
-    if isinstance(residue, TrueF):
-        return ProvedTrue(tightened=tightened)
-    if isinstance(residue, FalseF):
-        return ProvedFalse(tightened=tightened)
-    if isinstance(residue, Linear):
+    status = reduce_formula(cb, DL, DH)
+    if isinstance(status, Linear):
         L, H = eval_on_box(cb.linear, lo, hi)
         r = cb.rhs_slot
-        return LinearRow(tuple(L[s] for s in cb.coeff_slots),
-                         tuple(H[s] for s in cb.coeff_slots), L[r], H[r],
-                         tightened=tightened)
-    # max keeps the first of equally wide leaves
-    slot = max((cb.guard_slot[id(g)] for g in guard_atoms(residue)),
-               key=lambda s: H[s] - L[s])
-    return Undecided(residue, slot, L[slot], H[slot], tightened=tightened)
+        status = LinearRow(tuple(L[s] for s in cb.coeff_slots),
+                           tuple(H[s] for s in cb.coeff_slots), L[r], H[r])
+    elif isinstance(status, list):
+        # max keeps the first of equally wide leaves
+        slot = max(status, key=lambda s: H[s] - L[s])
+        status = Undecided(slot, L[slot], H[slot])
+    return status, tightened
 
 
 def _tighten(cb: CompiledBranch, lo: Sequence[float], hi: Sequence[float],
@@ -257,7 +243,7 @@ def _tighten(cb: CompiledBranch, lo: Sequence[float], hi: Sequence[float],
     mid = None
     decided = 0
     for s, strict in cb.guard_leaves:
-        if decide_guard(strict, L[s], H[s]) is not Decision.UNDECIDED:
+        if decide_guard(strict, L[s], H[s]) is not None:
             continue
         if s not in tight:
             if mid is None:
@@ -266,7 +252,7 @@ def _tighten(cb: CompiledBranch, lo: Sequence[float], hi: Sequence[float],
             if form is None:
                 form = cb.mean_value[s] = mean_value_form(cb.tape, s)
             tight[s] = mean_value(form, mid, L, H)
-        if decide_guard(strict, *tight[s]) is not Decision.UNDECIDED:
+        if decide_guard(strict, *tight[s]) is not None:
             decided += 1
     if not tight:
         return L, H, 0

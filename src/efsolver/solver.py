@@ -20,7 +20,8 @@ The verifier is deliberately independent of the LP pipeline: it
 substitutes the numeric solution into each branch formula, compiles the
 result once, and proves the universal claim by interval evaluation (the
 same three-valued `reduce_formula` the loop uses) with recursive
-bisection, sampling box midpoints for counterexamples.
+bisection, sampling box midpoints for counterexamples through the same
+walk with a point decider (`reduce_at_point`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +41,12 @@ from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
                          split_coefficient, splitheur)
 from .intervals import Box, halves, midpoint
-from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
-                    Or, Problem, TrueF, validate_problem)
+from .model import (And, Branch, Formula, Guard, GuardAtom, Linear, Or,
+                    Problem, validate_problem)
 from .relaxation import (adversarial_lhs, residual_vector, rohn_transform,
                          solve_feasibility)
-from .simplify import (BranchStatus, CompiledBranch, LinearRow, ProvedFalse,
-                       ProvedTrue, Undecided, compile_branch, reduce_formula,
+from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
+                       compile_branch, reduce_at_point, reduce_formula,
                        simplify_branch)
 # Unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
 # solver.classify_guard; a benchmark change that drops that hook can delete
@@ -120,8 +120,10 @@ class _LiveBoxes:
     rows.  Proved-true boxes never enter.  `split` stages the halves of
     one row; `commit` drops the split rows and appends the staged halves,
     which keeps the id order because new ids are always the largest.
-    `kinds` counts the rows per classification type, and
-    `guard_tightenings` sums the classifications' `tightened` counts.
+    `false_row` is the first row proved false among those the last commit
+    appended, or None; no other row can be false, because the loop stops
+    on one.  `undecided` counts the Undecided rows, and
+    `guard_tightenings` sums the classifications' tightened counts.
     """
 
     def __init__(self, problem: Problem):
@@ -133,7 +135,8 @@ class _LiveBoxes:
         self.q_lo, self.q_hi = np.zeros(0), np.zeros(0)
         self._split: list[int] = []
         self._staged: list[_Row] = []
-        self.kinds: Counter[type] = Counter()
+        self.false_row: int | None = None
+        self.undecided = 0
         self.guard_tightenings = 0
         for br in problem.branches:
             cb = compile_branch(br.formula, br.box.names, self.x_vars)
@@ -152,9 +155,9 @@ class _LiveBoxes:
                hi: tuple[float, ...], rr: int) -> int:
         bid = self.next_id
         self.next_id += 1
-        status = simplify_branch(cb, lo, hi)
-        self.guard_tightenings += status.tightened
-        if not isinstance(status, ProvedTrue):
+        status, tightened = simplify_branch(cb, lo, hi)
+        self.guard_tightenings += tightened
+        if status is not True:
             self._staged.append((bid, cb, lo, hi, status, rr))
         return bid
 
@@ -162,9 +165,13 @@ class _LiveBoxes:
         keep = np.ones(len(self.rows), dtype=bool)
         keep[self._split] = False
         new = self._staged
-        self.kinds.subtract(type(self.rows[i][4]) for i in self._split)
-        self.kinds.update(type(row[4]) for row in new)
+        self.undecided += (sum(isinstance(row[4], Undecided) for row in new)
+                           - sum(isinstance(self.rows[i][4], Undecided)
+                                 for i in self._split))
         self.rows = [row for row, k in zip(self.rows, keep) if k] + new
+        start = len(self.rows) - len(new)
+        self.false_row = next((start + k for k, row in enumerate(new)
+                               if row[4] is False), None)
         p_lo = np.zeros((len(new), len(self.x_vars)))
         p_hi, q_lo, q_hi = p_lo.copy(), np.zeros(len(new)), np.zeros(len(new))
         for k, row in enumerate(new):
@@ -177,13 +184,6 @@ class _LiveBoxes:
         self.q_lo = np.concatenate([self.q_lo[keep], q_lo])
         self.q_hi = np.concatenate([self.q_hi[keep], q_hi])
         self._split, self._staged = [], []
-
-    def first(self, kind: type) -> int | None:
-        """The first row classified as `kind`, or None."""
-        if not self.kinds[kind]:
-            return None
-        return next((i for i, row in enumerate(self.rows)
-                     if isinstance(row[4], kind)), None)
 
     def witness(self, i: int) -> Branch:
         _, cb, lo, hi, _, _ = self.rows[i]
@@ -242,11 +242,11 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                             witness_id=live.rows[i][0], reason=reason)
 
     while True:
-        i = live.first(ProvedFalse)
-        if i is not None:
-            return done(witness(i, "a branch is false over its whole box"))
+        if live.false_row is not None:
+            return done(witness(live.false_row,
+                                "a branch is false over its whole box"))
 
-        if live.first(Undecided) is not None:
+        if live.undecided:
             target = _pick_undecided(live)
             if target is None:
                 return done(SolveOutcome(
@@ -384,7 +384,7 @@ def verify_solution(problem: Problem, x, depth: int = 25,
     `depth` levels; midpoints are sampled to find counterexamples.  A
     guard without an enclosure on a box (a division by an interval that
     contains zero, say) is undecided there, and a midpoint where a leaf is
-    undefined is no counterexample.  max_boxes caps the total bisection
+    undefined or NaN is no counterexample.  max_boxes caps the total bisection
     work per branch (exceeding it reports Unknown rather than exploring an
     exponential tree).
     """
@@ -424,30 +424,6 @@ def _substitute_x(f: Formula, env: dict[str, float]) -> Formula:
     return f
 
 
-def _holds_at(f: Formula, point: dict[str, float]) -> bool | None:
-    """The truth of f at point, or None where a leaf it needs is undefined."""
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Guard):
-        try:
-            v = f.atom.body.evaluate(point)
-        except (ArithmeticError, ValueError):
-            return None
-        return bool(v < 0.0 if f.atom.strict else v <= 0.0)
-    if isinstance(f, (And, Or)):
-        absorbing = isinstance(f, Or)
-        undefined = False
-        for item in f.items:
-            v = _holds_at(item, point)
-            if v is absorbing:
-                return v
-            undefined = undefined or v is None
-        return None if undefined else not absorbing
-    raise TypeError(f"unexpected formula node {type(f).__name__}")
-
-
 def _guard_enclosures(cb: CompiledBranch, lo: tuple[float, ...],
                       hi: tuple[float, ...]) -> tuple[list[float], list[float]]:
     """The guard enclosures of one guard-tape run, or, where that run has
@@ -475,11 +451,11 @@ def _check_forall(cb: CompiledBranch, lo: tuple[float, ...],
     budget[0] -= 1
     if budget[0] < 0:
         return "unknown"
-    reduced = reduce_formula(cb, *_guard_enclosures(cb, lo, hi))
-    if isinstance(reduced, TrueF):
+    verdict = reduce_formula(cb, *_guard_enclosures(cb, lo, hi))
+    if verdict is True:
         return None
     mid = {n: midpoint(l, h) for n, l, h in zip(cb.tape.names, lo, hi)}
-    if isinstance(reduced, FalseF) or _holds_at(cb.formula, mid) is False:
+    if verdict is False or reduce_at_point(cb, mid) is False:
         return mid
     if depth <= 0:
         return "unknown"

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import efsolver as ef
 from efsolver.errors import EFSolverError
 from efsolver.model import And, Guard, GuardAtom, Linear, LinearAtom, Or
-from efsolver.solver import VerifyStatus, _holds_at, _substitute_x
+from efsolver.simplify import compile_branch, reduce_at_point
+from efsolver.solver import VerifyStatus, _substitute_x
 
 X_VARS = ("x1", "x2")
 
@@ -80,5 +81,6 @@ def test_verdicts_on_generated_guarded_problems_are_sound(problem, strategy,
     if out.witness is not None:
         # the witness is false over its whole box whatever x is
         w = out.witness
-        formula = _substitute_x(w.formula, dict.fromkeys(X_VARS, 0.0))
-        assert _holds_at(formula, w.box.midpoint()) is False
+        cb = compile_branch(_substitute_x(w.formula, dict.fromkeys(X_VARS, 0.0)),
+                            w.box.names)
+        assert reduce_at_point(cb, w.box.midpoint()) is False

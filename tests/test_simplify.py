@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import efsolver as ef
 from efsolver.expr import enclose, eval_on_box
 from efsolver.intervals import Box
-from efsolver.model import And, FalseF, Guard, GuardAtom, Linear, Or, TrueF
+from efsolver.model import (And, FalseF, Guard, GuardAtom, Linear, Or, TrueF,
+                            guard_atoms)
 from efsolver.parsing import parse_expression
-from efsolver.simplify import (Decision, LinearRow, ProvedFalse, ProvedTrue,
-                               Undecided, classify_guard, compile_branch,
+from efsolver.simplify import (LinearRow, Undecided, _reduce, classify_guard,
+                               compile_branch, reduce_at_point,
                                reduce_formula, simplify_branch)
 
 from conftest import sample_points
@@ -18,13 +23,19 @@ def guard(text, strict=False):
 
 
 def reduce_on(f, box):
+    """The verdict of f on box, with guard slots mapped back to their atoms."""
     cb = compile_branch(f, box.names, ("x1",))
-    return reduce_formula(cb, *eval_on_box(cb.guards, *box.endpoints()))
+    verdict = reduce_formula(cb, *eval_on_box(cb.guards, *box.endpoints()))
+    if isinstance(verdict, list):
+        atom_at = {cb.guard_slot[id(g)]: g for g in guard_atoms(f)}
+        return [atom_at[s] for s in verdict]
+    return verdict
 
 
 def classify(br, x_vars):
+    """The status of the branch on its box."""
     cb = compile_branch(br.formula, br.box.names, x_vars)
-    return simplify_branch(cb, *br.box.endpoints())
+    return simplify_branch(cb, *br.box.endpoints())[0]
 
 
 def test_classify_guard_true_on_negative_enclosure():
@@ -33,7 +44,7 @@ def test_classify_guard_true_on_negative_enclosure():
     enclosure = enclose(g.body, box)
     assert enclosure.lo == pytest.approx(-0.9, abs=1e-12)
     assert enclosure.hi == pytest.approx(-0.31, abs=1e-12)
-    assert classify_guard(g, box) is Decision.TRUE
+    assert classify_guard(g, box) is True
     # sampled soundness: the guard holds at random points
     rng = np.random.default_rng(0)
     for pt in sample_points(box, rng, 1000):
@@ -43,7 +54,7 @@ def test_classify_guard_true_on_negative_enclosure():
 def test_classify_guard_false_on_positive_enclosure():
     g = guard("y1")
     box = Box.of(("y1", (0.1, 2.0)))
-    assert classify_guard(g, box) is Decision.FALSE
+    assert classify_guard(g, box) is False
     rng = np.random.default_rng(1)
     for pt in sample_points(box, rng, 1000):
         assert g.body.evaluate(pt) > 0
@@ -51,25 +62,25 @@ def test_classify_guard_false_on_positive_enclosure():
 
 def test_classify_guard_undecided_when_straddling():
     g = guard("y1")
-    assert classify_guard(g, Box.of(("y1", (-1.0, 1.0)))) is Decision.UNDECIDED
+    assert classify_guard(g, Box.of(("y1", (-1.0, 1.0)))) is None
 
 
 def test_classify_strict_boundary_rules():
     # strict guard: false already when the lower bound touches zero
     g = guard("y1", strict=True)
-    assert classify_guard(g, Box.of(("y1", (0.0, 1.0)))) is Decision.FALSE
-    assert classify_guard(g, Box.of(("y1", (-2.0, -1.0)))) is Decision.TRUE
+    assert classify_guard(g, Box.of(("y1", (0.0, 1.0)))) is False
+    assert classify_guard(g, Box.of(("y1", (-2.0, -1.0)))) is True
     # non-strict: true when the upper bound touches zero
     g = guard("y1")
-    assert classify_guard(g, Box.of(("y1", (-1.0, 0.0)))) is Decision.TRUE
-    assert classify_guard(g, Box.of(("y1", (0.0, 1.0)))) is Decision.UNDECIDED
+    assert classify_guard(g, Box.of(("y1", (-1.0, 0.0)))) is True
+    assert classify_guard(g, Box.of(("y1", (0.0, 1.0)))) is None
 
 
 def test_classify_monotone_under_bisection():
     g = guard("y1*y2 - 0.5")
     box = Box.of(("y1", (0.55, 0.9)), ("y2", (0.95, 1.4)))
     decision = classify_guard(g, box)
-    assert decision is not Decision.UNDECIDED
+    assert decision is not None
     stack = [box]
     for _ in range(20):
         b = stack.pop(0)
@@ -80,29 +91,100 @@ def test_classify_monotone_under_bisection():
 
 LIN = Linear(ef.LinearAtom((("x1", ef.Var("y1")),), ef.Const(0.0)))
 G = Guard(GuardAtom(ef.Var("y1")))
-STRADDLE = Box.of(("y1", (-1.0, 1.0)))  # G stays undecided here
+H = Guard(GuardAtom(parse_expression("y1 - 0.5")))
+STRADDLE = Box.of(("y1", (-1.0, 1.0)))  # G and H stay undecided here
 
 
 def test_reduce_formula_constants():
-    assert reduce_on(Or((TrueF(), LIN)), STRADDLE) == TrueF()
-    assert reduce_on(Or((FalseF(), LIN)), STRADDLE) == LIN
-    assert reduce_on(And((Or((FalseF(), G)), TrueF())), STRADDLE) == G
-    assert reduce_on(And((FalseF(), LIN)), STRADDLE) == FalseF()
-    assert reduce_on(And(()), STRADDLE) == TrueF()
-    assert reduce_on(Or(()), STRADDLE) == FalseF()
-
-
-def test_reduce_formula_flattens():
-    nested = And((And((G, G)), Or((FalseF(), And((G,))))))
-    out = reduce_on(nested, STRADDLE)
-    assert out == And((G, G, G))
+    assert reduce_on(Or((TrueF(), LIN)), STRADDLE) is True
+    assert reduce_on(Or((FalseF(), LIN)), STRADDLE) is LIN
+    assert reduce_on(And((Or((FalseF(), G)), TrueF())), STRADDLE) == [G.atom]
+    assert reduce_on(And((FalseF(), LIN)), STRADDLE) is False
+    assert reduce_on(And(()), STRADDLE) is True
+    assert reduce_on(Or(()), STRADDLE) is False
 
 
 def test_reduce_formula_decides_guards():
     # y1 <= 0 is false on [1, 2] and true on [-2, -1]
-    assert reduce_on(Or((G, LIN)), Box.of(("y1", (1.0, 2.0)))) == LIN
+    assert reduce_on(Or((G, LIN)), Box.of(("y1", (1.0, 2.0)))) is LIN
     negative = Box.of(("y1", (-2.0, -1.0)))
-    assert reduce_on(And((G, Or((G, LIN)))), negative) == TrueF()
+    assert reduce_on(And((G, Or((G, LIN)))), negative) is True
+
+
+def test_reduce_formula_keeps_relevant_guards_in_leaf_order():
+    assert reduce_on(And((H, Or((FalseF(), G)), LIN)), STRADDLE) == [H.atom, G.atom]
+    # the guards of a settled and/or are dropped
+    assert reduce_on(Or((And((G, FalseF())), H)), STRADDLE) == [H.atom]
+    assert reduce_on(Or((LIN, G)), STRADDLE) == [G.atom]
+
+
+# -- the walk against brute force ---------------------------------------------
+#
+# A tree is a leaf index (0-3 a guard atom, 4 the linear leaf) or a pair
+# (And or Or, list of trees); `decisions[k]` decides guard atom k.
+
+ATOMS = [GuardAtom(parse_expression(f"y1 - {k}")) for k in range(4)]
+SLOT = {id(g): k for k, g in enumerate(ATOMS)}
+TREES = st.recursive(
+    st.integers(0, 4),
+    lambda kids: st.tuples(st.sampled_from((And, Or)), st.lists(kids, max_size=4)),
+    max_leaves=12)
+
+
+def to_formula(tree, linear_seen):
+    """The formula of tree; linear leaves after the first become guard 3."""
+    if isinstance(tree, int):
+        if tree < 4:
+            return Guard(ATOMS[tree])
+        if linear_seen:
+            return Guard(ATOMS[3])
+        linear_seen.append(True)
+        return LIN
+    node, kids = tree
+    return node(tuple(to_formula(k, linear_seen) for k in kids))
+
+
+def truth(f, guards, lin):
+    if isinstance(f, Guard):
+        return guards[SLOT[id(f.atom)]]
+    if isinstance(f, Linear):
+        return lin
+    values = [truth(item, guards, lin) for item in f.items]
+    return all(values) if isinstance(f, And) else any(values)
+
+
+def undecided_leaves(f, decisions):
+    return [SLOT[id(g)] for g in guard_atoms(f) if decisions[SLOT[id(g)]] is None]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(tree=TREES, decisions=st.lists(st.sampled_from((True, False, None)),
+                                      min_size=4, max_size=4))
+# (g0 or lin) and g1 with g0 false and g1 true: the neutral g1 after the
+# linear leaf must not overwrite it
+@example(tree=(And, [(Or, [0, 4]), 1]), decisions=[False, True, None, None])
+def test_reduce_matches_brute_force(tree, decisions):
+    f = to_formula(tree, [])
+    verdict = _reduce(f, SLOT, lambda g, s: decisions[s])
+    open_slots = [k for k in range(4) if decisions[k] is None]
+    completions = []
+    for values in itertools.product((False, True), repeat=len(open_slots)):
+        guards = list(decisions)
+        for k, v in zip(open_slots, values):
+            guards[k] = v
+        for lin in (False, True):
+            completions.append((truth(f, guards, lin), lin))
+    # strong Kleene logic is exact on monotone formulas
+    if all(t for t, _ in completions):
+        assert verdict is True
+    elif not any(t for t, _ in completions):
+        assert verdict is False
+    elif all(t == lin for t, lin in completions):
+        assert verdict is LIN
+    else:
+        assert isinstance(verdict, list) and verdict
+        leaves = iter(undecided_leaves(f, decisions))
+        assert all(s in leaves for s in verdict)  # in leaf order
 
 
 def test_simplify_branch_linear_row(benchmarks):
@@ -119,7 +201,7 @@ def test_simplify_branch_proved_true(two_branch_problem):
     # on this sub-box y1 >= y2 holds outright, so the disjunction is true
     sub = Box.of(("y1", (0.9, 1.0)), ("y2", (-1.0, 0.0)))
     status = classify(ef.Branch(sub, br.formula), two_branch_problem.x_vars)
-    assert isinstance(status, ProvedTrue)
+    assert status is True
 
 
 def test_simplify_branch_proved_false():
@@ -129,16 +211,18 @@ def test_simplify_branch_proved_false():
         branch y1 in [1,2] : y1 <= 0 and x1*y1 <= 1 ;
     """)
     status = classify(p.branches[0], p.x_vars)
-    assert isinstance(status, ProvedFalse)
+    assert status is False
 
 
 def test_simplify_branch_undecided(two_branch_problem):
     br = two_branch_problem.branches[0]
-    status = classify(br, two_branch_problem.x_vars)
+    cb = compile_branch(br.formula, br.box.names, two_branch_problem.x_vars)
+    status, _ = simplify_branch(cb, *br.box.endpoints())
     assert isinstance(status, Undecided)
-    leaves = list(ef.model.formula_leaves(status.formula))
-    assert any(isinstance(l, Guard) for l in leaves)
-    # the natural enclosure of the one guard, y2 - y1 <= 0, for the guard pick
+    # the one guard, y2 - y1 <= 0, and its natural enclosure, for the guard
+    # pick
+    (g,) = guard_atoms(br.formula)
+    assert status.slot == cb.guard_slot[id(g)]
     assert (status.lo, status.hi) == (-2.0, 1.0)
 
 
@@ -162,10 +246,11 @@ def test_proved_false_admits_no_x():
         branch y1 in [1,2] : y1 <= 0 and x1*y1 <= 1 ;
     """)
     br = p.branches[0]
-    assert isinstance(classify(br, p.x_vars), ProvedFalse)
-    from efsolver.solver import _holds_at, _substitute_x
+    assert classify(br, p.x_vars) is False
+    from efsolver.solver import _substitute_x
     rng = np.random.default_rng(5)
     for xv in np.linspace(-10, 10, 41):
-        f = _substitute_x(br.formula, {"x1": float(xv)})
+        cb = compile_branch(_substitute_x(br.formula, {"x1": float(xv)}),
+                            br.box.names)
         for pt in sample_points(br.box, rng, 25):
-            assert not _holds_at(f, pt)
+            assert reduce_at_point(cb, pt) is False

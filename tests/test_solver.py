@@ -1,6 +1,5 @@
 import importlib.util
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +7,12 @@ import pytest
 
 import efsolver as ef
 from efsolver import simplex, solver
-from efsolver.model import guard_atoms
-from efsolver.simplify import Undecided
+from efsolver.expr import eval_on_box
+from efsolver.model import Guard, Linear, Or
+from efsolver.simplify import (Undecided, _tighten, compile_branch,
+                               decide_guard, reduce_at_point)
 from efsolver.solver import (Outcome, SolveConfig, VerifyStatus,
-                             _holds_at, _substitute_x)
+                             _substitute_x)
 
 from conftest import box_env, random_robust_problem, sample_points
 
@@ -256,8 +257,9 @@ def test_infeasible_witness_is_sound():
     rng = np.random.default_rng(9)
     points = sample_points(witness.box, rng, 1000)
     for xv in np.linspace(-10, 10, 21):
-        f = _substitute_x(witness.formula, {"x1": float(xv)})
-        assert all(_holds_at(f, pt) is False for pt in points)
+        cb = compile_branch(_substitute_x(witness.formula, {"x1": float(xv)}),
+                            witness.box.names)
+        assert all(reduce_at_point(cb, pt) is False for pt in points)
 
 
 def test_deterministic_split_counts(benchmarks):
@@ -293,16 +295,38 @@ def test_pinned_split_counts(benchmarks, name, strategy, counts):
     assert (out.stats.splits, out.stats.rounds, out.stats.lp_solves) == counts
 
 
+def residue_guards(f, decide):
+    """The guard atoms left in f, in leaf order, once every guard leaf that
+    decide(atom) settles is replaced by its constant and the constants are
+    propagated through every and/or; True or False when they settle f."""
+    if isinstance(f, Guard):
+        d = decide(f.atom)
+        return [f.atom] if d is None else d
+    if isinstance(f, Linear):
+        return []
+    absorbing = isinstance(f, Or)
+    items = [residue_guards(item, decide) for item in f.items]
+    if any(item is absorbing for item in items):
+        return absorbing
+    kept = [item for item in items if isinstance(item, list)]
+    return sum(kept, []) if kept else not absorbing
+
+
 def pick_undecided_tree_walk(live):
-    """The guard pick re-enclosing every guard of every undecided row with
-    the tree walk: the first row and guard of widest enclosure."""
+    """The guard pick re-enclosing every guard of every undecided row's
+    residue with the tree walk: the first row and guard of widest
+    enclosure."""
     best = None
     best_width = -1.0
     for i, (_, cb, lo, hi, status, _) in enumerate(live.rows):
         if not isinstance(status, Undecided):
             continue
         box = ef.Box.from_endpoints(cb.tape.names, lo, hi)
-        for g in guard_atoms(status.formula):
+        # the guards decide on the tightened enclosures of `simplify_branch`
+        L, H, _ = _tighten(cb, lo, hi, *eval_on_box(cb.guards, lo, hi))
+        slot = cb.guard_slot
+        for g in residue_guards(cb.formula, lambda g: decide_guard(
+                g.strict, L[slot[id(g)]], H[slot[id(g)]])):
             iv = g.body.interval(box_env(box))
             if iv.width > best_width:
                 sign = "+" if abs(iv.hi) < abs(iv.lo) else "-"
@@ -334,7 +358,9 @@ def test_guard_pick_matches_tree_walk(monkeypatch, source, guard_splits):
     def checked(live):
         picks.append(pick(live))
         assert picks[-1] == pick_undecided_tree_walk(live)
-        assert live.kinds == Counter(type(row[4]) for row in live.rows)
+        assert live.undecided == sum(isinstance(row[4], Undecided)
+                                     for row in live.rows)
+        assert live.false_row is None
         return picks[-1]
 
     monkeypatch.setattr(solver, "_pick_undecided", checked)
@@ -426,6 +452,19 @@ def test_verify_undefined_point_is_no_counterexample():
     res = ef.verify_solution(p, np.array([5.0]), depth=8)
     assert res.status is VerifyStatus.COUNTEREXAMPLE
     assert res.point == pytest.approx({"y1": 0.5})
+
+
+def test_verify_nan_point_is_no_counterexample():
+    # the guard body is exactly 0 on the box, so the guard holds, but in
+    # floating point it is inf - inf = nan at every midpoint, and its
+    # enclosure overflows on every box: undecided, not a counterexample
+    p = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [1,2] : y1*1e200*1e200 - y1*1e200*1e200 <= 0 or x1 <= 0 ;
+    """)
+    res = ef.verify_solution(p, np.array([5.0]), depth=8)
+    assert res.status is VerifyStatus.UNKNOWN
 
 
 def test_verify_depth_limit_returns_unknown():
