@@ -39,6 +39,7 @@ from .intervals import midpoint
 from .relaxation import LPSolution
 
 RHS_COEFFICIENT = -1  # coefficient marker: improve the right-hand side
+TIE_TOL = 1e-9  # relative residual gap below which split-worst rows tie
 
 
 class Strategy(enum.Enum):
@@ -88,24 +89,34 @@ def select_targets(p_width: np.ndarray, q_width: np.ndarray,
 
     p_width (n x r) and q_width (n) are the widths of the coefficient and
     right-hand-side enclosures of the live rows, in box id order.
-    Split-all returns every positive-residual row, worst first.  The
-    single-box strategies return every improvable row in preference order
-    (worst residual first; oldest box first for the round-robin baseline):
-    the caller splits the first row whose box can still be split and
-    ignores the rest.  Ties go to the older box.  Rows whose intervals
-    all have zero width cannot be improved by splitting and are skipped.
+    Split-all returns every positive-residual row (every improvable row
+    when none is positive) in box id order, since it splits them all.
+    The single-box strategies return every improvable row in preference
+    order (worst residual first; oldest box first for the round-robin
+    baseline): the caller splits the first row whose box can still be
+    split and ignores the rest.  Rows whose intervals all have zero width
+    cannot be improved by splitting and are skipped.
+
+    The rows that bind at the LP optimum have equal residuals in exact
+    arithmetic, so under split-worst every row within
+    TIE_TOL * max(1, |worst|) of the worst residual ties with it, and the
+    older box goes first; LP round-off never decides a split.
     """
     improvable = (p_width > 0).any(axis=1) | (q_width > 0)
     if cfg.strategy is Strategy.ROUND_ROBIN:
         # classical baseline: rotate through the branches (oldest live box
         # first), ignoring the residual information entirely
         return np.flatnonzero(improvable)
-    order = np.argsort(-residual, kind="stable")
     if cfg.strategy is Strategy.SPLIT_ALL:
-        violated = order[improvable[order] & (residual[order] > 0)]
-        if violated.size:
-            return violated
-    return order[improvable[order]]
+        violated = np.flatnonzero(improvable & (residual > 0))
+        return violated if violated.size else np.flatnonzero(improvable)
+    rows = np.flatnonzero(improvable)
+    if not rows.size:
+        return rows
+    key = residual[rows]
+    worst = key.max()
+    key = np.where(key >= worst - TIE_TOL * max(1.0, abs(worst)), worst, key)
+    return rows[np.argsort(-key, kind="stable")]
 
 
 def split_coefficient(p_width: np.ndarray, sol: LPSolution,
@@ -141,14 +152,22 @@ def splitheur(tape: Tape, slot: int, lo: Sequence[float], hi: Sequence[float],
     movement over the two children, each enclosed by one run of the tape
     on the box with one endpoint of dimension i moved to its midpoint.
     An aging credit kappa * width(base) * ages[i] is added so starved
-    dimensions win eventually.  Dimensions that cannot be split (those
-    without lo < mid < hi) are skipped; ties go to the lowest dimension
-    index.
+    dimensions win eventually.  Where the largest credit overflows, credits
+    and improvements are all scaled by one power of two, which is exact, so
+    the scores keep the order of their exact values instead of tying at
+    inf.  Dimensions that cannot be split (those without lo < mid < hi)
+    are skipped; ties go to the lowest dimension index.
     """
     blo, bhi = base
     upper = sign == "+"
     bound = bhi if upper else blo
     base_width = bhi - blo
+    credit, scale = kappa * base_width, 1.0
+    oldest = int(max(ages, default=0))
+    if math.isinf(credit * max(oldest, 1)) and math.isfinite(base_width):
+        top = sum(math.frexp(v)[1] for v in (kappa, base_width, oldest))
+        scale = math.ldexp(1.0, 1000 - top)
+        credit = kappa * scale * base_width
     child_lo, child_hi = list(lo), list(hi)
     best_i = None
     best_score = -1.0
@@ -164,7 +183,7 @@ def splitheur(tape: Tape, slot: int, lo: Sequence[float], hi: Sequence[float],
             endpoints[i] = old
             movement = abs(bound - (H[slot] if upper else L[slot]))
             improvement = max(improvement, movement)
-        score = kappa * base_width * ages[i] + improvement
+        score = credit * ages[i] + improvement * scale
         if score > best_score:
             best_score = score
             best_i = i

@@ -162,14 +162,14 @@ class _LiveBoxes:
         return bid
 
     def commit(self) -> None:
-        keep = np.ones(len(self.rows), dtype=bool)
-        keep[self._split] = False
-        new = self._staged
+        new, split = self._staged, sorted(self._split, reverse=True)
         self.undecided += (sum(isinstance(row[4], Undecided) for row in new)
                            - sum(isinstance(self.rows[i][4], Undecided)
-                                 for i in self._split))
-        self.rows = [row for row, k in zip(self.rows, keep) if k] + new
-        start = len(self.rows) - len(new)
+                                 for i in split))
+        for i in split:
+            del self.rows[i]
+        start = len(self.rows)
+        self.rows += new
         self.false_row = next((start + k for k, row in enumerate(new)
                                if row[4] is False), None)
         p_lo = np.zeros((len(new), len(self.x_vars)))
@@ -179,10 +179,10 @@ class _LiveBoxes:
             if isinstance(status, LinearRow):
                 p_lo[k], p_hi[k] = status.coeff_lo, status.coeff_hi
                 q_lo[k], q_hi[k] = status.rhs_lo, status.rhs_hi
-        self.p_lo = np.concatenate([self.p_lo[keep], p_lo])
-        self.p_hi = np.concatenate([self.p_hi[keep], p_hi])
-        self.q_lo = np.concatenate([self.q_lo[keep], q_lo])
-        self.q_hi = np.concatenate([self.q_hi[keep], q_hi])
+        self.p_lo = np.concatenate([np.delete(self.p_lo, split, axis=0), p_lo])
+        self.p_hi = np.concatenate([np.delete(self.p_hi, split, axis=0), p_hi])
+        self.q_lo = np.concatenate([np.delete(self.q_lo, split), q_lo])
+        self.q_hi = np.concatenate([np.delete(self.q_hi, split), q_hi])
         self._split, self._staged = [], []
 
     def witness(self, i: int) -> Branch:

@@ -2,7 +2,7 @@
 that two checkouts can be compared bit for bit.
 
     python tests/equivalence_set.py OUT.json
-    python tests/equivalence_set.py --compare A.json B.json
+    python tests/equivalence_set.py --compare A.json B.json [--ignore x]
 
 The runs are the bundled instances (A-D and eq_*) under each strategy,
 the benchmark's generated guarded instances for seeds 101-103 at their
@@ -15,6 +15,9 @@ split history and x as `float.hex` strings.
 
 The first form writes the records of the checkout this file lies in; the
 second prints every run whose records differ and exits 1 if any do.
+`--ignore` leaves the named record fields out of the comparison; with
+`--ignore x`, a change that only moves LP round-off shows every run
+unchanged if its decisions are.
 Pytest does not collect this file.
 """
 
@@ -92,9 +95,10 @@ def record(problem, strategy, max_splits) -> dict:
     }
 
 
-def compare(a_path: str, b_path: str) -> int:
-    a = json.loads(Path(a_path).read_text())
-    b = json.loads(Path(b_path).read_text())
+def compare(a_path: str, b_path: str, ignore=()) -> int:
+    a, b = ({label: {k: v for k, v in rec.items() if k not in ignore}
+             for label, rec in json.loads(Path(path).read_text()).items()}
+            for path in (a_path, b_path))
     differ = sorted(label for label in a.keys() | b.keys()
                     if a.get(label) != b.get(label))
     for label in differ:
@@ -108,9 +112,12 @@ def main(argv=None) -> int:
     ap.add_argument("out", nargs="?", help="JSON file to write the records to")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
                     help="compare two record files instead of running")
+    ap.add_argument("--ignore", nargs="+", default=[], metavar="FIELD",
+                    help="record fields --compare leaves out, e.g. x for a "
+                         "change that only moves LP round-off")
     args = ap.parse_args(argv)
     if args.compare:
-        return compare(*args.compare)
+        return compare(*args.compare, ignore=args.ignore)
     if not args.out:
         ap.error("give OUT.json or --compare A.json B.json")
     records = {label: record(problem, strategy, cap)

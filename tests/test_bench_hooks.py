@@ -55,7 +55,7 @@ def test_tracer_hooks_record_every_layer():
     assert totals["targets"] >= out.stats.splits
     # the pivot count of the dense simplex on this cell: a refactor that
     # stops calling simplex._pivot per pivot reads fewer here, not 0 later
-    assert totals["pivots"] == 31 and totals["lp_rows_max"] > 0
+    assert totals["pivots"] == 54 and totals["lp_rows_max"] > 0
     assert totals["evals:trial"] > 0 and totals["evals:verify"] > 0
 
     wall = totals["solver.solve:s"] + totals["verify.verify_solution:s"]

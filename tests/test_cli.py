@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -47,6 +48,18 @@ def test_solve_budget_exit_code(bench_file, capsys):
     code = main(["solve", bench_file("A"), "--max-splits", "0"])
     assert code == 2
     assert "budget-exhausted" in capsys.readouterr().out
+
+
+def test_huge_kappa_solves_without_warnings(bench_file, capsys):
+    # kappa * width * age overflows to inf; inf credits used to tie (and
+    # inf * 0 gave NaN scores), so B under split-worst ran out of splits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", bench_file("B"), "--strategy", "split-worst",
+                     "--kappa", "1e308", "--max-splits", "2000", "--verify"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "outcome: solution" in out and "verify status: verified" in out
 
 
 def test_solve_parse_error_exit_code(tmp_path, capsys):

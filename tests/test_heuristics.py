@@ -5,9 +5,10 @@ import pytest
 
 from efsolver.errors import AllDimensionsDegenerate, SplitDegenerate
 from efsolver.expr import compile_tape, enclose
-from efsolver.heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
-                                 Strategy, coeff_score, round_robin_var,
-                                 select_targets, split_coefficient, splitheur)
+from efsolver.heuristics import (RHS_COEFFICIENT, TIE_TOL, AgeTable,
+                                 HeuristicConfig, Strategy, coeff_score,
+                                 round_robin_var, select_targets,
+                                 split_coefficient, splitheur)
 from efsolver.intervals import Box, Interval
 from efsolver.parsing import parse_expression
 from efsolver.relaxation import (LPSolution, residual_vector,
@@ -80,7 +81,19 @@ def test_select_targets_split_all():
     sys = two_row_system()
     sol, d = _solved(sys)
     cfg = HeuristicConfig(strategy=Strategy.SPLIT_ALL)
-    assert sorted(_select(sys, d, cfg).tolist()) == [0, 1]
+    # every violated row, in box id order
+    assert _select(sys, d, cfg).tolist() == [0, 1]
+
+
+def test_select_targets_near_ties_go_to_the_older_box():
+    sys = EndpointSystem.of([(((-1, 1),), (0.0, 0.0))] * 4)
+    worst = 2.0
+    d = np.array([1.0, worst - 1e-12, worst, worst - 3e-9])
+    cfg = HeuristicConfig(strategy=Strategy.SPLIT_WORST)
+    # rows 1 and 2 lie within TIE_TOL * |worst| of the worst residual, so
+    # the older box goes first; row 3 lies outside it
+    assert _select(sys, d, cfg).tolist() == [1, 2, 3, 0]
+    assert _select(sys, d[::-1].copy(), cfg).tolist() == [1, 2, 0, 3]
 
 
 def test_select_targets_round_robin_rotates_boxes():
@@ -124,7 +137,9 @@ def test_select_targets_scale_invariant():
 def reference_targets(rows, sol, residual, cfg):
     """The per-row target selection that select_targets and
     split_coefficient replace: (row, coefficient, sign) in preference
-    order, rows given as (coefficient Intervals, rhs Interval)."""
+    order, rows given as (coefficient Intervals, rhs Interval).  Split-all
+    and round-robin keep box id order; split-worst puts the rows tied with
+    the worst residual first, oldest first, then the rest, worst first."""
 
     def row_target(i):
         coeffs, rhs = rows[i]
@@ -142,16 +157,20 @@ def reference_targets(rows, sol, residual, cfg):
             return (i, RHS_COEFFICIENT, "-")
         return None
 
-    if cfg.strategy is Strategy.ROUND_ROBIN:
-        order = list(range(len(rows)))
-    else:
-        order = sorted(range(len(rows)), key=lambda i: (-residual[i], i))
+    order = list(range(len(rows)))
     if cfg.strategy is Strategy.SPLIT_ALL:
         targets = [t for i in order if residual[i] > 0
                    and (t := row_target(i)) is not None]
         if targets:
             return targets
-    return [t for i in order if (t := row_target(i)) is not None]
+    targets = [t for i in order if (t := row_target(i)) is not None]
+    if cfg.strategy is Strategy.SPLIT_WORST and targets:
+        # rows within TIE_TOL * max(1, |worst|) of the worst tie with it
+        worst = max(residual[t[0]] for t in targets)
+        tol = TIE_TOL * max(1.0, abs(worst))
+        targets.sort(key=lambda t: (-(worst if residual[t[0]] >= worst - tol
+                                      else residual[t[0]]), t[0]))
+    return targets
 
 
 def test_vectorised_selection_matches_per_row_reference():
@@ -173,6 +192,9 @@ def test_vectorised_selection_matches_per_row_reference():
         x1 = rng.choice([0.0, 0.0, 1.0, 2.5], size=r)
         x2 = np.where(x1 > 0, 0.0, rng.choice([0.0, 1.0, 2.5], size=r))
         residual = rng.integers(-2, 3, size=n) / 2.0
+        if trial % 2:
+            # LP round-off: gaps far below TIE_TOL, some right at it
+            residual += rng.choice([0.0, 1e-13, TIE_TOL, 2 * TIE_TOL], size=n)
         sol = LPSolution(x1, x2, float(residual.max()))
         kinds += (w.sum(axis=1) == 0).any() and (qw > 0).any()
         for strategy in Strategy:
@@ -209,6 +231,17 @@ def test_splitheur_aging_dominates():
     t = parse_expression("y1^2 + y2")
     box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
     assert choose(t, box, "+", [10_000, 0], 0.1) == 0
+
+
+@pytest.mark.parametrize("kappa", [1e300, 1e308])
+def test_splitheur_overflowing_credit_still_orders_by_age(kappa):
+    # kappa * width * age overflows; the scaled credits still rank the
+    # older dimension first, and without credits the improvement decides
+    t = parse_expression("y1^2 + y2")
+    box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
+    assert choose(t, box, "+", [10**9, 10**9 - 1], kappa) == 0
+    assert choose(t, box, "+", [10**9 - 1, 10**9], kappa) == 1
+    assert choose(t, box, "+", [0, 0], kappa) == 1
 
 
 def test_splitheur_lower_bound_target():
