@@ -25,7 +25,7 @@ from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
 from .parsing import parse_expression, parse_problem
 from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
                          rohn_transform, solve_feasibility)
-from .simplex import SimplexResult, SimplexStatus, simplex_solve
+from .simplex import SimplexStatus, simplex_solve
 from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
                        classify_guard, compile_branch, reduce_formula,
                        simplify_branch)

@@ -3,8 +3,9 @@
 Three decisions are made when the LP relaxation reports rho > 0:
 
 * which branch box to split (`select_targets`, array operations over the
-  live rows): the row with the largest residual (split-worst), every row
-  with positive residual (split-all), or, for the classical round-robin
+  live rows): the row with the largest residual, the oldest box among
+  near-ties (split-worst), every row with positive residual, in box id
+  order (split-all), or, for the classical round-robin
   baseline, simply the oldest live box in rotation (no residual
   information used at all);
 

@@ -29,6 +29,23 @@ of an LP whose minimum lies above it.  When the floor binds, rho is
 -RHO_FLOOR (still an upper bound on every row's residual, so it certifies
 solvability) and the solution is marked with status UNBOUNDED: the
 unfloored minimum is at or below -RHO_FLOOR, possibly unbounded.
+
+The simplex solves the dual of this LP (Chvatal, *Linear Programming*,
+1983, ch. 5), with multipliers y >= 0 for the n rows, z >= 0 for the
+floor and u free for the equalities:
+
+    min q_lo.y + RHO_FLOOR z - d.u   s.t.  sum(y) + z = 1,
+                                           Punder^T y <= C^T u <= Pbar^T y,
+                                           y, z >= 0.
+
+It has 2r + 1 constraint rows however many boxes are live, and the basis
+of its 2r slacks and z is feasible at once (y = u = 0, z = 1), so one
+phase of pivots solves it.  The primal solution is the optimal tableau's
+simplex multipliers: x2_j and x1_j are the reduced costs of the slacks
+of the j-th rows of Punder^T y <= C^T u and C^T u <= Pbar^T y, and rho is
+z's reduced cost minus RHO_FLOOR.  The primal inequalities are always
+feasible (take rho large), so an unbounded dual means that C x = d has
+no solution.
 """
 
 from __future__ import annotations
@@ -98,32 +115,37 @@ def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
 def solve_feasibility(lp: FeasibilityLP) -> LPSolution:
     """Minimise the worst row violation rho subject to rho >= -RHO_FLOOR.
 
-    One simplex solve over w = (x1, x2, rho').  rho' is free and
-    rho = rho' + rho0 with rho0 = -min(min(b), RHO_FLOOR), so every
-    inequality right-hand side, the floor's included, is nonnegative, as
-    `simplex_solve` requires: the slack basis is immediately feasible and
-    phase 1 only works on equality rows.  Raises EqualitiesInfeasible
-    when C x = d admits no solution; with the floor the LP is never
-    unbounded.
+    One simplex solve of the dual (see the module docstring) on a tableau
+    of 2r + 2 rows and n + 2k + 2r + 2 columns: y, u+, u- (u = u+ - u-),
+    the slacks of the Punder rows, then those of the Pbar rows, z, and
+    the right-hand side.  Raises EqualitiesInfeasible when C x = d admits
+    no solution; with the floor the LP is never unbounded.
     """
     n, r = lp.n, lp.r
-    rho0 = -float(lp.b.min(initial=RHO_FLOOR))
-    G = np.zeros((n + 1, 2 * r + 1))
-    G[:n, :r] = lp.p_hi
-    G[:n, r:2 * r] = -lp.p_lo
-    G[:, -1] = -1.0      # the last row is the floor rho >= -RHO_FLOOR
-    h = np.append(lp.b + rho0, RHO_FLOOR + rho0)
-    C = lp.eq_coeffs
-    E = np.hstack([C, -C, np.zeros((C.shape[0], 1))])
+    C, k = lp.eq_coeffs, lp.eq_coeffs.shape[0]
+    s, z = n + 2 * k, n + 2 * k + 2 * r
+    T = np.zeros((2 * r + 2, z + 2))
+    T[:r, :n] = lp.p_lo.T
+    T[r:2 * r, :n] = -lp.p_hi.T
+    T[:r, n:n + k] = -C.T
+    T[r:2 * r, n:n + k] = C.T
+    T[:2 * r, n + k:s] = -T[:2 * r, n:n + k]
+    T[:2 * r, s:z] = np.eye(2 * r)
+    T[2 * r, :n] = T[2 * r, z] = T[2 * r, -1] = 1.0
+    # reduced costs at the starting basis: z, with cost RHO_FLOOR, is basic
+    # in the row sum(y) + z = 1
+    T[-1, :n] = lp.b - RHO_FLOOR
+    T[-1, n:n + k] = -lp.eq_rhs
+    T[-1, n + k:s] = lp.eq_rhs
+    T[-1, -1] = -RHO_FLOOR
+    basis = np.arange(s, z + 1)
 
-    res = simplex_solve(G, h, E, lp.eq_rhs)
-    if res.status is not SimplexStatus.OPTIMAL:
-        # inequality rows are always satisfiable by a large rho and the
-        # floor bounds rho below, so only the equality block can be at fault
+    if simplex_solve(T, basis) is not SimplexStatus.OPTIMAL:
         raise EqualitiesInfeasible("equality system C x = d is infeasible")
-    rho = float(res.x[-1] + rho0)
+    x = np.maximum(T[-1, s:z], 0.0)
+    rho = float(T[-1, z] - RHO_FLOOR)
     status = LPStatus.UNBOUNDED if rho <= -RHO_FLOOR + FLOOR_TOL else LPStatus.OPTIMAL
-    return LPSolution(res.x[:r], res.x[r:2 * r], rho, status)
+    return LPSolution(x[r:], x[:r], rho, status)
 
 
 def residual_vector(lp: FeasibilityLP, sol: LPSolution) -> np.ndarray:

@@ -53,9 +53,9 @@ def test_tracer_hooks_record_every_layer():
     # one simplex solve per residual LP: no retry path
     assert totals["simplex.solve:calls"] == totals["relaxation.lp:calls"]
     assert totals["targets"] >= out.stats.splits
-    # the pivot count of the dense simplex on this cell: a refactor that
+    # the pivot count of the dual simplex on this cell: a refactor that
     # stops calling simplex._pivot per pivot reads fewer here, not 0 later
-    assert totals["pivots"] == 54 and totals["lp_rows_max"] > 0
+    assert totals["pivots"] == 25 and totals["lp_rows_max"] > 0
     assert totals["evals:trial"] > 0 and totals["evals:verify"] > 0
 
     wall = totals["solver.solve:s"] + totals["verify.verify_solution:s"]

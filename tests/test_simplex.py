@@ -2,31 +2,48 @@ import itertools
 
 import numpy as np
 import pytest
-import simplex_reference
 from scipy.optimize import linprog
 
 import efsolver as ef
 from efsolver import relaxation, simplex
-from efsolver.relaxation import RHO_FLOOR
+from efsolver.errors import EqualitiesInfeasible
+from efsolver.relaxation import (RHO_FLOOR, LPStatus, residual_vector,
+                                 rohn_transform, solve_feasibility)
 from efsolver.simplex import SimplexStatus, simplex_solve
 
 
-def residual_lp(p_lo, p_hi, b, C=None, d=None, floor=True):
-    """The LP `solve_feasibility` poses for the interval rows
-    [p_lo, p_hi] x <= b and C x = d, over w = (x1, x2, rho - rho0):
-    G = [P_hi | -P_lo | -1] plus the floor row (left out without `floor`),
-    h = b + rho0 >= 0, E = [C | -C | 0] and f = d."""
+def standard_tableau(c, A, b):
+    """The tableau of min c.x s.t. A x <= b, x >= 0, given b >= 0, at its
+    slack basis."""
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[-1, :n] = c
+    return T, np.arange(n, n + m)
+
+
+def residual_lp(p_lo, p_hi, b, C=None, d=None):
+    """The residual LP of the interval rows [p_lo, p_hi] x <= b and
+    C x = d, as `solve_feasibility` takes it."""
     p_lo, p_hi, b = (np.asarray(a, dtype=float) for a in (p_lo, p_hi, b))
-    n, r = p_lo.shape
-    rho0 = -float(b.min(initial=RHO_FLOOR))
-    G = np.hstack([p_hi, -p_lo, -np.ones((n, 1))])
-    h = b + rho0
-    if floor:
-        G = np.vstack([G, -np.eye(2 * r + 1)[-1]])
-        h = np.append(h, RHO_FLOOR + rho0)
+    r = p_lo.shape[1]
     C = np.zeros((0, r)) if C is None else np.asarray(C, dtype=float)
     d = np.zeros(0) if d is None else np.asarray(d, dtype=float)
-    return G, h, np.hstack([C, -C, np.zeros((len(C), 1))]), d
+    return rohn_transform(p_lo, p_hi, b, C, d)
+
+
+def primal(lp):
+    """The floored residual LP over w = (x1, x2, rho) in the form
+    min w[-1] s.t. G w <= h, E w = f, w[:-1] >= 0: the oracles' input."""
+    n, r = lp.p_lo.shape
+    G = np.vstack([np.hstack([lp.p_hi, -lp.p_lo, -np.ones((n, 1))]),
+                   -np.eye(2 * r + 1)[-1]])
+    h = np.append(lp.b, RHO_FLOOR)
+    C = lp.eq_coeffs
+    return G, h, np.hstack([C, -C, np.zeros((len(C), 1))]), lp.eq_rhs
 
 
 def brute_force_min(G, h, E, f):
@@ -47,66 +64,79 @@ def brute_force_min(G, h, E, f):
 
 
 def test_simple_bounded():
-    # rho = max(x + 1, -x - 1) is least, 0, at x = -1; rho0 = 1
-    res = simplex_solve(*residual_lp([[1.0], [-1.0]], [[1.0], [-1.0]], [-1.0, 1.0]))
-    assert res.status is SimplexStatus.OPTIMAL
-    assert res.x == pytest.approx([0.0, 1.0, -1.0], abs=1e-9)
+    # min -x1 - x2 s.t. x1 + 2 x2 <= 4, 3 x1 + x2 <= 6: the optimum is the
+    # vertex (1.6, 1.2), and T[-1, -1] holds minus the objective value
+    T, basis = standard_tableau([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]],
+                                [4.0, 6.0])
+    assert simplex_solve(T, basis) is SimplexStatus.OPTIMAL
+    assert sorted(basis.tolist()) == [0, 1]
+    x = np.zeros(4)
+    x[basis] = T[:-1, -1]
+    assert x[:2] == pytest.approx([1.6, 1.2], abs=1e-12)
+    assert T[-1, -1] == pytest.approx(2.8, abs=1e-12)
+    assert (T[-1, :-1] >= 0).all()
 
 
 def test_iteration_limit_raises_a_typed_error(monkeypatch):
     # the LP above takes two pivots and one optimality test
-    lp = residual_lp([[1.0], [-1.0]], [[1.0], [-1.0]], [-1.0, 1.0])
+    lp = ([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
     monkeypatch.setattr(simplex, "MAX_ITER", 2)
-    with pytest.raises(ef.SimplexIterationLimit, match=r"\(2 pivots in one phase"):
-        simplex_solve(*lp)
+    with pytest.raises(ef.SimplexIterationLimit, match=r"\(2 pivots in one solve"):
+        simplex_solve(*standard_tableau(*lp))
     monkeypatch.setattr(simplex, "MAX_ITER", 3)
-    assert simplex_solve(*lp).status is SimplexStatus.OPTIMAL
+    assert simplex_solve(*standard_tableau(*lp)) is SimplexStatus.OPTIMAL
+
+
+def test_unbounded():
+    # min -x1 s.t. -x1 + x2 <= 1: x1 grows without bound
+    T, basis = standard_tableau([-1.0, 0.0], [[-1.0, 1.0]], [1.0])
+    assert simplex_solve(T, basis) is SimplexStatus.UNBOUNDED
 
 
 def test_free_variable_lower_bounded():
-    # rho >= x - 0.5 for every x, so the floor rho >= -RHO_FLOOR binds and
-    # the free w[-1] = rho - rho0 = -1 + 0.5 is negative
-    res = simplex_solve(*residual_lp([[1.0]], [[1.0]], [0.5]))
-    assert res.status is SimplexStatus.OPTIMAL
-    assert res.x[-1] == pytest.approx(-0.5, abs=1e-9)
+    # rho >= x - 0.5 for every x, so the free rho is held up by the floor
+    sol = solve_feasibility(residual_lp([[1.0]], [[1.0]], [0.5]))
+    assert sol.status is LPStatus.UNBOUNDED
+    assert sol.rho == -RHO_FLOOR
+    assert sol.x[0] - 0.5 <= -RHO_FLOOR + 1e-9
 
 
 def test_equality_constraints():
     # x1 + 2 x2 = 4, x1 - x2 = 1 fix x = (2, 1), so rho = x1 + x2 - 1 = 2
-    # and w[-1] = rho - rho0 = 2 + 1
-    res = simplex_solve(*residual_lp([[1.0, 1.0]], [[1.0, 1.0]], [1.0],
-                                     [[1, 2], [1, -1]], [4, 1]))
-    assert res.status is SimplexStatus.OPTIMAL
-    assert res.x[:2] - res.x[2:4] == pytest.approx([2.0, 1.0], abs=1e-9)
-    assert res.x[-1] == pytest.approx(3.0, abs=1e-9)
+    sol = solve_feasibility(residual_lp([[1.0, 1.0]], [[1.0, 1.0]], [1.0],
+                                        [[1, 2], [1, -1]], [4, 1]))
+    assert sol.status is LPStatus.OPTIMAL
+    assert sol.x == pytest.approx([2.0, 1.0], abs=1e-9)
+    assert sol.rho == pytest.approx(2.0, abs=1e-9)
 
 
 def test_infeasible():
-    # x = -1 and x = -2: both equality rows are negated, then inconsistent
-    res = simplex_solve(*residual_lp(np.zeros((0, 1)), np.zeros((0, 1)), [],
-                                     [[1.0], [1.0]], [-1.0, -2.0]))
-    assert res.status is SimplexStatus.INFEASIBLE
+    # x = -1 and x = -2, with no interval rows
+    with pytest.raises(EqualitiesInfeasible):
+        solve_feasibility(residual_lp(np.zeros((0, 1)), np.zeros((0, 1)), [],
+                                      [[1.0], [1.0]], [-1.0, -2.0]))
 
 
 def test_infeasible_equalities():
-    res = simplex_solve(*residual_lp([[0.0]], [[1.0]], [1.0],
-                                     [[1.0], [1.0]], [1.0, 2.0]))
-    assert res.status is SimplexStatus.INFEASIBLE
+    with pytest.raises(EqualitiesInfeasible):
+        solve_feasibility(residual_lp([[0.0]], [[1.0]], [1.0],
+                                      [[1.0], [1.0]], [1.0, 2.0]))
 
 
-def test_unbounded():
-    # without the floor row, rho >= x falls without bound as x does
-    res = simplex_solve(*residual_lp([[1.0]], [[1.0]], [0.0], floor=False))
-    assert res.status is SimplexStatus.UNBOUNDED
+def test_eq_conflict_equalities_are_infeasible(benchmarks):
+    problem = benchmarks["eq_conflict"]
+    r = len(problem.x_vars)
+    with pytest.raises(EqualitiesInfeasible):
+        solve_feasibility(rohn_transform(np.zeros((0, r)), np.zeros((0, r)),
+                                         np.zeros(0), problem.eq_matrix(),
+                                         problem.eq_vector()))
 
 
-def test_negative_rhs_needs_phase_one():
-    # the equality x = -3 is negated and starts with an artificial; then
-    # rho >= x is -3 and the floor binds
-    res = simplex_solve(*residual_lp([[1.0]], [[1.0]], [0.0], [[1.0]], [-3.0]))
-    assert res.status is SimplexStatus.OPTIMAL
-    assert res.x[0] - res.x[1] == pytest.approx(-3.0, abs=1e-9)
-    assert res.x[-1] == pytest.approx(-RHO_FLOOR, abs=1e-9)
+def test_negative_equality_rhs():
+    # x = -3; then rho >= x is -3 and the floor binds
+    sol = solve_feasibility(residual_lp([[1.0]], [[1.0]], [0.0], [[1.0]], [-3.0]))
+    assert sol.x[0] == pytest.approx(-3.0, abs=1e-9)
+    assert sol.rho == -RHO_FLOOR and sol.status is LPStatus.UNBOUNDED
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -120,11 +150,9 @@ def test_random_lps_match_vertex_enumeration(seed):
         d = C @ rng.normal(size=r)
     lp = residual_lp(p_lo, p_lo + rng.uniform(0.0, 1.0, (n, r)),
                      rng.normal(size=n), C, d)
-    res = simplex_solve(*lp)
-    assert res.status is SimplexStatus.OPTIMAL
-    expected = brute_force_min(*lp)
+    expected = brute_force_min(*primal(lp))
     assert expected is not None
-    assert res.x[-1] == pytest.approx(expected, abs=1e-7)
+    assert solve_feasibility(lp).rho == pytest.approx(expected, abs=1e-7)
 
 
 def test_determinism():
@@ -133,33 +161,15 @@ def test_determinism():
     C = rng.normal(size=(1, 4))
     lp = residual_lp(p_lo, p_lo + rng.uniform(0.0, 1.0, (6, 4)),
                      rng.normal(size=6), C, C @ rng.normal(size=4))
-    first = simplex_solve(*lp)
+    first = solve_feasibility(lp)
     for _ in range(3):
-        assert np.array_equal(first.x, simplex_solve(*lp).x)
+        again = solve_feasibility(lp)
+        assert np.array_equal(first.x1, again.x1)
+        assert np.array_equal(first.x2, again.x2)
+        assert first.rho == again.rho
 
 
-# -- exactness of the sparse-row pivots ----------------------------------------
-
-def record_pivots(monkeypatch, module):
-    """The (row, col) of every pivot `module` makes from now on, with col
-    the entering column's original id, read from the basis after the
-    pivot: the compact tableau passes `_pivot` its own column index."""
-    seq = []
-    pivot = module._pivot
-
-    def recording(T, basis, row, col, *rest):
-        pivot(T, basis, row, col, *rest)
-        seq.append((int(row), int(basis[row])))
-
-    monkeypatch.setattr(module, "_pivot", recording)
-    return seq
-
-
-@pytest.fixture
-def pivots(monkeypatch):
-    """Pivot recorders for the sparse simplex and the dense reference."""
-    return record_pivots(monkeypatch, simplex), record_pivots(monkeypatch, simplex_reference)
-
+# -- the dual of the residual LP -----------------------------------------------
 
 def random_lp(rng, family):
     """A random residual LP of one family; integer data, in half the draws
@@ -168,11 +178,10 @@ def random_lp(rng, family):
 
     A tall LP has 40-120 interval rows.  In half of them the rows are point
     rows, tangent planes of a paraboloid at points spread along the way
-    from the origin to its minimum, so the simplex walks along many of
-    them and opens many slacks; equalities, some with a redundant copy,
-    come in half of them.  In the "floor" and "unbounded" families one
-    column improves every row, so the LP is unbounded without its floor
-    row, which "unbounded" leaves out.
+    from the origin to its minimum, so many rows bind near the optimum;
+    equalities, some with a redundant copy, come in half of them.  In the
+    "floor" family one column improves every row, so the LP without its
+    floor is unbounded and the floor binds.
     """
     tall = family == "tall"
     r = int(rng.integers(2, 7) if tall else rng.integers(1, 4))
@@ -186,7 +195,7 @@ def random_lp(rng, family):
         return M
 
     p_lo, b = draw(n, r), draw(n)
-    if family in ("floor", "unbounded"):
+    if family == "floor":
         p_lo[:, 0] = np.abs(p_lo[:, 0]) + 1.0
     p_hi = p_lo + np.abs(draw(n, r))
     if tall and rng.random() < 0.5:
@@ -204,151 +213,147 @@ def random_lp(rng, family):
             C, d = np.vstack([C, C[0]]), np.append(d, d[0] + 1.0)
     elif family == "zero_rhs":
         b = np.zeros(n)
-    return residual_lp(p_lo, p_hi, b, C, d, floor=family != "unbounded")
+    return residual_lp(p_lo, p_hi, b, C, d)
 
 
-LINPROG_STATUS = {0: SimplexStatus.OPTIMAL, 2: SimplexStatus.INFEASIBLE,
-                  3: SimplexStatus.UNBOUNDED}
-
-
-def assert_same_solve(pivots, G, h, E, f):
-    """Both simplexes give the same status, pivots and x, and HiGHS the same
-    status and least w[-1]; returns our result and the pivot count."""
-    ours, theirs = pivots
-    ours.clear()
-    theirs.clear()
+def check_against_linprog(lp) -> str:
+    """solve_feasibility against HiGHS on the floored primal: the same
+    verdict, rho to 1e-9 relative, and a primal point x whose largest
+    residual is rho and which satisfies C x = d; returns the verdict."""
+    G, h, E, f = primal(lp)
     k = G.shape[1]
-    got = simplex_solve(G, h, E, f)
-    want = simplex_reference.simplex_solve(np.eye(k)[-1], G, h, E, f,
-                                           nonneg=[True] * (k - 1) + [False])
-    assert got.status is want.status
-    assert ours == theirs
     ref = linprog(np.eye(k)[-1], A_ub=G, b_ub=h, A_eq=E if len(E) else None,
                   b_eq=f if len(f) else None,
                   bounds=[(0, None)] * (k - 1) + [(None, None)])
-    assert LINPROG_STATUS[ref.status] is got.status
-    if want.status is SimplexStatus.OPTIMAL:
-        assert np.array_equal(got.x, want.x)
-        assert got.x[-1] == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
-    return got, len(ours)
+    assert ref.status in (0, 2)
+    if ref.status == 2:
+        with pytest.raises(EqualitiesInfeasible):
+            solve_feasibility(lp)
+        return "infeasible"
+    sol = solve_feasibility(lp)
+    assert sol.rho == pytest.approx(ref.fun, rel=1e-9, abs=1e-7)
+    assert (sol.x1 >= 0).all() and (sol.x2 >= 0).all()
+    assert lp.eq_coeffs @ sol.x == pytest.approx(lp.eq_rhs, abs=1e-7)
+    worst = residual_vector(lp, sol).max(initial=-RHO_FLOOR)
+    assert worst <= sol.rho + 1e-7
+    if sol.status is LPStatus.OPTIMAL:
+        assert worst == pytest.approx(sol.rho, rel=1e-9, abs=1e-7)
+    else:
+        assert sol.rho == -RHO_FLOOR
+    return sol.status.value
 
 
+# the verdicts each family must show over its draws; "unbounded" is a
+# binding floor
 FAMILIES = {
-    "inequalities": {"optimal"},
-    "equalities": {"optimal"},
-    "redundant": {"optimal"},
-    "integer": {"optimal"},
-    "floor": {"optimal"},
-    "zero_rhs": {"optimal"},
-    "unbounded": {"unbounded"},
+    "inequalities": {"optimal", "unbounded"},
+    "equalities": {"optimal", "unbounded"},
+    "redundant": {"optimal", "unbounded"},
+    "integer": {"optimal", "unbounded"},
+    "floor": {"unbounded"},
+    "zero_rhs": {"optimal", "unbounded"},
     "infeasible": {"infeasible"},
-    "tall": {"optimal"},
+    "tall": {"optimal", "unbounded"},
 }
 
 
-@pytest.mark.parametrize("family,statuses", FAMILIES.items())
-def test_sparse_pivots_match_dense_reference(pivots, family, statuses):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dual_matches_linprog(family):
     rng = np.random.default_rng(list(FAMILIES).index(family))
-    seen = set()
-    for _ in range(150):
-        got, _ = assert_same_solve(pivots, *random_lp(rng, family))
-        seen.add(got.status.value)
-    assert seen == statuses
+    seen = {check_against_linprog(random_lp(rng, family)) for _ in range(150)}
+    assert seen == FAMILIES[family]
 
 
-def test_tall_lps_cover_the_compact_layout(pivots, monkeypatch):
-    # the draws of the "tall" family above, checked for what they cover:
-    # more opened slacks than spare columns, an opened slack re-entering,
-    # and a redundant row dropped after slacks were opened
-    widths, opened_at_drop = [], []
+def tableau_shapes(monkeypatch):
+    """The shape of every tableau `solve_feasibility` hands the simplex,
+    with (n, r, k) of its LP, from now on."""
+    shapes = []
+    solve, build = relaxation.simplex_solve, relaxation.solve_feasibility
+
+    def solving(T, basis):
+        shapes[-1].append(T.shape)
+        return solve(T, basis)
+
+    def building(lp):
+        shapes.append([(lp.n, lp.r, lp.eq_coeffs.shape[0])])
+        return build(lp)
+
+    monkeypatch.setattr(relaxation, "simplex_solve", solving)
+    return shapes, building
+
+
+def test_tableau_height_is_2r_plus_2(benchmarks, monkeypatch):
+    # round-robin B grows to over 570 rows; the dual's tableau has 2r + 2
+    # rows however many boxes are live, and one column per row
+    shapes, build = tableau_shapes(monkeypatch)
+    rng = np.random.default_rng(5)
+    for family in ("inequalities", "equalities", "tall"):
+        for _ in range(20):
+            build(random_lp(rng, family))
+    monkeypatch.setattr(ef.solver, "solve_feasibility", build)
+    out = ef.solve(benchmarks["B"], ef.SolveConfig(
+        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.ROUND_ROBIN),
+        max_splits=5000))
+    assert out.is_solution and out.stats.splits == 568
+    assert max(n for (n, _, _), _ in shapes) > 570
+    for (n, r, k), shape in shapes:
+        assert shape == (2 * r + 2, n + 2 * k + 2 * r + 2)
+
+
+def test_degenerate_lp_reaches_bland_rule_identically(monkeypatch):
+    # with an all-zero rhs every dual pivot from the starting basis is
+    # degenerate, so the Bland rule takes over; two solves still agree bit
+    # for bit, and with HiGHS
+    bland = []
+    choose = simplex._choose_entering
+
+    def recording(costs, use_bland):
+        bland.append(use_bland)
+        return choose(costs, use_bland)
+
+    monkeypatch.setattr(simplex, "_choose_entering", recording)
+    rng = np.random.default_rng(29)
+    P = rng.integers(-3, 4, size=(200, 30)).astype(float)
+    lp = residual_lp(P, P, np.zeros(200))
+    assert check_against_linprog(lp) == "optimal"
+    assert any(bland)
+    first, again = solve_feasibility(lp), solve_feasibility(lp)
+    assert np.array_equal(first.x, again.x) and first.rho == again.rho
+
+
+def record_pivots(monkeypatch):
+    """The (row, col) of every pivot from now on."""
+    seq = []
     pivot = simplex._pivot
 
-    def measuring(T, *rest):
-        widths.append(T.shape[1])
-        pivot(T, *rest)
+    def recording(T, basis, row, col, *rest):
+        pivot(T, basis, row, col, *rest)
+        seq.append((int(row), int(col)))
 
-    drop_rows = simplex._Tableau.drop_rows
-
-    def dropping(tab, keep):
-        opened_at_drop.append(int((tab.ids[:tab.width] < n_slack_end).sum()
-                                  - n_struct))
-        drop_rows(tab, keep)
-
-    monkeypatch.setattr(simplex, "_pivot", measuring)
-    monkeypatch.setattr(simplex._Tableau, "drop_rows", dropping)
-    rng = np.random.default_rng(list(FAMILIES).index("tall"))
-    grown = reentered = 0
-    for _ in range(150):
-        G, h, E, f = random_lp(rng, "tall")
-        n_struct = G.shape[1] + 1
-        n_slack_end = n_struct + G.shape[0]
-        widths.clear()
-        assert_same_solve(pivots, G, h, E, f)
-        grown += max(widths, default=0) > n_struct + len(E) + 1 + simplex._SPARE
-        reentered += any(n_struct <= col < n_slack_end for _, col in pivots[0])
-    assert grown and reentered
-    assert max(opened_at_drop) > 0
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return seq
 
 
-def test_degenerate_lp_reaches_bland_rule_identically(pivots):
-    # with an all-zero rhs rho stays 0, so every pivot is degenerate and
-    # more than _DEGENERATE_LIMIT pivots means the Bland rule took over
-    rng = np.random.default_rng(29)
-    P = rng.integers(-3, 4, size=(80, 20)).astype(float)
-    got, count = assert_same_solve(pivots, *residual_lp(P, P, np.zeros(80)))
-    assert got.status is SimplexStatus.OPTIMAL
-    assert count > simplex._DEGENERATE_LIMIT
-
-
-# (splits, LP solves, simplex pivots) of the dense simplex these pivots
-# must reproduce
+# (splits, LP solves, simplex pivots) of the dual simplex; a change to the
+# pivot rules or the tableau's column order moves the pivot counts
 PINNED_PIVOTS = [
-    ("A", "split-all", (60, 5, 54)),
-    ("B", "split-all", (104, 10, 58)),
-    ("C", "split-all", (91, 8, 37)),
-    ("D", "split-all", (458, 9, 104)),
-    ("A", "split-worst", (17, 18, 104)),
-    ("B", "split-worst", (131, 132, 984)),
-    ("C", "split-worst", (91, 92, 648)),
-    ("A", "round-robin", (43, 44, 395)),
+    ("A", "split-all", (60, 5, 25)),
+    ("B", "split-all", (104, 10, 52)),
+    ("C", "split-all", (91, 8, 67)),
+    ("D", "split-all", (458, 9, 133)),
+    ("A", "split-worst", (17, 18, 118)),
+    ("B", "split-worst", (131, 132, 842)),
+    ("C", "split-worst", (91, 92, 797)),
+    ("A", "round-robin", (43, 44, 252)),
     ("eq_guarded", "split-all", (1, 2, 6)),
 ]
 
 
 @pytest.mark.parametrize("name,strategy,counts", PINNED_PIVOTS)
 def test_pinned_pivot_counts(benchmarks, monkeypatch, name, strategy, counts):
-    pivots = record_pivots(monkeypatch, simplex)
+    pivots = record_pivots(monkeypatch)
     out = ef.solve(benchmarks[name], ef.SolveConfig(
         heuristic=ef.HeuristicConfig(strategy=ef.Strategy.from_name(strategy)),
         max_splits=5000))
     assert out.is_solution
     assert (out.stats.splits, out.stats.lp_solves, len(pivots)) == counts
-
-
-def test_tableau_width_follows_pivots_not_rows(benchmarks, monkeypatch):
-    # round-robin B grows to over 570 rows; the compact tableau holds the
-    # 2r+2 structural columns, the equality's artificial, the rhs and one
-    # slack per pivot so far (the current pivot's included)
-    shapes = []
-    solve, pivot = relaxation.simplex_solve, simplex._pivot
-
-    def solving(*args, **kwargs):
-        shapes.append([])
-        return solve(*args, **kwargs)
-
-    def pivoting(T, *rest):
-        shapes[-1].append(T.shape)
-        pivot(T, *rest)
-
-    monkeypatch.setattr(relaxation, "simplex_solve", solving)
-    monkeypatch.setattr(simplex, "_pivot", pivoting)
-    problem = benchmarks["B"]
-    out = ef.solve(problem, ef.SolveConfig(
-        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.ROUND_ROBIN),
-        max_splits=5000))
-    assert out.is_solution and out.stats.splits == 568
-    r = len(problem.x_vars)
-    assert max(rows for one in shapes for rows, _ in one) > 570
-    for one in shapes:
-        for k, (_, width) in enumerate(one):
-            assert width <= 2 * r + 3 + k + 2

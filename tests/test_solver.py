@@ -231,7 +231,7 @@ def test_simplex_iteration_limit_is_a_budget_outcome(benchmarks, monkeypatch):
     monkeypatch.setattr(simplex, "MAX_ITER", 1)
     out = ef.solve(benchmarks["A"])
     assert out.outcome is Outcome.BUDGET_EXHAUSTED
-    assert out.reason == "simplex iteration limit reached (1 pivots in one phase)"
+    assert out.reason == "simplex iteration limit reached (1 pivots in one solve)"
     assert out.stats.lp_solves == 1
 
 
