@@ -264,39 +264,32 @@ def test_dual_matches_linprog(family):
     assert seen == FAMILIES[family]
 
 
-def tableau_shapes(monkeypatch):
-    """The shape of every tableau `solve_feasibility` hands the simplex,
-    with (n, r, k) of its LP, from now on."""
-    shapes = []
-    solve, build = relaxation.simplex_solve, relaxation.solve_feasibility
-
-    def solving(T, basis):
-        shapes[-1].append(T.shape)
-        return solve(T, basis)
-
-    def building(lp):
-        shapes.append([(lp.n, lp.r, lp.eq_coeffs.shape[0])])
-        return build(lp)
-
-    monkeypatch.setattr(relaxation, "simplex_solve", solving)
-    return shapes, building
-
-
 def test_tableau_height_is_2r_plus_2(benchmarks, monkeypatch):
     # round-robin B grows to over 570 rows; the dual's tableau has 2r + 2
     # rows however many boxes are live, and one column per row
-    shapes, build = tableau_shapes(monkeypatch)
+    lps, shapes = [], []
+    solve, build = relaxation.simplex_solve, relaxation.solve_feasibility
+
+    def solving(T, basis):
+        shapes.append(T.shape)
+        return solve(T, basis)
+
+    def building(lp):
+        lps.append((lp.n, lp.r, lp.eq_coeffs.shape[0]))
+        return build(lp)
+
+    monkeypatch.setattr(relaxation, "simplex_solve", solving)
+    monkeypatch.setattr(ef.solver, "solve_feasibility", building)
     rng = np.random.default_rng(5)
     for family in ("inequalities", "equalities", "tall"):
         for _ in range(20):
-            build(random_lp(rng, family))
-    monkeypatch.setattr(ef.solver, "solve_feasibility", build)
+            building(random_lp(rng, family))
     out = ef.solve(benchmarks["B"], ef.SolveConfig(
         heuristic=ef.HeuristicConfig(strategy=ef.Strategy.ROUND_ROBIN),
         max_splits=5000))
     assert out.is_solution and out.stats.splits == 568
-    assert max(n for (n, _, _), _ in shapes) > 570
-    for (n, r, k), shape in shapes:
+    assert max(n for n, _, _ in lps) > 570 and len(shapes) == len(lps)
+    for (n, r, k), shape in zip(lps, shapes):
         assert shape == (2 * r + 2, n + 2 * k + 2 * r + 2)
 
 
@@ -328,7 +321,7 @@ def record_pivots(monkeypatch):
 
     def recording(T, basis, row, col, *rest):
         pivot(T, basis, row, col, *rest)
-        seq.append((int(row), int(col)))
+        seq.append((row, col))
 
     monkeypatch.setattr(simplex, "_pivot", recording)
     return seq
