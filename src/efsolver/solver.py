@@ -162,11 +162,14 @@ class _LiveBoxes:
         return bid
 
     def commit(self) -> None:
-        new, split = self._staged, sorted(self._split, reverse=True)
+        new, split = self._staged, sorted(self._split)
         self.undecided += (sum(isinstance(row[4], Undecided) for row in new)
                            - sum(isinstance(self.rows[i][4], Undecided)
                                  for i in split))
-        for i in split:
+        # the runs of rows between split rows, which keep their order
+        kept = [slice(lo, hi) for lo, hi in
+                zip([0] + [i + 1 for i in split], split + [len(self.rows)])]
+        for i in reversed(split):
             del self.rows[i]
         start = len(self.rows)
         self.rows += new
@@ -179,10 +182,10 @@ class _LiveBoxes:
             if isinstance(status, LinearRow):
                 p_lo[k], p_hi[k] = status.coeff_lo, status.coeff_hi
                 q_lo[k], q_hi[k] = status.rhs_lo, status.rhs_hi
-        self.p_lo = np.concatenate([np.delete(self.p_lo, split, axis=0), p_lo])
-        self.p_hi = np.concatenate([np.delete(self.p_hi, split, axis=0), p_hi])
-        self.q_lo = np.concatenate([np.delete(self.q_lo, split), q_lo])
-        self.q_hi = np.concatenate([np.delete(self.q_hi, split), q_hi])
+        self.p_lo = np.concatenate([self.p_lo[k] for k in kept] + [p_lo])
+        self.p_hi = np.concatenate([self.p_hi[k] for k in kept] + [p_hi])
+        self.q_lo = np.concatenate([self.q_lo[k] for k in kept] + [q_lo])
+        self.q_hi = np.concatenate([self.q_hi[k] for k in kept] + [q_hi])
         self._split, self._staged = [], []
 
     def witness(self, i: int) -> Branch:
