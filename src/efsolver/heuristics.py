@@ -166,6 +166,8 @@ def splitheur(tape: Tape, slot: int, lo: Sequence[float], hi: Sequence[float],
     credit, scale = kappa * base_width, 1.0
     oldest = int(max(ages, default=0))
     if math.isinf(credit * max(oldest, 1)) and math.isfinite(base_width):
+        # kappa * base_width * oldest < 2**top; scaled, it stays below
+        # 2**1000, and so does every scaled improvement
         top = sum(math.frexp(v)[1] for v in (kappa, base_width, oldest))
         scale = math.ldexp(1.0, 1000 - top)
         credit = kappa * scale * base_width
