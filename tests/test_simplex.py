@@ -36,14 +36,16 @@ def residual_lp(p_lo, p_hi, b, C=None, d=None):
 
 
 def primal(lp):
-    """The floored residual LP over w = (x1, x2, rho) in the form
-    min w[-1] s.t. G w <= h, E w = f, w[:-1] >= 0: the oracles' input."""
+    """The floored residual LP over w = (x2, x1, rho) in the form
+    min w[-1] s.t. G w <= h, E w = f, w[:-1] >= 0, with the floor as G's
+    last row: the oracles' input.  x2 comes first because the dual's rows
+    come in that order in `solve_feasibility`."""
     n, r = lp.p_lo.shape
-    G = np.vstack([np.hstack([lp.p_hi, -lp.p_lo, -np.ones((n, 1))]),
+    G = np.vstack([np.hstack([-lp.p_lo, lp.p_hi, -np.ones((n, 1))]),
                    -np.eye(2 * r + 1)[-1]])
     h = np.append(lp.b, RHO_FLOOR)
     C = lp.eq_coeffs
-    return G, h, np.hstack([C, -C, np.zeros((len(C), 1))]), lp.eq_rhs
+    return G, h, np.hstack([-C, C, np.zeros((len(C), 1))]), lp.eq_rhs
 
 
 def brute_force_min(G, h, E, f):
@@ -180,8 +182,8 @@ def random_lp(rng, family):
     rows, tangent planes of a paraboloid at points spread along the way
     from the origin to its minimum, so many rows bind near the optimum;
     equalities, some with a redundant copy, come in half of them.  In the
-    "floor" family one column improves every row, so the LP without its
-    floor is unbounded and the floor binds.
+    "floor" and "unbounded" families one column improves every row, so the
+    LP without its floor is unbounded and the floor binds.
     """
     tall = family == "tall"
     r = int(rng.integers(2, 7) if tall else rng.integers(1, 4))
@@ -195,7 +197,7 @@ def random_lp(rng, family):
         return M
 
     p_lo, b = draw(n, r), draw(n)
-    if family == "floor":
+    if family in ("floor", "unbounded"):
         p_lo[:, 0] = np.abs(p_lo[:, 0]) + 1.0
     p_hi = p_lo + np.abs(draw(n, r))
     if tall and rng.random() < 0.5:
@@ -243,6 +245,96 @@ def check_against_linprog(lp) -> str:
     return sol.status.value
 
 
+def dense_dual_reference(G, h, E, f):
+    """The textbook dual of  min w[-1]  s.t.  G w <= h, E w = f,
+    w[:-1] >= 0, where G's last row is the floor -w[-1] <= h[-1], solved
+    by a dense simplex with the pivot rules of `efsolver.simplex`.
+
+    The dual is  min h.lam - f.mu  s.t.  E[:, j].mu - G[:, j].lam <= 0 for
+    j < k - 1, with one slack each, the same with = 1 for the free w[-1],
+    lam >= 0 and mu = mu+ - mu- free.  It starts at the basis of the
+    slacks and the floor's multiplier, priced out of the cost row.  The
+    columns are laid out as `solve_feasibility` lays them out, since the
+    pivot rules break ties by column index: the multipliers of G's rows
+    but the floor, mu+, mu-, the slacks, the floor's multiplier, the rhs.
+    Every pivot updates the whole tableau by an outer product, and the
+    basis is a list.  Returns the verdict, the (row, entering column) of
+    every pivot, w[:-1] read off the slacks' reduced costs, and
+    w[-1] = minus the dual's optimum (strong duality), or None for x and
+    rho when the dual is unbounded, i.e. E w = f has no solution.
+    """
+    k = G.shape[1]
+    n, q = G.shape[0] - 1, E.shape[0]
+    slacks = np.vstack([np.eye(k - 1), np.zeros((1, k - 1))])
+    A = np.hstack([-G[:-1].T, E.T, -E.T, slacks, -G[-1:].T])
+    T = np.zeros((k + 1, A.shape[1] + 1))
+    T[:k, :-1] = A
+    T[k - 1, -1] = 1.0
+    T[-1, :-1] = np.concatenate([h[:-1], -f, f, np.zeros(k - 1), h[-1:]])
+    basis = list(range(n + 2 * q, n + 2 * q + k))
+    T[-1] -= h[-1] * T[k - 1]
+    pivots, bland, degenerate_run = [], False, 0
+    while True:
+        costs = T[-1, :-1]
+        if bland:
+            improving = np.flatnonzero(costs < -simplex.EPS)
+            col = int(improving[0]) if improving.size else None
+        else:
+            col = int(np.argmin(costs))
+            col = col if costs[col] < -simplex.EPS else None
+        if col is None:
+            x = np.maximum(T[-1, n + 2 * q:n + 2 * q + k - 1], 0.0)
+            return "optimal", pivots, x, float(T[-1, -1])
+        rows = [i for i in range(k) if T[i, col] > simplex.EPS]
+        if not rows:
+            return "infeasible", pivots, None, None
+        ratios = [max(T[i, -1], 0.0) / T[i, col] for i in rows]
+        tied = [i for i, ratio in zip(rows, ratios)
+                if ratio <= min(ratios) + simplex._RATIO_TIE]
+        row = min(tied, key=lambda i: basis[i])
+        before = T[-1, -1]
+        T[row] /= T[row, col]
+        colvals = T[:, col].copy()
+        colvals[row] = 0.0
+        T -= np.outer(colvals, T[row])
+        basis[row] = col
+        pivots.append((row, col))
+        if abs(T[-1, -1] - before) <= simplex.EPS * max(1.0, abs(before)):
+            degenerate_run += 1
+            bland = bland or degenerate_run >= simplex._DEGENERATE_LIMIT
+        else:
+            degenerate_run, bland = 0, False
+
+
+def record_pivots(monkeypatch):
+    """The (row, col) of every pivot from now on."""
+    seq = []
+    pivot = simplex._pivot
+
+    def recording(T, basis, row, col, *rest):
+        pivot(T, basis, row, col, *rest)
+        seq.append((row, col))
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return seq
+
+
+def assert_same_solve(pivots, lp) -> str:
+    """solve_feasibility against HiGHS (`check_against_linprog`) and
+    against the dense reference: the same verdict and pivots, x bit for
+    bit and rho to 1e-9; returns the verdict."""
+    pivots.clear()
+    verdict = check_against_linprog(lp)
+    want, want_pivots, want_x, want_rho = dense_dual_reference(*primal(lp))
+    assert pivots == want_pivots
+    assert (verdict == "infeasible") == (want == "infeasible")
+    if want_x is not None:
+        sol = solve_feasibility(lp)
+        assert np.array_equal(np.concatenate([sol.x2, sol.x1]), want_x)
+        assert sol.rho == pytest.approx(want_rho, rel=1e-9, abs=1e-9)
+    return verdict
+
+
 # the verdicts each family must show over its draws; "unbounded" is a
 # binding floor
 FAMILIES = {
@@ -252,16 +344,28 @@ FAMILIES = {
     "integer": {"optimal", "unbounded"},
     "floor": {"unbounded"},
     "zero_rhs": {"optimal", "unbounded"},
+    "unbounded": {"unbounded"},
     "infeasible": {"infeasible"},
     "tall": {"optimal", "unbounded"},
 }
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_dual_matches_linprog(family):
+@pytest.mark.parametrize("family,statuses", FAMILIES.items())
+def test_sparse_pivots_match_dense_reference(monkeypatch, family, statuses):
+    # the "unbounded" family also checks, with HiGHS, that its LPs are
+    # unbounded below without the floor row
+    pivots = record_pivots(monkeypatch)
     rng = np.random.default_rng(list(FAMILIES).index(family))
-    seen = {check_against_linprog(random_lp(rng, family)) for _ in range(150)}
-    assert seen == FAMILIES[family]
+    seen = set()
+    for _ in range(150):
+        lp = random_lp(rng, family)
+        seen.add(assert_same_solve(pivots, lp))
+        if family == "unbounded":
+            G, h, _, _ = primal(lp)
+            k = G.shape[1]
+            assert linprog(np.eye(k)[-1], A_ub=G[:-1], b_ub=h[:-1],
+                           bounds=[(0, None)] * (k - 1) + [(None, None)]).status == 3
+    assert seen == statuses
 
 
 def test_tableau_height_is_2r_plus_2(benchmarks, monkeypatch):
@@ -295,8 +399,8 @@ def test_tableau_height_is_2r_plus_2(benchmarks, monkeypatch):
 
 def test_degenerate_lp_reaches_bland_rule_identically(monkeypatch):
     # with an all-zero rhs every dual pivot from the starting basis is
-    # degenerate, so the Bland rule takes over; two solves still agree bit
-    # for bit, and with HiGHS
+    # degenerate, so the Bland rule takes over; the dense reference takes
+    # the same pivots, two solves agree bit for bit, and HiGHS agrees
     bland = []
     choose = simplex._choose_entering
 
@@ -304,27 +408,15 @@ def test_degenerate_lp_reaches_bland_rule_identically(monkeypatch):
         bland.append(use_bland)
         return choose(costs, use_bland)
 
+    pivots = record_pivots(monkeypatch)
     monkeypatch.setattr(simplex, "_choose_entering", recording)
     rng = np.random.default_rng(29)
     P = rng.integers(-3, 4, size=(200, 30)).astype(float)
     lp = residual_lp(P, P, np.zeros(200))
-    assert check_against_linprog(lp) == "optimal"
+    assert assert_same_solve(pivots, lp) == "optimal"
     assert any(bland)
     first, again = solve_feasibility(lp), solve_feasibility(lp)
     assert np.array_equal(first.x, again.x) and first.rho == again.rho
-
-
-def record_pivots(monkeypatch):
-    """The (row, col) of every pivot from now on."""
-    seq = []
-    pivot = simplex._pivot
-
-    def recording(T, basis, row, col, *rest):
-        pivot(T, basis, row, col, *rest)
-        seq.append((row, col))
-
-    monkeypatch.setattr(simplex, "_pivot", recording)
-    return seq
 
 
 # (splits, LP solves, simplex pivots) of the dual simplex; a change to the
