@@ -22,7 +22,7 @@ from .intervals import Box, Interval
 from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
                     LinearAtom, Or, Problem, TrueF, Violation,
                     validate_problem)
-from .parsing import parse_expression, parse_problem
+from .parsing import parse_problem
 from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
                          rohn_transform, solve_feasibility)
 from .simplex import SimplexStatus, simplex_solve

@@ -277,7 +277,7 @@ class Box:
     """Cartesian product of named closed intervals.
 
     Dimension order is significant; names are unique and the box is
-    nonempty.  Boxes are immutable: splitting produces fresh boxes.
+    nonempty.  Boxes are immutable.
     """
 
     names: tuple[str, ...]
@@ -309,18 +309,8 @@ class Box:
         return (tuple(iv.lo for iv in self.intervals),
                 tuple(iv.hi for iv in self.intervals))
 
-    def interval(self, name: str) -> Interval:
-        return self.intervals[self.names.index(name)]
-
     def midpoint(self) -> dict[str, float]:
         return {n: iv.mid for n, iv in zip(self.names, self.intervals)}
-
-    def split(self, dim: int) -> tuple[Box, Box]:
-        """The two halves of the box at the midpoint of dimension `dim`
-        (see `halves`)."""
-        lower, upper = halves(*self.endpoints(), dim)
-        return (Box.from_endpoints(self.names, *lower),
-                Box.from_endpoints(self.names, *upper))
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{n} in {iv!r}" for n, iv in zip(self.names, self.intervals))

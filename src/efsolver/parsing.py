@@ -458,13 +458,3 @@ def parse_problem(text: str) -> Problem:
     are not finite, and UndeclaredVariable when a name is not declared.
     """
     return _Parser(text).parse()
-
-
-def parse_expression(text: str) -> Expr:
-    """Parse a standalone arithmetic expression (test/tooling helper)."""
-    p = _Parser(text)
-    e = p._expr()
-    if p.peek().kind != "EOF":
-        p.error("trailing input after expression")
-    return e
-

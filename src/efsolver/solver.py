@@ -7,14 +7,16 @@ compiled once, when the table is built, into one interval tape
 classified on entry (proved true, proved false, a linear interval row, or
 undecided) by running that tape; proved-true boxes leave the table and
 linear rows keep their coefficient and right-hand-side endpoints in the
-table's arrays.  The loop stops on a proved-false box (no x can exist),
-splits undecided boxes on their widest straddling guard, and otherwise
-packs the arrays into the residual LP.  One LP both decides solvability
-(rho <= 0) and, when infeasible so far, supplies the residuals that drive
-target selection.  Chosen boxes are split at the midpoint of the chosen
-dimension; the children replace their parent in the table (once per
-round under split-all) and the loop repeats until a solution is
-certified, infeasibility is proved, or the split/time budget runs out.
+table's arrays.  The loop stops on a proved-false box (no x can exist).
+Otherwise each iteration takes its split targets from one of two
+sources: the widest straddling guard while any box is undecided, else
+the residual LP built from the arrays.  One LP both decides solvability
+(rho <= 0) and, when infeasible so far, supplies the residuals that
+select the target rows.  Both sources feed one split loop: each target
+box is split at the midpoint of the chosen dimension, the children
+replace their parent in the table (once per round under split-all), and
+the loop repeats until a solution is certified, infeasibility is proved,
+or the split/time budget runs out.
 
 The verifier is deliberately independent of the LP pipeline: it
 substitutes the numeric solution into each branch formula, compiles the
@@ -43,8 +45,8 @@ from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
 from .intervals import Box, halves, midpoint
 from .model import (And, Branch, Formula, Guard, GuardAtom, Linear, Or,
                     Problem, validate_problem)
-from .relaxation import (adversarial_lhs, residual_vector, rohn_transform,
-                         solve_feasibility)
+from .relaxation import (LPSolution, adversarial_lhs, residual_vector,
+                         rohn_transform, solve_feasibility)
 from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
                        compile_branch, reduce_at_point, reduce_formula,
                        simplify_branch)
@@ -211,6 +213,9 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         stats.guard_tightenings = live.guard_tightenings
         return outcome
 
+    def stop(reason: str) -> SolveOutcome:
+        return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats, reason=reason))
+
     def spent_budget() -> str | None:
         """Which budget has run out, or None."""
         if stats.splits >= cfg.max_splits:
@@ -219,26 +224,27 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             return "time budget exhausted"
         return None
 
-    def choose_dim(i: int, slot: int | None, base: tuple[float, float] | None,
-                   sign: str | None) -> int:
-        """The dimension of row i's box to split: round-robin without a
-        target slot, else the trial-split choice for improving the
-        enclosure `base` of that slot of the row's tape.  Both choosers
-        return only dimensions with lo < mid < hi."""
+    def split(i: int, slot: int | None, sign: str | None,
+              base: tuple[float, float] | None, coefficient: int | None) -> bool:
+        """Split row i's box along a dimension with lo < mid < hi:
+        round-robin without a target slot (always under round-robin), else
+        the trial-split choice for improving the enclosure `base` of that
+        slot of the row's tape.  False when no dimension can be split."""
         bid, cb, lo, hi, _, rr = live.rows[i]
-        if slot is None:
-            return round_robin_var(lo, hi, rr)
-        vec = ages.ages(bid, slot, len(lo))
-        dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign, vec,
-                        hc.aging_kappa)
-        ages.record_choice(bid, slot, len(lo), dim)
-        return dim
-
-    def do_split(i: int, dim: int, coefficient: int | None) -> None:
-        bid = live.rows[i][0]
+        try:
+            if slot is None or hc.strategy is Strategy.ROUND_ROBIN:
+                dim = round_robin_var(lo, hi, rr)
+            else:
+                vec = ages.ages(bid, slot, len(lo))
+                dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign, vec,
+                                hc.aging_kappa)
+                ages.record_choice(bid, slot, len(lo), dim)
+        except AllDimensionsDegenerate:
+            return False
         ages.inherit(bid, live.split(i, dim))
         stats.splits += 1
         stats.split_history.append((bid, coefficient, dim))
+        return True
 
     def witness(i: int, reason: str) -> SolveOutcome:
         return SolveOutcome(Outcome.INFEASIBLE, stats, witness=live.witness(i),
@@ -249,84 +255,55 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             return done(witness(live.false_row,
                                 "a branch is false over its whole box"))
 
+        # targets (row, slot, sign, base, coefficient): the widest undecided
+        # guard while any box is undecided, else the LP's rows, scored lazily
         if live.undecided:
             target = _pick_undecided(live)
             if target is None:
-                return done(SolveOutcome(
-                    Outcome.BUDGET_EXHAUSTED, stats,
-                    reason="undecided branch with degenerate guard enclosures"))
-            i, slot, sign, base = target
+                return stop("undecided branch with degenerate guard enclosures")
+            targets = [(*target, None)]
+            suffix = " before guard split"
+            exhausted = "cannot split an undecided branch further"
+        else:
+            # every live box is a linear interval row
+            lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d)
+            stats.lp_solves += 1
+            try:
+                sol = solve_feasibility(lp)
+            except EqualitiesInfeasible as exc:
+                return done(SolveOutcome(Outcome.INFEASIBLE, stats,
+                                         reason=str(exc)))
+            except SimplexIterationLimit as exc:
+                return stop(str(exc))
+            resid = residual_vector(lp, sol)
+
+            if sol.rho <= -ACCEPT_TOL:
+                return done(_solution(sol.x, live, stats))
+
+            p_width = live.p_hi - live.p_lo
+            rows = select_targets(p_width, live.q_hi - live.q_lo, resid, hc)
+            if not len(rows):
+                # nothing can be tightened: every row is an exact point
+                # system, so the LP verdict is final
+                if sol.rho > ACCEPT_TOL:
+                    return done(witness(int(np.argmax(resid)),
+                                        "exact interval system is LP-infeasible"))
+                return stop("numerically marginal rho on an unsplittable system")
+            targets = (_lp_target(live, i, p_width[i], sol, hc) for i in rows)
+            suffix = ""
+            exhausted = "no target branch can be split further"
+
+        splits = stats.splits
+        for target in targets:
             spent = spent_budget()
             if spent:
-                return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
-                                         reason=f"{spent} before guard split"))
-            if hc.strategy is Strategy.ROUND_ROBIN:
-                slot = None
-            try:
-                do_split(i, choose_dim(i, slot, base, sign), None)
-                stats.rounds += 1
-            except AllDimensionsDegenerate:
-                return done(SolveOutcome(
-                    Outcome.BUDGET_EXHAUSTED, stats,
-                    reason="cannot split an undecided branch further"))
-            live.commit()
-            continue
-
-        # every live box is a linear interval row
-        lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d)
-        stats.lp_solves += 1
-        try:
-            sol = solve_feasibility(lp)
-        except EqualitiesInfeasible as exc:
-            return done(SolveOutcome(Outcome.INFEASIBLE, stats, reason=str(exc)))
-        except SimplexIterationLimit as exc:
-            return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
-                                     reason=str(exc)))
-        resid = residual_vector(lp, sol)
-
-        if sol.rho <= -ACCEPT_TOL:
-            return done(_solution(sol.x, live, stats))
-
-        p_width = live.p_hi - live.p_lo
-        targets = select_targets(p_width, live.q_hi - live.q_lo, resid, hc)
-        if not len(targets):
-            # nothing can be tightened: every row is an exact point system,
-            # so the LP verdict is final
-            if sol.rho > ACCEPT_TOL:
-                return done(witness(int(np.argmax(resid)),
-                                    "exact interval system is LP-infeasible"))
-            return done(SolveOutcome(
-                Outcome.BUDGET_EXHAUSTED, stats,
-                reason="numerically marginal rho on an unsplittable system"))
-
-        round_splits = 0
-        for i in targets:
-            spent = spent_budget()
-            if spent:
-                return done(SolveOutcome(Outcome.BUDGET_EXHAUSTED, stats,
-                                         reason=spent))
-            coefficient, sign = split_coefficient(p_width[i], sol, hc)
-            cb, row = live.rows[i][1], live.rows[i][4]
-            if coefficient is None:
-                slot = base = None
-            elif coefficient == RHS_COEFFICIENT:
-                slot, base = cb.rhs_slot, (row.rhs_lo, row.rhs_hi)
-            else:
-                slot = cb.coeff_slots[coefficient]
-                base = row.coeff_lo[coefficient], row.coeff_hi[coefficient]
-            try:
-                do_split(i, choose_dim(i, slot, base, sign), coefficient)
-                if round_splits == 0:
-                    stats.rounds += 1
-                round_splits += 1
-                if hc.strategy is not Strategy.SPLIT_ALL:
-                    break  # single-box strategies split once per iteration
-            except AllDimensionsDegenerate:
-                continue  # this box is exhausted; try the next target
-        if round_splits == 0:
-            return done(SolveOutcome(
-                Outcome.BUDGET_EXHAUSTED, stats,
-                reason="no target branch can be split further"))
+                return stop(spent + suffix)
+            # a box that cannot be split is exhausted; try the next target
+            if split(*target) and hc.strategy is not Strategy.SPLIT_ALL:
+                break  # single-box strategies split once per iteration
+        if stats.splits == splits:
+            return stop(exhausted)
+        stats.rounds += 1
         live.commit()
 
 
@@ -346,6 +323,21 @@ def _pick_undecided(live: _LiveBoxes):
     status = live.rows[best][4]
     sign = "+" if abs(status.hi) < abs(status.lo) else "-"
     return best, status.slot, sign, (status.lo, status.hi)
+
+
+def _lp_target(live: _LiveBoxes, i: int, p_width: np.ndarray,
+               sol: LPSolution, hc: HeuristicConfig):
+    """Row i as a split target (row, slot, sign, base, coefficient): the
+    coefficient `split_coefficient` picks, its tape slot and its
+    enclosure on the box; no slot or base without a coefficient."""
+    coefficient, sign = split_coefficient(p_width, sol, hc)
+    cb, row = live.rows[i][1], live.rows[i][4]
+    if coefficient is None:
+        return i, None, sign, None, None
+    if coefficient == RHS_COEFFICIENT:
+        return i, cb.rhs_slot, sign, (row.rhs_lo, row.rhs_hi), coefficient
+    return (i, cb.coeff_slots[coefficient], sign,
+            (row.coeff_lo[coefficient], row.coeff_hi[coefficient]), coefficient)
 
 
 def _solution(x, live: _LiveBoxes, stats: SolveStats) -> SolveOutcome:
@@ -382,6 +374,7 @@ def verify_solution(problem: Problem, x, depth: int = 25,
                     max_boxes: int = 200_000) -> VerifyResult:
     """Check a candidate x against the problem, independently of the LP.
 
+    x holds one value per existential variable (ValueError otherwise).
     Equalities are checked numerically to EQUALITY_TOL.  Each universal
     branch is proved by interval evaluation with recursive bisection up to
     `depth` levels; midpoints are sampled to find counterexamples.  A
@@ -392,10 +385,12 @@ def verify_solution(problem: Problem, x, depth: int = 25,
     exponential tree).
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != (problem.r,):
+        raise ValueError(f"x has shape {x.shape}, expected ({problem.r},)")
     C, d = problem.eq_matrix(), problem.eq_vector()
     if C.shape[0]:
         err = np.abs(C @ x - d).max()
-        if err > EQUALITY_TOL:
+        if not err <= EQUALITY_TOL:  # written so that NaN fails too
             return VerifyResult(VerifyStatus.COUNTEREXAMPLE,
                                 reason=f"equality residual {err:.3g}")
 

@@ -6,7 +6,7 @@ import pytest
 
 import efsolver as ef
 from efsolver.benchmarks import benchmark_names, load_benchmark
-from efsolver.intervals import Interval
+from efsolver.intervals import Box, Interval, halves
 from efsolver.relaxation import rohn_transform
 
 # the two-branch illustrating problem used across parser/simplifier tests
@@ -33,6 +33,21 @@ def benchmarks():
 def box_env(box):
     """The box as the variable scope of the tree walk `Expr.interval`."""
     return dict(zip(box.names, box.intervals))
+
+
+def parse_expr(text, names=("y1", "y2")):
+    """`text` as the problem parser reads it: the body of the guard
+    `text <= 0` of a one-branch problem over the universal `names`."""
+    dims = ", ".join(f"{n} in [0,1]" for n in names)
+    problem = ef.parse_problem(f"exists x1 ; forall-vars {' '.join(names)} ; "
+                               f"branch {dims} : {text} <= 0 ;")
+    return problem.branches[0].formula.atom.body
+
+
+def box_halves(box, dim):
+    """The two halves of box at the midpoint of dimension dim, as Boxes."""
+    return tuple(Box.from_endpoints(box.names, *half)
+                 for half in halves(*box.endpoints(), dim))
 
 
 def sample_points(box, rng, n):

@@ -1,4 +1,4 @@
-"""The equivalence set: 162 deterministic solve runs, recorded per run so
+"""The equivalence set: 204 deterministic solve runs, recorded per run so
 that two checkouts can be compared bit for bit.
 
     python tests/equivalence_set.py OUT.json
@@ -6,7 +6,7 @@ that two checkouts can be compared bit for bit.
 
 The runs are the bundled instances (A-D and eq_*) under each strategy,
 the benchmark's generated guarded instances for seeds 101-103 at their
-split caps, and 40 `random_robust_problem` draws from default_rng(7)
+split caps under each strategy, and 40 `random_robust_problem` draws from default_rng(7)
 under each strategy.  Every run is bounded by a split cap only, so the
 records do not depend on machine speed.  A record holds the outcome, the
 reason, the split, round, LP-solve and guard-tightening counts, the
@@ -66,8 +66,9 @@ def runs():
         for k, inst in enumerate(guarded.generate_pass(seed)):
             cap = (guarded.CROSSING_MAX_SPLITS if inst.kind == "crossing"
                    else guarded.MAX_SPLITS)
-            yield (f"g{seed}/{k}", ef.parse_problem(inst.text),
-                   ef.Strategy.SPLIT_ALL, cap)
+            problem = ef.parse_problem(inst.text)
+            for strategy in ef.Strategy:
+                yield f"g{seed}/{k}/{strategy.value}", problem, strategy, cap
     from conftest import random_robust_problem
     rng = np.random.default_rng(7)
     problems = [random_robust_problem(rng)[0] for _ in range(RANDOM_DRAWS)]

@@ -4,7 +4,8 @@ import pytest
 from efsolver.errors import UndeclaredVariable
 from efsolver.expr import Mul, Pow, Var, enclose
 from efsolver.intervals import Box, Interval
-from efsolver.parsing import parse_expression
+
+from conftest import parse_expr
 
 
 def test_product_range():
@@ -19,7 +20,7 @@ def test_benchmark_coefficient_enclosure():
     # naive recursive evaluation of 2*y1^3*y2 - 2*y1^2 + y1; the frozen
     # endpoints come from evaluating the recursion by hand, and the
     # enclosure must contain a dense sample of the true range
-    t = parse_expression("2*y1^3*y2 - 2*y1^2 + y1")
+    t = parse_expr("2*y1^3*y2 - 2*y1^2 + y1")
     box = Box.of(("y1", (0.8, 1.2)), ("y2", (0.3, 0.49)))
     r = enclose(t, box)
     assert r.lo == pytest.approx(-1.7728, rel=1e-12)
@@ -31,7 +32,7 @@ def test_benchmark_coefficient_enclosure():
 
 
 def test_degenerate_point_box():
-    t = parse_expression("y^2 + y")
+    t = parse_expr("y^2 + y", ("y",))
     r = enclose(t, Box.of(("y", (0.0, 0.0))))
     assert r == Interval.point(0.0)
 
@@ -42,14 +43,14 @@ def test_missing_variable_raises():
 
 
 def test_missing_variable_inside_product_raises():
-    t = parse_expression("(y + 1)*sin(y*z)")
+    t = parse_expr("(y + 1)*sin(y*z)", ("y", "z"))
     with pytest.raises(UndeclaredVariable) as exc:
         enclose(t, Box.of(("y", (0, 1))))
     assert exc.value.name == "z"
 
 
 def test_plain_evaluation():
-    t = parse_expression("sin(y1)*y2 + cos(y1)/2")
+    t = parse_expr("sin(y1)*y2 + cos(y1)/2")
     import math
     v = t.evaluate({"y1": 0.3, "y2": -2.0})
     assert v == pytest.approx(math.sin(0.3) * -2.0 + math.cos(0.3) / 2)

@@ -10,11 +10,10 @@ from efsolver.heuristics import (RHS_COEFFICIENT, TIE_TOL, AgeTable,
                                  round_robin_var, select_targets,
                                  split_coefficient, splitheur)
 from efsolver.intervals import Box, Interval
-from efsolver.parsing import parse_expression
 from efsolver.relaxation import (LPSolution, residual_vector,
                                  solve_feasibility)
 
-from conftest import EndpointSystem
+from conftest import EndpointSystem, box_halves, parse_expr
 
 
 def test_coeff_score_values():
@@ -222,13 +221,13 @@ def rr_var(box, counter):
 def test_splitheur_prefers_effective_dimension():
     # y1^2 over [-1,1] reaches its extremes on both children, so splitting
     # y1 moves neither bound; splitting y2 improves the upper bound by 1
-    t = parse_expression("y1^2 + y2")
+    t = parse_expr("y1^2 + y2")
     box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
     assert choose(t, box, "+", [0, 0], 0.0) == 1
 
 
 def test_splitheur_aging_dominates():
-    t = parse_expression("y1^2 + y2")
+    t = parse_expr("y1^2 + y2")
     box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
     assert choose(t, box, "+", [10_000, 0], 0.1) == 0
 
@@ -237,7 +236,7 @@ def test_splitheur_aging_dominates():
 def test_splitheur_overflowing_credit_still_orders_by_age(kappa):
     # kappa * width * age overflows; the scaled credits still rank the
     # older dimension first, and without credits the improvement decides
-    t = parse_expression("y1^2 + y2")
+    t = parse_expr("y1^2 + y2")
     box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
     assert choose(t, box, "+", [10**9, 10**9 - 1], kappa) == 0
     assert choose(t, box, "+", [10**9 - 1, 10**9], kappa) == 1
@@ -245,18 +244,18 @@ def test_splitheur_overflowing_credit_still_orders_by_age(kappa):
 
 
 def test_splitheur_lower_bound_target():
-    t = parse_expression("y1")
+    t = parse_expr("y1")
     box = Box.of(("y1", (0.0, 4.0)), ("y2", (0.0, 4.0)))
     # only y1 affects t: raising the lower bound improves by 2 versus 0
     assert choose(t, box, "-", [0, 0], 0.0) == 0
 
 
 def test_splitheur_excludes_zero_width_dims():
-    t = parse_expression("y1 + y2")
+    t = parse_expr("y1 + y2")
     box = Box.of(("y1", (1.0, 1.0)), ("y2", (0.0, 2.0)))
     assert choose(t, box, "+", [0, 0], 0.0) == 1
     with pytest.raises(AllDimensionsDegenerate):
-        choose(parse_expression("y1"), Box.of(("y1", (1.0, 1.0))),
+        choose(parse_expr("y1"), Box.of(("y1", (1.0, 1.0))),
                   "+", [0], 0.0)
 
 
@@ -265,20 +264,20 @@ ONE_ULP = (1.0, math.nextafter(1.0, 2.0))  # its midpoint rounds onto lo
 
 def test_one_ulp_dimension_is_never_chosen():
     box = Box.of(("y1", ONE_ULP), ("y2", (0.0, 2.0)))
-    t = parse_expression("1000*y1 + y2")
+    t = parse_expr("1000*y1 + y2")
     assert choose(t, box, "+", [5, 0], 1.0) == 1
     assert rr_var(box, 0) == 1
     with pytest.raises(SplitDegenerate):
-        box.split(0)
+        box_halves(box, 0)
     thin = Box.of(("y1", ONE_ULP))
     with pytest.raises(AllDimensionsDegenerate):
-        choose(parse_expression("y1"), thin, "+", [0], 0.0)
+        choose(parse_expr("y1"), thin, "+", [0], 0.0)
     with pytest.raises(AllDimensionsDegenerate):
         rr_var(thin, 0)
 
 
 def test_splitheur_deterministic():
-    t = parse_expression("y1*y2 - y2^2")
+    t = parse_expr("y1*y2 - y2^2")
     box = Box.of(("y1", (-2.0, 1.0)), ("y2", (0.5, 3.0)))
     picks = {choose(t, box, "+", [1, 2], 0.05) for _ in range(5)}
     assert len(picks) == 1
@@ -289,7 +288,7 @@ def test_splitheur_fairness_window():
     # least once in any window of ceil(1/kappa) + s consecutive calls on
     # the same shrinking lineage
     kappa = 0.25
-    t = parse_expression("y1^2 + y2")
+    t = parse_expr("y1^2 + y2")
     box = Box.of(("y1", (-1.0, 1.0)), ("y2", (0.0, 2.0)))
     table = AgeTable()
     choices = []
@@ -298,7 +297,7 @@ def test_splitheur_fairness_window():
         k = choose(t, box, "+", ages, kappa)
         table.record_choice(0, 0, len(box), k)
         choices.append(k)
-        box = box.split(k)[0]
+        box = box_halves(box, k)[0]
     window = int(np.ceil(1 / kappa)) + len(box)
     for start in range(len(choices) - window + 1):
         seen = set(choices[start:start + window])

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from efsolver import intervals
 from efsolver.errors import DomainError, EFSolverError, SplitDegenerate
 from efsolver.expr import enclose
-from efsolver.intervals import Box, Interval
-from efsolver.parsing import parse_expression
+from efsolver.intervals import Box, Interval, halves
 
-from conftest import sample_points
+from conftest import box_halves, parse_expr, sample_points
 
 
 def test_mul_endpoint_combinations():
@@ -126,7 +125,7 @@ SAMPLED = [
 @pytest.mark.parametrize("text,dims", SAMPLED)
 def test_fundamental_containment(text, dims):
     # t(y) must lie inside the enclosure for 10^4 random sample points
-    expr = parse_expression(text)
+    expr = parse_expr(text)
     box = Box.of(*((n, dims[n]) for n in dims))
     enclosure = enclose(expr, box)
     rng = np.random.default_rng(12345)
@@ -138,14 +137,14 @@ def test_fundamental_containment(text, dims):
 
 @pytest.mark.parametrize("text,dims", SAMPLED[:2])
 def test_inclusion_monotonicity(text, dims):
-    expr = parse_expression(text)
+    expr = parse_expr(text)
     box = Box.of(*((n, dims[n]) for n in dims))
     outer = enclose(expr, box)
     rng = np.random.default_rng(7)
     inner_box = box
     for _ in range(6):
         dim = int(rng.integers(0, len(box)))
-        lo_child, hi_child = inner_box.split(dim)
+        lo_child, hi_child = box_halves(inner_box, dim)
         inner_box = lo_child if rng.random() < 0.5 else hi_child
         inner = enclose(expr, inner_box)
         assert outer.lo - 1e-12 <= inner.lo and inner.hi <= outer.hi + 1e-12
@@ -161,49 +160,42 @@ def test_enclosure_width_converges_under_bisection(benchmarks):
         box = br.box
         w0 = enclose(coeff, box).width
         for k in range(20):
-            box = box.split(k % len(box))[0]
+            box = box_halves(box, k % len(box))[0]
         assert enclose(coeff, box).width <= 1e-3 * w0
 
 
 def test_split_box_midpoint():
-    box = Box.of(("y", Interval(0, 1)))
-    lo, hi = box.split(0)
-    assert lo.intervals[0] == Interval(0, 0.5)
-    assert hi.intervals[0] == Interval(0.5, 1)
+    assert halves((0.0,), (1.0,), 0) == (((0.0,), (0.5,)), ((0.5,), (1.0,)))
 
 
 def test_split_box_leaves_other_dims():
-    box = Box.of(("y1", Interval(0, 1)), ("y2", Interval(-1, 1)))
-    lo, hi = box.split(1)
-    assert lo.interval("y2") == Interval(-1, 0)
-    assert hi.interval("y2") == Interval(0, 1)
-    assert lo.interval("y1") == hi.interval("y1") == Interval(0, 1)
+    lower, upper = halves((0.0, -1.0), (1.0, 1.0), 1)
+    assert lower == ((0.0, -1.0), (1.0, 0.0))
+    assert upper == ((0.0, 0.0), (1.0, 1.0))
 
 
 def test_split_zero_width_raises():
-    box = Box.of(("y", Interval(2, 2)))
     with pytest.raises(SplitDegenerate):
-        box.split(0)
+        halves((2.0,), (2.0,), 0)
 
 
 def test_split_at_point_outside_raises():
     # one ulp wide: the midpoint rounds onto lo, outside the open interval
-    box = Box.of(("y", Interval(1.0, math.nextafter(1.0, 2.0))))
-    assert box.intervals[0].mid == 1.0
+    iv = Interval(1.0, math.nextafter(1.0, 2.0))
+    assert iv.mid == 1.0
     with pytest.raises(SplitDegenerate):
-        box.split(0)
+        halves((iv.lo,), (iv.hi,), 0)
 
 
 def test_split_halves_widths():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        lo = rng.uniform(-5, 5)
-        w = rng.uniform(0.1, 4)
-        box = Box.of(("a", Interval(lo, lo + w)), ("b", Interval(0, 1)))
-        l, h = box.split(0)
-        assert l.intervals[0].width == pytest.approx(w / 2, rel=1e-9)
-        assert h.intervals[0].width == pytest.approx(w / 2, rel=1e-9)
-        assert l.intervals[0].hi == h.intervals[0].lo
+        lo = float(rng.uniform(-5, 5))
+        w = float(rng.uniform(0.1, 4))
+        (l_lo, l_hi), (h_lo, h_hi) = halves((lo, 0.0), (lo + w, 1.0), 0)
+        assert l_hi[0] - l_lo[0] == pytest.approx(w / 2, rel=1e-9)
+        assert h_hi[0] - h_lo[0] == pytest.approx(w / 2, rel=1e-9)
+        assert l_hi[0] == h_lo[0]
 
 
 def test_box_rejects_duplicates_and_empty():
@@ -218,9 +210,9 @@ def test_midpoint_of_interval_whose_endpoint_sum_overflows():
     assert math.isinf(iv.lo + iv.hi)
     assert iv.lo < iv.mid < iv.hi
     assert iv.mid == 0.5 * 1e308 + 0.5 * 1.7e308
-    lower, upper = Box.of(("y", iv)).split(0)
-    assert lower.intervals[0] == Interval(1e308, iv.mid)
-    assert upper.intervals[0] == Interval(iv.mid, 1.7e308)
+    lower, upper = halves((iv.lo,), (iv.hi,), 0)
+    assert lower == ((1e308,), (iv.mid,))
+    assert upper == ((iv.mid,), (1.7e308,))
     wide = Interval(-1.7e308, 1.7e308)
     assert wide.mid == 0.0
 

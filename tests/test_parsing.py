@@ -143,7 +143,7 @@ def test_box_dims_reordered_to_declaration():
     """)
     box = p.branches[0].box
     assert box.names == ("y1", "y2")
-    assert box.interval("y1").lo == 1.0
+    assert box.endpoints() == ((1.0, 3.0), (2.0, 4.0))
 
 
 def test_fractional_exponent_rejected():

@@ -10,16 +10,15 @@ from efsolver.expr import enclose, eval_on_box
 from efsolver.intervals import Box
 from efsolver.model import (And, FalseF, Guard, GuardAtom, Linear, Or, TrueF,
                             guard_atoms)
-from efsolver.parsing import parse_expression
 from efsolver.simplify import (LinearRow, Undecided, _reduce, classify_guard,
                                compile_branch, reduce_at_point,
                                reduce_formula, simplify_branch)
 
-from conftest import sample_points
+from conftest import box_halves, parse_expr, sample_points
 
 
 def guard(text, strict=False):
-    return GuardAtom(parse_expression(text), strict)
+    return GuardAtom(parse_expr(text), strict)
 
 
 def reduce_on(f, box):
@@ -84,14 +83,14 @@ def test_classify_monotone_under_bisection():
     stack = [box]
     for _ in range(20):
         b = stack.pop(0)
-        for child in b.split(0) + b.split(1):
+        for child in box_halves(b, 0) + box_halves(b, 1):
             assert classify_guard(g, child) is decision
-        stack.extend(b.split(0))
+        stack.extend(box_halves(b, 0))
 
 
 LIN = Linear(ef.LinearAtom((("x1", ef.Var("y1")),), ef.Const(0.0)))
 G = Guard(GuardAtom(ef.Var("y1")))
-H = Guard(GuardAtom(parse_expression("y1 - 0.5")))
+H = Guard(GuardAtom(parse_expr("y1 - 0.5")))
 STRADDLE = Box.of(("y1", (-1.0, 1.0)))  # G and H stay undecided here
 
 
@@ -123,7 +122,7 @@ def test_reduce_formula_keeps_relevant_guards_in_leaf_order():
 # A tree is a leaf index (0-3 a guard atom, 4 the linear leaf) or a pair
 # (And or Or, list of trees); `decisions[k]` decides guard atom k.
 
-ATOMS = [GuardAtom(parse_expression(f"y1 - {k}")) for k in range(4)]
+ATOMS = [GuardAtom(parse_expr(f"y1 - {k}")) for k in range(4)]
 SLOT = {id(g): k for k, g in enumerate(ATOMS)}
 TREES = st.recursive(
     st.integers(0, 4),

@@ -371,6 +371,20 @@ def generated_guarded_instance(monkeypatch, seed, slot):
     return ef.parse_problem(guarded.generate_pass(seed)[slot].text)
 
 
+@pytest.mark.parametrize("strategy,counts", [
+    ("round-robin", (47, 47, 0)), ("split-worst", (37, 37, 0)),
+    ("split-all", (37, 37, 0))])
+def test_pinned_guard_split_counts(monkeypatch, strategy, counts):
+    # generated guarded instance 5 of seed 101 is proved infeasible by
+    # guard splits alone; round-robin ignores the guard's tape slot and
+    # cycles through the dimensions instead
+    out = ef.solve(generated_guarded_instance(monkeypatch, 101, 5), SolveConfig(
+        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.from_name(strategy)),
+        max_splits=5000))
+    assert out.outcome is Outcome.INFEASIBLE
+    assert (out.stats.splits, out.stats.rounds, out.stats.lp_solves) == counts
+
+
 @pytest.mark.parametrize("source,guard_splits", [
     ("guard_or", 3), ("generated", 30)])
 def test_guard_pick_matches_tree_walk(monkeypatch, source, guard_splits):
@@ -447,6 +461,31 @@ def test_verify_equality_violation():
     res = ef.verify_solution(p, np.array([1.1]), depth=10)
     assert res.status is VerifyStatus.COUNTEREXAMPLE
     assert "equality" in res.reason
+
+
+def test_verify_nan_equality_residual_is_a_counterexample():
+    # the residual of x2 = 3 at x2 = NaN is NaN, which is no pass
+    p = ef.parse_problem("""
+        exists x1 x2 ;
+        forall-vars y1 ;
+        branch y1 in [0,1] : x1*y1 <= 1 ;
+        eq 1*x2 = 3 ;
+    """)
+    res = ef.verify_solution(p, np.array([0.0, np.nan]), depth=10)
+    assert res.status is VerifyStatus.COUNTEREXAMPLE
+    assert "equality" in res.reason
+
+
+@pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 1.0]])
+def test_verify_rejects_x_of_the_wrong_length(x):
+    # without equalities nothing else looks at the length of x
+    p = ef.parse_problem("""
+        exists x1 x2 ;
+        forall-vars y1 ;
+        branch y1 in [0,1] : x1*y1 + x2 <= 1 ;
+    """)
+    with pytest.raises(ValueError, match="expected"):
+        ef.verify_solution(p, np.array(x), depth=10)
 
 
 def test_verify_needs_bisection_for_disjunction():

@@ -15,7 +15,7 @@ from efsolver.expr import (Add, Const, Cos, Div, Mul, Neg, Pow, Sin, Sub, Var,
                            compile_tape, eval_on_box)
 from efsolver.intervals import Box, Interval
 
-from conftest import box_env
+from conftest import box_env, parse_expr
 
 NAMES = ("y1", "y2", "y3")
 
@@ -128,7 +128,7 @@ def test_compiling_rejects_undeclared_variables_and_unknown_nodes():
 
 
 def test_enclose_is_the_tape_enclosure():
-    t = ef.parse_expression("y1*y2 - sin(y1)/(2 + y2^2)")
+    t = parse_expr("y1*y2 - sin(y1)/(2 + y2^2)")
     box = Box.of(("y1", (-1.0, 2.0)), ("y2", (0.5, 3.0)))
     assert ef.enclose(t, box) == t.interval(box_env(box))
     assert isinstance(ef.enclose(t, box), Interval)
