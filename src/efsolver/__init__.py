@@ -19,9 +19,8 @@ from .heuristics import (AgeTable, HeuristicConfig, Strategy, coeff_score,
                          round_robin_var, select_targets, split_coefficient,
                          splitheur)
 from .intervals import Box, Interval
-from .model import (And, Branch, FalseF, Formula, Guard, GuardAtom, Linear,
-                    LinearAtom, Or, Problem, TrueF, Violation,
-                    validate_problem)
+from .model import (And, Branch, Formula, Guard, Linear, Or, Problem,
+                    Violation, validate_problem)
 from .parsing import parse_problem
 from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
                          rohn_transform, solve_feasibility)

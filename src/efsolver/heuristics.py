@@ -75,6 +75,8 @@ class HeuristicConfig:
             raise ValueError("epsilon must be >= 0")
         if not (self.aging_kappa >= 0 and math.isfinite(self.aging_kappa)):
             raise ValueError("aging_kappa must be finite and >= 0")
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, not {self.strategy!r}")
 
 
 def coeff_score(width, x1, x2, epsilon: float):

@@ -20,8 +20,13 @@ from .expr import Expr
 from .intervals import Box
 
 
+class Formula:
+    """Base of the formula tree: Guard | Linear | And | Or.  An empty And
+    is true and an empty Or false."""
+
+
 @dataclass(frozen=True)
-class GuardAtom:
+class Guard(Formula):
     """Inequality over universal variables only: body <= 0, or body < 0 if strict."""
 
     body: Expr
@@ -29,7 +34,7 @@ class GuardAtom:
 
 
 @dataclass(frozen=True)
-class LinearAtom:
+class Linear(Formula):
     """The inequality carrying the existential variables:
 
         sum_j coeff_j(y) * x_j  <=  rhs(y)
@@ -43,30 +48,6 @@ class LinearAtom:
 
     def coeff_map(self) -> dict[str, Expr]:
         return dict(self.coeffs)
-
-
-class Formula:
-    """Base of the formula tree: TrueF | FalseF | Guard | Linear | And | Or."""
-
-
-@dataclass(frozen=True)
-class TrueF(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseF(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Guard(Formula):
-    atom: GuardAtom
-
-
-@dataclass(frozen=True)
-class Linear(Formula):
-    atom: LinearAtom
 
 
 @dataclass(frozen=True)
@@ -85,10 +66,6 @@ def formula_leaves(f: Formula) -> Iterator[Formula]:
             yield from formula_leaves(item)
     else:
         yield f
-
-
-def guard_atoms(f: Formula) -> list[GuardAtom]:
-    return [leaf.atom for leaf in formula_leaves(f) if isinstance(leaf, Guard)]
 
 
 @dataclass(frozen=True)
@@ -166,16 +143,16 @@ def validate_problem(p: Problem) -> list[Violation]:
         n_linear = 0
         for leaf in formula_leaves(br.formula):
             if isinstance(leaf, Guard):
-                check_names(i, leaf.atom.body, "ExistentialInGuard", "guard")
+                check_names(i, leaf.body, "ExistentialInGuard", "guard")
             elif isinstance(leaf, Linear):
                 n_linear += 1
-                for name, coeff in leaf.atom.coeffs:
+                for name, coeff in leaf.coeffs:
                     if name not in x_set:
                         out.append(Violation(
                             "UnknownCoefficientVariable", i, name))
                     check_names(i, coeff, "ExistentialInCoefficient",
                                 f"coefficient of {name}")
-                check_names(i, leaf.atom.rhs, "ExistentialInRhs", "rhs")
+                check_names(i, leaf.rhs, "ExistentialInRhs", "rhs")
         if n_linear > 1:
             out.append(Violation(
                 "MultipleLinearAtoms", i, f"{n_linear} inequalities mention x"))

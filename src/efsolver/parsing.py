@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from .errors import ParseError, UndeclaredVariable
 from .expr import Add, Const, Cos, Div, Expr, Mul, Neg, Pow, Sin, Sub, Var
 from .intervals import Box, Interval
-from .model import (And, Branch, Formula, Guard, GuardAtom, Linear,
-                    LinearAtom, Or, Problem)
+from .model import And, Branch, Formula, Guard, Linear, Or, Problem
 
 _RELOPS = ("<=", "<", ">=", ">")
 
@@ -275,11 +274,11 @@ class _Parser:
         rhs = self._expr()
         self.expect(";")
         self._check_declared(start, lhs, rhs)
-        atom = self._linear_atom(lhs, rhs, start, "equality is not linear in x")
-        coeffs = atom.coeff_map()
+        eq = self._linear_atom(lhs, rhs, start, "equality is not linear in x")
+        coeffs = eq.coeff_map()
         row = tuple(self._const_value(coeffs[x], start) if x in coeffs else 0.0
                     for x in self.x_vars)
-        d = self._const_value(atom.rhs, start)
+        d = self._const_value(eq.rhs, start)
         if not all(math.isfinite(v) for v in (*row, d)):
             self.error("equality constants must be finite", start)
         return row, d
@@ -363,15 +362,15 @@ class _Parser:
             lhs, rhs = rhs, lhs
             op = "<=" if op == ">=" else "<"
         if not (lhs.variables() | rhs.variables()) & set(self.x_vars):
-            return Guard(GuardAtom(_sub(lhs, rhs), strict=(op == "<")))
+            return Guard(_sub(lhs, rhs), strict=(op == "<"))
         if op == "<":
             self.error("the inequality containing existential variables "
                        "must be non-strict", start)
-        return Linear(self._linear_atom(
-            lhs, rhs, start, "inequality is not linear in existential variables"))
+        return self._linear_atom(
+            lhs, rhs, start, "inequality is not linear in existential variables")
 
     def _linear_atom(self, lhs: Expr, rhs: Expr, start: _Token,
-                     what: str) -> LinearAtom:
+                     what: str) -> Linear:
         """lhs <= rhs (or lhs = rhs) as sum coeff*x <= (or =) remainder."""
         x_set = set(self.x_vars)
         try:
@@ -383,7 +382,7 @@ class _Parser:
         for n, c in rcs.items():
             merged[n] = _sub(merged[n], c) if n in merged else Neg(c)
         coeffs = tuple((x, merged[x]) for x in self.x_vars if x in merged)
-        return LinearAtom(coeffs, _sub(rconst, lconst))
+        return Linear(coeffs, _sub(rconst, lconst))
 
     def _check_declared(self, tok: _Token, *exprs: Expr):
         for e in exprs:

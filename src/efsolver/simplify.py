@@ -43,8 +43,7 @@ from typing import Sequence
 from .expr import (Const, MeanValueForm, Tape, compile_tape, enclose,
                    eval_on_box, mean_value, mean_value_form)
 from .intervals import Box, midpoint
-from .model import (And, Formula, Guard, GuardAtom, Linear, Or, TrueF,
-                    formula_leaves, guard_atoms)
+from .model import And, Formula, Guard, Linear, Or, formula_leaves
 
 
 def decide_guard(strict: bool, lo: float, hi: float) -> bool | None:
@@ -63,7 +62,7 @@ def decide_guard(strict: bool, lo: float, hi: float) -> bool | None:
     return None
 
 
-def classify_guard(g: GuardAtom, box: Box) -> bool | None:
+def classify_guard(g: Guard, box: Box) -> bool | None:
     iv = enclose(g.body, box)
     return decide_guard(g.strict, iv.lo, iv.hi)
 
@@ -77,7 +76,7 @@ class CompiledBranch:
     none) and the right-hand side.  `guards` and `linear` are the parts
     of the tape that the guard bodies and the linear atom need, and
     `cones[s]` the part that slot s alone needs.  `guard_slot` maps each
-    guard atom of the formula, by identity, to its slot, and `guard_leaves`
+    guard leaf of the formula, by identity, to its slot, and `guard_leaves`
     holds (slot, strict) of each guard leaf in leaf order.
     `mean_value[s]` is the mean-value form of guard slot s, derived when
     `simplify_branch` first needs it (the verifier never does).
@@ -99,21 +98,21 @@ def compile_branch(formula: Formula, names: Sequence[str],
                    x_vars: Sequence[str] = ()) -> CompiledBranch:
     """Compile `formula` over the box dimensions `names`; the linear atom's
     coefficients follow the order of `x_vars`."""
-    atoms = guard_atoms(formula)
-    linear = next((leaf.atom for leaf in formula_leaves(formula)
-                   if isinstance(leaf, Linear)), None)
-    exprs = [g.body for g in atoms]
+    leaves = list(formula_leaves(formula))
+    guards = [leaf for leaf in leaves if isinstance(leaf, Guard)]
+    linear = next((leaf for leaf in leaves if isinstance(leaf, Linear)), None)
+    exprs = [g.body for g in guards]
     if linear is not None:
         coeffs = linear.coeff_map()
         exprs += [coeffs.get(x, Const(0.0)) for x in x_vars] + [linear.rhs]
     tape = compile_tape(exprs, names)
-    guard_slots, linear_slots = tape.roots[:len(atoms)], tape.roots[len(atoms):]
+    guard_slots, linear_slots = tape.roots[:len(guards)], tape.roots[len(guards):]
     return CompiledBranch(
         formula, tape,
         guards=tape.restrict(guard_slots),
         linear=tape.restrict(linear_slots) if linear_slots else None,
-        guard_slot={id(g): s for g, s in zip(atoms, guard_slots)},
-        guard_leaves=tuple((s, g.strict) for g, s in zip(atoms, guard_slots)),
+        guard_slot={id(g): s for g, s in zip(guards, guard_slots)},
+        guard_leaves=tuple((s, g.strict) for g, s in zip(guards, guard_slots)),
         coeff_slots=linear_slots[:-1],
         rhs_slot=linear_slots[-1] if linear_slots else None,
         cones={s: tape.restrict((s,)) for s in tape.roots},
@@ -139,7 +138,7 @@ def reduce_at_point(cb: CompiledBranch, point: dict[str, float]) -> Verdict:
     return _reduce(cb.formula, cb.guard_slot, lambda g, s: _decide_at(g, point))
 
 
-def _decide_at(g: GuardAtom, point: dict[str, float]) -> bool | None:
+def _decide_at(g: Guard, point: dict[str, float]) -> bool | None:
     try:
         v = g.body.evaluate(point)
     except (ArithmeticError, ValueError):
@@ -149,11 +148,11 @@ def _decide_at(g: GuardAtom, point: dict[str, float]) -> bool | None:
 
 def _reduce(f: Formula, guard_slot: dict[int, int], decide) -> Verdict:
     """The three-valued (strong Kleene) walk of the package: the verdict of
-    f where decide(atom, slot) gives each guard leaf True, False or None.
+    f where decide(leaf, slot) gives each guard leaf True, False or None.
     An and/or stops at its first item that settles it."""
     if isinstance(f, Guard):
-        s = guard_slot[id(f.atom)]
-        d = decide(f.atom, s)
+        s = guard_slot[id(f)]
+        d = decide(f, s)
         return [s] if d is None else d
     if isinstance(f, (And, Or)):
         absorbing = isinstance(f, Or)
@@ -167,9 +166,7 @@ def _reduce(f: Formula, guard_slot: dict[int, int], decide) -> Verdict:
             elif v is not neutral and out is neutral:
                 out = v  # the Linear leaf, which a later neutral item keeps
         return out
-    if isinstance(f, Linear):
-        return f
-    return isinstance(f, TrueF)
+    return f  # the Linear leaf
 
 
 # -- branch status ------------------------------------------------------------

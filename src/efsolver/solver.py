@@ -43,8 +43,8 @@ from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
                          split_coefficient, splitheur)
 from .intervals import Box, halves, midpoint
-from .model import (And, Branch, Formula, Guard, GuardAtom, Linear, Or,
-                    Problem, validate_problem)
+from .model import (And, Branch, Formula, Guard, Linear, Or, Problem,
+                    validate_problem)
 from .relaxation import (LPSolution, adversarial_lhs, residual_vector,
                          rohn_transform, solve_feasibility)
 from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
@@ -375,7 +375,8 @@ def verify_solution(problem: Problem, x, depth: int = 25,
     """Check a candidate x against the problem, independently of the LP.
 
     x holds one value per existential variable (ValueError otherwise).
-    Equalities are checked numerically to EQUALITY_TOL.  Each universal
+    Equalities are checked numerically to EQUALITY_TOL, and a NaN or
+    infinite value is a counterexample.  Each universal
     branch is proved by interval evaluation with recursive bisection up to
     `depth` levels; midpoints are sampled to find counterexamples.  A
     guard without an enclosure on a box (a division by an interval that
@@ -393,6 +394,10 @@ def verify_solution(problem: Problem, x, depth: int = 25,
         if not err <= EQUALITY_TOL:  # written so that NaN fails too
             return VerifyResult(VerifyStatus.COUNTEREXAMPLE,
                                 reason=f"equality residual {err:.3g}")
+    for name, v in zip(problem.x_vars, x):
+        if not math.isfinite(v):
+            return VerifyResult(VerifyStatus.COUNTEREXAMPLE,
+                                reason=f"{name} = {v} is not finite")
 
     env = dict(zip(problem.x_vars, (float(v) for v in x)))
     sawunknown = False
@@ -416,9 +421,9 @@ def _substitute_x(f: Formula, env: dict[str, float]) -> Formula:
         return Or(tuple(_substitute_x(i, env) for i in f.items))
     if isinstance(f, Linear):
         total: Expr = Const(0.0)
-        for name, coeff in f.atom.coeffs:
+        for name, coeff in f.coeffs:
             total = Add(total, Mul(Const(env[name]), coeff))
-        return Guard(GuardAtom(Sub(total, f.atom.rhs), strict=False))
+        return Guard(Sub(total, f.rhs))
     return f
 
 

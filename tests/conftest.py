@@ -41,7 +41,7 @@ def parse_expr(text, names=("y1", "y2")):
     dims = ", ".join(f"{n} in [0,1]" for n in names)
     problem = ef.parse_problem(f"exists x1 ; forall-vars {' '.join(names)} ; "
                                f"branch {dims} : {text} <= 0 ;")
-    return problem.branches[0].formula.atom.body
+    return problem.branches[0].formula.body
 
 
 def box_halves(box, dim):
@@ -62,11 +62,11 @@ def benchmark_coefficient_exprs(problem):
     for br in problem.branches:
         for leaf in ef.model.formula_leaves(br.formula):
             if isinstance(leaf, ef.Linear):
-                for _, coeff in leaf.atom.coeffs:
+                for _, coeff in leaf.coeffs:
                     pairs.append((coeff, br.box))
-                pairs.append((leaf.atom.rhs, br.box))
+                pairs.append((leaf.rhs, br.box))
             elif isinstance(leaf, ef.Guard):
-                pairs.append((leaf.atom.body, br.box))
+                pairs.append((leaf.body, br.box))
     return pairs
 
 
@@ -174,8 +174,8 @@ def random_robust_problem(rng, margin=1e-3):
         upper = -np.inf
         for cell in _cells(box, 4):
             upper = max(upper, ef.enclose(total, cell).hi)
-        atom = ef.LinearAtom(coeffs, ef.Const(float(upper + margin)))
-        branches.append(ef.Branch(box, ef.Linear(atom)))
+        leaf = ef.Linear(coeffs, ef.Const(float(upper + margin)))
+        branches.append(ef.Branch(box, leaf))
 
     equalities, eq_rhs = (), ()
     if r > 1 and rng.random() < 0.3:

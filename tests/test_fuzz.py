@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import efsolver as ef
 from efsolver.errors import EFSolverError
-from efsolver.model import And, Guard, GuardAtom, Linear, LinearAtom, Or
+from efsolver.model import And, Guard, Linear, Or
 from efsolver.simplify import compile_branch, reduce_at_point
 from efsolver.solver import VerifyStatus, _substitute_x
 
@@ -43,14 +43,14 @@ def problems(draw):
     box = ef.Box.of(*dims)
 
     def guard():
-        return Guard(GuardAtom(draw(polynomials(y_vars)), draw(st.booleans())))
+        return Guard(draw(polynomials(y_vars)), draw(st.booleans()))
 
     # every coefficient depends on y, so no row is an exact point system
     coeffs = tuple((x, ef.Add(ef.Const(draw(coefficients)),
                               ef.Mul(ef.Const(draw(coefficients)),
                                      ef.Var(draw(st.sampled_from(y_vars))))))
                    for x in X_VARS)
-    row = Linear(LinearAtom(coeffs, ef.Const(draw(st.floats(-1.0, 2.0)))))
+    row = Linear(coeffs, ef.Const(draw(st.floats(-1.0, 2.0))))
     shape = draw(st.integers(0, 3))
     formula = (Or((guard(), row)),
                And((Or((guard(), row)), guard())),
@@ -59,8 +59,8 @@ def problems(draw):
     branches = (ef.Branch(box, formula),)
     if draw(st.booleans()):
         x1_coeff = ef.Add(ef.Const(1.0), ef.Mul(ef.Const(0.25), ef.Var("y1")))
-        branches += (ef.Branch(box, Linear(LinearAtom(
-            (("x1", x1_coeff),), ef.Const(draw(st.floats(-1.0, 1.0)))))),)
+        branches += (ef.Branch(box, Linear(
+            (("x1", x1_coeff),), ef.Const(draw(st.floats(-1.0, 1.0))))),)
     return ef.Problem(X_VARS, y_vars, branches, (), ())
 
 

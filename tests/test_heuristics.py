@@ -339,3 +339,11 @@ def test_heuristic_config_validation():
     assert Strategy.from_name("split-all") is Strategy.SPLIT_ALL
     with pytest.raises(ValueError):
         Strategy.from_name("bogus")
+
+
+@pytest.mark.parametrize("name", [s.value for s in Strategy])
+def test_heuristic_config_rejects_strategy_names(name):
+    # a name compares unequal to every Strategy, so every `is Strategy.…`
+    # test would fail and split-all or round-robin would run split-worst
+    with pytest.raises(ValueError, match="Strategy"):
+        HeuristicConfig(strategy=name)

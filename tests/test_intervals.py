@@ -156,7 +156,7 @@ def test_enclosure_width_converges_under_bisection(benchmarks):
     # 1e-3 of the original one for the benchmark coefficient expressions
     problem = benchmarks["A"]
     br = problem.branches[0]
-    for _, coeff in br.formula.atom.coeffs:
+    for _, coeff in br.formula.coeffs:
         box = br.box
         w0 = enclose(coeff, box).width
         for k in range(20):

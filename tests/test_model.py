@@ -1,12 +1,12 @@
 import pytest
 
 import efsolver as ef
-from efsolver.model import (And, Branch, Guard, GuardAtom, Linear, LinearAtom,
-                            Or, Problem, validate_problem)
+from efsolver.model import (And, Branch, Guard, Linear, Or, Problem,
+                            validate_problem)
 
 
 def lin(coeffs, rhs=0.0):
-    return Linear(LinearAtom(tuple(coeffs), ef.Const(rhs)))
+    return Linear(tuple(coeffs), ef.Const(rhs))
 
 
 def test_two_branch_problem_is_valid(two_branch_problem):
@@ -29,7 +29,7 @@ def test_multiple_linear_atoms_reported():
 
 def test_existential_in_guard_reported():
     box = ef.Box.of(("y", (0, 1)))
-    f = Guard(GuardAtom(ef.Var("x1")))
+    f = Guard(ef.Var("x1"))
     p = Problem(("x1",), ("y",), (Branch(box, f),))
     kinds = [v.kind for v in validate_problem(p)]
     assert "ExistentialInGuard" in kinds
@@ -41,6 +41,18 @@ def test_existential_in_coefficient_reported():
     p = Problem(("x1",), ("y",), (Branch(box, f),))
     kinds = [v.kind for v in validate_problem(p)]
     assert "ExistentialInCoefficient" in kinds
+
+
+@pytest.mark.parametrize("x_vars,leaf,kind", [
+    (("x1",), Linear((("x1", ef.Const(1.0)),), ef.Var("x1")), "ExistentialInRhs"),
+    (("x1",), Linear((("x2", ef.Const(1.0)),), ef.Const(0.0)),
+     "UnknownCoefficientVariable"),
+    ((), Guard(ef.Var("y")), "NoExistentialVariables"),
+])
+def test_violation_kinds_reported(x_vars, leaf, kind):
+    box = ef.Box.of(("y", (0, 1)))
+    p = Problem(x_vars, ("y",), (Branch(box, leaf),))
+    assert [v.kind for v in validate_problem(p)] == [kind]
 
 
 def test_empty_branch_list_reported():
@@ -66,15 +78,15 @@ def test_box_variable_mismatch_reported():
 
 def test_guard_only_branch_is_allowed():
     box = ef.Box.of(("y", (0, 1)))
-    f = And((Guard(GuardAtom(ef.Var("y"))), Guard(GuardAtom(ef.Const(-1.0)))))
+    f = And((Guard(ef.Var("y")), Guard(ef.Const(-1.0))))
     p = Problem(("x1",), ("y",), (Branch(box, f),))
     assert validate_problem(p) == []
 
 
 def test_undeclared_variable_in_rhs_reported():
     box = ef.Box.of(("y1", (0, 1)))
-    atom = LinearAtom((("x1", ef.Var("y1")),), ef.Var("z"))
-    p = Problem(("x1",), ("y1",), (Branch(box, Linear(atom)),))
+    leaf = Linear((("x1", ef.Var("y1")),), ef.Var("z"))
+    p = Problem(("x1",), ("y1",), (Branch(box, leaf),))
     violations = validate_problem(p)
     assert [(v.kind, v.branch) for v in violations] == [("UndeclaredVariable", 0)]
     assert "z" in violations[0].detail

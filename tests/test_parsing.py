@@ -19,23 +19,23 @@ def test_two_branch_structure(two_branch_problem):
         kinds = [type(item) for item in br.formula.items]
         assert kinds == [Guard, Linear]
     # y1 >= y2 normalises to y2 - y1 <= 0
-    g0 = p.branches[0].formula.items[0].atom
+    g0 = p.branches[0].formula.items[0]
     assert not g0.strict
     assert g0.body.evaluate({"y1": 0.25, "y2": 1.0}) == pytest.approx(0.75)
     # y1 < y2 normalises to a strict guard y1 - y2 < 0
-    g1 = p.branches[1].formula.items[0].atom
+    g1 = p.branches[1].formula.items[0]
     assert g1.strict
     assert g1.body.evaluate({"y1": 0.25, "y2": 1.0}) == pytest.approx(-0.75)
 
 
 def test_linear_atom_decomposition(two_branch_problem):
-    atom = two_branch_problem.branches[0].formula.items[1].atom
-    names = [n for n, _ in atom.coeffs]
+    leaf = two_branch_problem.branches[0].formula.items[1]
+    names = [n for n, _ in leaf.coeffs]
     assert names == ["x1", "x2"]
-    cm = atom.coeff_map()
+    cm = leaf.coeff_map()
     assert cm["x1"].evaluate({"y1": 0.5, "y2": -1.0}) == pytest.approx(
         -math.sin(0.5))
-    assert atom.rhs.evaluate({"y1": 0.0, "y2": 0.0}) == 0.0
+    assert leaf.rhs.evaluate({"y1": 0.0, "y2": 0.0}) == 0.0
 
 
 def test_equality_row():
@@ -129,10 +129,10 @@ def test_x_on_both_sides():
         forall-vars y ;
         branch y in [0,1] : x1*y <= x1 + 1 ;
     """)
-    atom = p.branches[0].formula.atom
+    leaf = p.branches[0].formula
     # coefficient of x1 is y - 1
-    assert atom.coeff_map()["x1"].evaluate({"y": 0.25}) == pytest.approx(-0.75)
-    assert atom.rhs.evaluate({"y": 0.0}) == 1.0
+    assert leaf.coeff_map()["x1"].evaluate({"y": 0.25}) == pytest.approx(-0.75)
+    assert leaf.rhs.evaluate({"y": 0.0}) == 1.0
 
 
 def test_box_dims_reordered_to_declaration():
@@ -189,7 +189,7 @@ def test_equality_with_nonconstant_coefficient_rejected():
 def test_scientific_notation_literals():
     p = parse_problem("exists x1 ;\nforall-vars y ;\n"
                       "branch y in [0,1] : x1*y <= 1e-06 ;")
-    assert p.branches[0].formula.atom.rhs.evaluate({}) == pytest.approx(1e-6)
+    assert p.branches[0].formula.rhs.evaluate({}) == pytest.approx(1e-6)
 
 
 @pytest.mark.parametrize("statement,literal", [

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import efsolver as ef
 from efsolver.expr import enclose, eval_on_box
 from efsolver.intervals import Box
-from efsolver.model import (And, FalseF, Guard, GuardAtom, Linear, Or, TrueF,
-                            guard_atoms)
+from efsolver.model import And, Guard, Linear, Or, formula_leaves
 from efsolver.simplify import (LinearRow, Undecided, _reduce, classify_guard,
                                compile_branch, reduce_at_point,
                                reduce_formula, simplify_branch)
@@ -18,16 +17,20 @@ from conftest import box_halves, parse_expr, sample_points
 
 
 def guard(text, strict=False):
-    return GuardAtom(parse_expr(text), strict)
+    return Guard(parse_expr(text), strict)
+
+
+def guard_leaves(f):
+    return [leaf for leaf in formula_leaves(f) if isinstance(leaf, Guard)]
 
 
 def reduce_on(f, box):
-    """The verdict of f on box, with guard slots mapped back to their atoms."""
+    """The verdict of f on box, with guard slots mapped back to their leaves."""
     cb = compile_branch(f, box.names, ("x1",))
     verdict = reduce_formula(cb, *eval_on_box(cb.guards, *box.endpoints()))
     if isinstance(verdict, list):
-        atom_at = {cb.guard_slot[id(g)]: g for g in guard_atoms(f)}
-        return [atom_at[s] for s in verdict]
+        leaf_at = {cb.guard_slot[id(g)]: g for g in guard_leaves(f)}
+        return [leaf_at[s] for s in verdict]
     return verdict
 
 
@@ -88,19 +91,20 @@ def test_classify_monotone_under_bisection():
         stack.extend(box_halves(b, 0))
 
 
-LIN = Linear(ef.LinearAtom((("x1", ef.Var("y1")),), ef.Const(0.0)))
-G = Guard(GuardAtom(ef.Var("y1")))
-H = Guard(GuardAtom(parse_expr("y1 - 0.5")))
+LIN = Linear((("x1", ef.Var("y1")),), ef.Const(0.0))
+G = Guard(ef.Var("y1"))
+H = Guard(parse_expr("y1 - 0.5"))
+TRUE, FALSE = And(()), Or(())
 STRADDLE = Box.of(("y1", (-1.0, 1.0)))  # G and H stay undecided here
 
 
 def test_reduce_formula_constants():
-    assert reduce_on(Or((TrueF(), LIN)), STRADDLE) is True
-    assert reduce_on(Or((FalseF(), LIN)), STRADDLE) is LIN
-    assert reduce_on(And((Or((FalseF(), G)), TrueF())), STRADDLE) == [G.atom]
-    assert reduce_on(And((FalseF(), LIN)), STRADDLE) is False
-    assert reduce_on(And(()), STRADDLE) is True
-    assert reduce_on(Or(()), STRADDLE) is False
+    assert reduce_on(TRUE, STRADDLE) is True
+    assert reduce_on(FALSE, STRADDLE) is False
+    assert reduce_on(Or((TRUE, LIN)), STRADDLE) is True
+    assert reduce_on(Or((FALSE, LIN)), STRADDLE) is LIN
+    assert reduce_on(And((Or((FALSE, G)), TRUE)), STRADDLE) == [G]
+    assert reduce_on(And((FALSE, LIN)), STRADDLE) is False
 
 
 def test_reduce_formula_decides_guards():
@@ -111,19 +115,19 @@ def test_reduce_formula_decides_guards():
 
 
 def test_reduce_formula_keeps_relevant_guards_in_leaf_order():
-    assert reduce_on(And((H, Or((FalseF(), G)), LIN)), STRADDLE) == [H.atom, G.atom]
+    assert reduce_on(And((H, Or((FALSE, G)), LIN)), STRADDLE) == [H, G]
     # the guards of a settled and/or are dropped
-    assert reduce_on(Or((And((G, FalseF())), H)), STRADDLE) == [H.atom]
-    assert reduce_on(Or((LIN, G)), STRADDLE) == [G.atom]
+    assert reduce_on(Or((And((G, FALSE)), H)), STRADDLE) == [H]
+    assert reduce_on(Or((LIN, G)), STRADDLE) == [G]
 
 
 # -- the walk against brute force ---------------------------------------------
 #
-# A tree is a leaf index (0-3 a guard atom, 4 the linear leaf) or a pair
-# (And or Or, list of trees); `decisions[k]` decides guard atom k.
+# A tree is a leaf index (0-3 a guard leaf, 4 the linear leaf) or a pair
+# (And or Or, list of trees); `decisions[k]` decides guard leaf k.
 
-ATOMS = [GuardAtom(parse_expr(f"y1 - {k}")) for k in range(4)]
-SLOT = {id(g): k for k, g in enumerate(ATOMS)}
+GUARDS = [Guard(parse_expr(f"y1 - {k}")) for k in range(4)]
+SLOT = {id(g): k for k, g in enumerate(GUARDS)}
 TREES = st.recursive(
     st.integers(0, 4),
     lambda kids: st.tuples(st.sampled_from((And, Or)), st.lists(kids, max_size=4)),
@@ -134,9 +138,9 @@ def to_formula(tree, linear_seen):
     """The formula of tree; linear leaves after the first become guard 3."""
     if isinstance(tree, int):
         if tree < 4:
-            return Guard(ATOMS[tree])
+            return GUARDS[tree]
         if linear_seen:
-            return Guard(ATOMS[3])
+            return GUARDS[3]
         linear_seen.append(True)
         return LIN
     node, kids = tree
@@ -145,7 +149,7 @@ def to_formula(tree, linear_seen):
 
 def truth(f, guards, lin):
     if isinstance(f, Guard):
-        return guards[SLOT[id(f.atom)]]
+        return guards[SLOT[id(f)]]
     if isinstance(f, Linear):
         return lin
     values = [truth(item, guards, lin) for item in f.items]
@@ -153,7 +157,7 @@ def truth(f, guards, lin):
 
 
 def undecided_leaves(f, decisions):
-    return [SLOT[id(g)] for g in guard_atoms(f) if decisions[SLOT[id(g)]] is None]
+    return [SLOT[id(g)] for g in guard_leaves(f) if decisions[SLOT[id(g)]] is None]
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
@@ -220,7 +224,7 @@ def test_simplify_branch_undecided(two_branch_problem):
     assert isinstance(status, Undecided)
     # the one guard, y2 - y1 <= 0, and its natural enclosure, for the guard
     # pick
-    (g,) = guard_atoms(br.formula)
+    (g,) = guard_leaves(br.formula)
     assert status.slot == cb.guard_slot[id(g)]
     assert (status.lo, status.hi) == (-2.0, 1.0)
 

@@ -78,8 +78,7 @@ def test_time_budget_exhaustion():
 
 def test_invalid_problem_raises():
     box = ef.Box.of(("y", (0, 1)))
-    bad = ef.Problem(("x1",), ("y",), (ef.Branch(box, ef.Guard(
-        ef.GuardAtom(ef.Var("x1")))),))
+    bad = ef.Problem(("x1",), ("y",), (ef.Branch(box, ef.Guard(ef.Var("x1"))),))
     with pytest.raises(ef.InvalidProblem):
         ef.solve(bad, SolveConfig())
 
@@ -172,8 +171,8 @@ def test_lp_that_proves_equalities_infeasible_is_counted(benchmarks,
 def test_non_finite_equality_data_is_invalid(row, rhs):
     # built without the parser, which rejects such literals itself
     box = ef.Box.of(("y1", (0, 1)))
-    atom = ef.LinearAtom((("x1", ef.Var("y1")),), ef.Const(1.0))
-    problem = ef.Problem(("x1",), ("y1",), (ef.Branch(box, ef.Linear(atom)),),
+    leaf = ef.Linear((("x1", ef.Var("y1")),), ef.Const(1.0))
+    problem = ef.Problem(("x1",), ("y1",), (ef.Branch(box, leaf),),
                          ((1.0,), row), (0.5, rhs))
     with pytest.raises(ef.InvalidProblem) as exc:
         ef.solve(problem, SolveConfig())
@@ -320,12 +319,12 @@ def test_pinned_split_counts(benchmarks, name, strategy, counts):
 
 
 def residue_guards(f, decide):
-    """The guard atoms left in f, in leaf order, once every guard leaf that
-    decide(atom) settles is replaced by its constant and the constants are
+    """The guard leaves left in f, in leaf order, once every guard leaf that
+    decide(leaf) settles is replaced by its constant and the constants are
     propagated through every and/or; True or False when they settle f."""
     if isinstance(f, Guard):
-        d = decide(f.atom)
-        return [f.atom] if d is None else d
+        d = decide(f)
+        return [f] if d is None else d
     if isinstance(f, Linear):
         return []
     absorbing = isinstance(f, Or)
@@ -474,6 +473,19 @@ def test_verify_nan_equality_residual_is_a_counterexample():
     res = ef.verify_solution(p, np.array([0.0, np.nan]), depth=10)
     assert res.status is VerifyStatus.COUNTEREXAMPLE
     assert "equality" in res.reason
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_verify_non_finite_x_is_a_counterexample(value):
+    # the substituted constant x1 would leave the double range of the tape
+    p = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [0,1] : x1*y1 <= 1 ;
+    """)
+    res = ef.verify_solution(p, np.array([value]), depth=10)
+    assert res.status is VerifyStatus.COUNTEREXAMPLE
+    assert res.reason == f"x1 = {value} is not finite"
 
 
 @pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 1.0]])
