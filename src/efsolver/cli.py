@@ -7,12 +7,13 @@
 
 Exit codes for `solve`: 0 solution found, 1 infeasible, 2 budget
 exhausted, 3 input error (bad command line, unreadable, unparsable or
-invalid problem, a number or enclosure outside the double range, input
-nested too deeply for the recursive parser and evaluators); `bench`
-exits 0 or 3.  With --json, machine-readable output is one JSON object
-per run, newline-delimited.  --verify runs `verify_solution` after solve
-and reports its outcome (verified, counterexample or unknown) as
-`verify_status`.
+invalid problem, a number outside the double range or a coefficient or
+right-hand side without an enclosure on a box, input nested too deeply
+for the recursive parser and evaluators; a guard without an enclosure
+only leaves its box undecided); `bench` exits 0 or 3.  With --json,
+machine-readable output is one JSON object per run, newline-delimited.
+--verify runs `verify_solution` after solve and reports its outcome
+(verified, counterexample or unknown) as `verify_status`.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ Three decisions are made when the LP relaxation reports rho > 0:
   column forever;
 
 * which box variable to split for that coefficient expression
-  (`splitheur`, with ages from `AgeTable`): trial evaluation of both
-  midpoint children, scoring each variable by the best achievable
+  (`splitheur`, with the ages of the box's `AgeTable`): trial evaluation
+  of both midpoint children, scoring each variable by the best achievable
   movement of the targeted bound (upper bound for sign '+', lower for
   '-'), plus an aging credit kappa * width * age that guarantees every
   dimension is picked eventually (fairness, hence convergence).
@@ -208,31 +208,26 @@ def round_robin_var(lo: Sequence[float], hi: Sequence[float], counter: int) -> i
 
 
 class AgeTable:
-    """Per branch box and tape slot (the expression being improved),
-    vectors counting for each box dimension how many variable choices
-    have passed since that dimension was chosen.
+    """The ages of one branch box: per tape slot (the expression being
+    improved), a vector counting for each box dimension how many variable
+    choices have passed since that dimension was chosen.
 
-    Children of a split inherit copies of the parent's vectors.
+    The children of a split inherit the parent's vectors.
     """
 
-    def __init__(self):
-        self._ages: dict[int, dict[int, np.ndarray]] = {}
+    def __init__(self, ages: dict[int, np.ndarray] | None = None):
+        self._ages = {} if ages is None else ages
 
-    def ages(self, branch_id: int, slot: int, ndims: int) -> np.ndarray:
-        per_slot = self._ages.setdefault(branch_id, {})
-        vec = per_slot.get(slot)
-        if vec is None:
-            vec = per_slot[slot] = np.zeros(ndims, dtype=int)
-        return vec
+    def ages(self, slot: int, ndims: int) -> np.ndarray:
+        if slot not in self._ages:
+            self._ages[slot] = np.zeros(ndims, dtype=int)
+        return self._ages[slot]
 
-    def record_choice(self, branch_id: int, slot: int, ndims: int,
-                      chosen: int) -> None:
-        ages = self.ages(branch_id, slot, ndims)
+    def record_choice(self, slot: int, ndims: int, chosen: int) -> None:
+        ages = self.ages(slot, ndims)
         ages += 1
         ages[chosen] = 0
 
-    def inherit(self, parent_id: int, child_ids: Sequence[int]) -> None:
-        per_slot = self._ages.pop(parent_id, None)
-        if per_slot:
-            for cid in child_ids:
-                self._ages[cid] = {s: vec.copy() for s, vec in per_slot.items()}
+    def inherit(self) -> "AgeTable":
+        """An independent copy, for a child of this box."""
+        return AgeTable({s: vec.copy() for s, vec in self._ages.items()})

@@ -37,9 +37,11 @@ split).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import DomainError
 from .expr import (Const, MeanValueForm, Tape, compile_tape, enclose,
                    eval_on_box, mean_value, mean_value_form)
 from .intervals import Box, midpoint
@@ -190,7 +192,8 @@ class LinearRow:
 class Undecided:
     """Guard leaves straddle zero.  slot is the tape slot of the first
     widest of them, in leaf order, and lo, hi are that leaf's natural body
-    enclosure: the guard the solver splits for when it picks this box."""
+    enclosure (infinite where it has none): the guard the solver splits
+    for when it picks this box."""
 
     slot: int
     lo: float
@@ -205,9 +208,9 @@ def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
                     hi: Sequence[float]) -> tuple[BranchStatus, int]:
     """Classify the compiled branch on the box with endpoints lo, hi.
 
-    Decides the guards from one run of the guard tape, tightened by the
-    mean-value form where that run leaves a guard leaf undecided, and
-    returns the status with the number of guard leaves the form decided.
+    Decides the guards from `guard_enclosures`, tightened by the mean-value
+    form where its one run of the guard tape leaves a guard leaf undecided,
+    and returns the status with the number of guard leaves the form decided.
     The status is the verdict of `reduce_formula`, with a LinearRow (from
     one run of the linear tape) for the Linear leaf and an Undecided for
     the slots of the surviving guard leaves.
@@ -215,8 +218,9 @@ def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
     L = H = DL = DH = ()
     tightened = 0
     if cb.guard_slot:
-        L, H = eval_on_box(cb.guards, lo, hi)
-        DL, DH, tightened = _tighten(cb, lo, hi, L, H)
+        L, H, whole = guard_enclosures(cb, lo, hi)
+        # the fallback's runs leave the slots that the form reads at +-inf
+        DL, DH, tightened = _tighten(cb, lo, hi, L, H) if whole else (L, H, 0)
     status = reduce_formula(cb, DL, DH)
     if isinstance(status, Linear):
         L, H = eval_on_box(cb.linear, lo, hi)
@@ -228,6 +232,27 @@ def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
         slot = max(status, key=lambda s: H[s] - L[s])
         status = Undecided(slot, L[slot], H[slot])
     return status, tightened
+
+
+def guard_enclosures(cb: CompiledBranch, lo: Sequence[float],
+                     hi: Sequence[float]) -> tuple[list[float], list[float], bool]:
+    """The slot endpoints of one run of cb.guards on the box, and True; or,
+    where that run has no enclosure, those of one run per guard slot, and
+    False.  A slot without an enclosure gets [-inf, +inf], which leaves its
+    guard undecided."""
+    try:
+        return (*eval_on_box(cb.guards, lo, hi), True)
+    except DomainError:
+        pass
+    n = len(lo) + len(cb.guards.init)
+    L, H = [-math.inf] * n, [math.inf] * n
+    for s in set(cb.guard_slot.values()):
+        try:
+            Ls, Hs = eval_on_box(cb.cones[s], lo, hi)
+        except DomainError:
+            continue
+        L[s], H[s] = Ls[s], Hs[s]
+    return L, H, False
 
 
 def _tighten(cb: CompiledBranch, lo: Sequence[float], hi: Sequence[float],

@@ -21,9 +21,10 @@ or the split/time budget runs out.
 The verifier is deliberately independent of the LP pipeline: it
 substitutes the numeric solution into each branch formula, compiles the
 result once, and proves the universal claim by interval evaluation (the
-same three-valued `reduce_formula` the loop uses) with recursive
-bisection, sampling box midpoints for counterexamples through the same
-walk with a point decider (`reduce_at_point`).
+same three-valued `reduce_formula` the loop uses), bisecting the boxes it
+cannot decide depth first from one work list per branch, and sampling
+box midpoints for counterexamples through the same walk with a point
+decider (`reduce_at_point`).
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AllDimensionsDegenerate, DomainError,
-                     EqualitiesInfeasible, InvalidProblem,
-                     SimplexIterationLimit, SplitDegenerate)
-from .expr import Add, Const, Expr, Mul, Sub, eval_on_box
+from .errors import (AllDimensionsDegenerate, EqualitiesInfeasible,
+                     InvalidProblem, SimplexIterationLimit, SplitDegenerate)
+from .expr import Add, Const, Expr, Mul, Sub
 from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
                          split_coefficient, splitheur)
@@ -48,11 +48,12 @@ from .model import (And, Branch, Formula, Guard, Linear, Or, Problem,
 from .relaxation import (LPSolution, adversarial_lhs, residual_vector,
                          rohn_transform, solve_feasibility)
 from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
-                       compile_branch, reduce_at_point, reduce_formula,
-                       simplify_branch)
+                       compile_branch, guard_enclosures, reduce_at_point,
+                       reduce_formula, simplify_branch)
 # Unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
-# solver.classify_guard; a benchmark change that drops that hook can delete
-# this import and simplify.classify_guard.
+# solver.classify_guard and solver.eval_on_box; a benchmark change that
+# drops those hooks can delete these imports and simplify.classify_guard.
+from .expr import eval_on_box  # noqa: F401
 from .simplify import classify_guard  # noqa: F401
 
 ACCEPT_TOL = 1e-9
@@ -107,21 +108,22 @@ class SolveOutcome:
 
 
 # (id, compiled branch, box lower endpoints, box upper endpoints,
-#  classification on the box, round-robin counter)
+#  classification on the box, round-robin counter, ages)
 _Row = tuple[int, CompiledBranch, tuple[float, ...], tuple[float, ...],
-             BranchStatus, int]
+             BranchStatus, int, AgeTable]
 
 
 class _LiveBoxes:
     """The live branch boxes, in id order.
 
     Each row is a `_Row`.  Every branch is compiled once, and the boxes
-    split from it share its tape.  A linear row also keeps the endpoints
-    of its coefficient enclosures in p_lo/p_hi (n x r) and of its
-    right-hand side in q_lo/q_hi (n); the arrays hold zeros on the other
-    rows.  Proved-true boxes never enter.  `split` stages the halves of
-    one row; `commit` drops the split rows and appends the staged halves,
-    which keeps the id order because new ids are always the largest.
+    split from it share its tape; a box's children inherit its ages.  A
+    linear row also keeps the endpoints of its coefficient enclosures in
+    p_lo/p_hi (n x r) and of its right-hand side in q_lo/q_hi (n); the
+    arrays hold zeros on the other rows.  Proved-true boxes never enter.
+    `split` stages the halves of one row; `commit` drops the split rows
+    and appends the staged halves, which keeps the id order because new
+    ids are always the largest.
     `false_row` is the first row proved false among those the last commit
     appended, or None; no other row can be false, because the loop stops
     on one.  `undecided` counts the Undecided rows, and
@@ -142,26 +144,25 @@ class _LiveBoxes:
         self.guard_tightenings = 0
         for br in problem.branches:
             cb = compile_branch(br.formula, br.box.names, self.x_vars)
-            self._stage(cb, *br.box.endpoints(), 0)
+            self._stage(cb, *br.box.endpoints(), 0, AgeTable())
         self.commit()
 
-    def split(self, i: int, dim: int) -> list[int]:
+    def split(self, i: int, dim: int) -> None:
         """Stage the two halves of row i along dim (a dimension with
-        lo < mid < hi); their ids."""
-        _, cb, lo, hi, _, rr = self.rows[i]
-        children = halves(lo, hi, dim)
+        lo < mid < hi).  The first half takes the row's ages, which is
+        safe because the row leaves at `commit`, the second a copy."""
+        _, cb, lo, hi, _, rr, ages = self.rows[i]
         self._split.append(i)
-        return [self._stage(cb, *child, rr + 1) for child in children]
+        for child, table in zip(halves(lo, hi, dim), (ages, ages.inherit())):
+            self._stage(cb, *child, rr + 1, table)
 
     def _stage(self, cb: CompiledBranch, lo: tuple[float, ...],
-               hi: tuple[float, ...], rr: int) -> int:
-        bid = self.next_id
-        self.next_id += 1
+               hi: tuple[float, ...], rr: int, ages: AgeTable) -> None:
         status, tightened = simplify_branch(cb, lo, hi)
         self.guard_tightenings += tightened
         if status is not True:
-            self._staged.append((bid, cb, lo, hi, status, rr))
-        return bid
+            self._staged.append((self.next_id, cb, lo, hi, status, rr, ages))
+        self.next_id += 1
 
     def commit(self) -> None:
         new, split = self._staged, sorted(self._split)
@@ -191,7 +192,7 @@ class _LiveBoxes:
         self._split, self._staged = [], []
 
     def witness(self, i: int) -> Branch:
-        _, cb, lo, hi, _, _ = self.rows[i]
+        _, cb, lo, hi, *_ = self.rows[i]
         return Branch(Box.from_endpoints(cb.tape.names, lo, hi), cb.formula)
 
 
@@ -204,7 +205,6 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
     t0 = time.perf_counter()
     stats = SolveStats()
     hc = cfg.heuristic
-    ages = AgeTable()
     C, d = problem.eq_matrix(), problem.eq_vector()
     live = _LiveBoxes(problem)
 
@@ -230,18 +230,17 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         round-robin without a target slot (always under round-robin), else
         the trial-split choice for improving the enclosure `base` of that
         slot of the row's tape.  False when no dimension can be split."""
-        bid, cb, lo, hi, _, rr = live.rows[i]
+        bid, cb, lo, hi, _, rr, ages = live.rows[i]
         try:
             if slot is None or hc.strategy is Strategy.ROUND_ROBIN:
                 dim = round_robin_var(lo, hi, rr)
             else:
-                vec = ages.ages(bid, slot, len(lo))
-                dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign, vec,
-                                hc.aging_kappa)
-                ages.record_choice(bid, slot, len(lo), dim)
+                dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign,
+                                ages.ages(slot, len(lo)), hc.aging_kappa)
+                ages.record_choice(slot, len(lo), dim)
         except AllDimensionsDegenerate:
             return False
-        ages.inherit(bid, live.split(i, dim))
+        live.split(i, dim)
         stats.splits += 1
         stats.split_history.append((bid, coefficient, dim))
         return True
@@ -312,14 +311,17 @@ def _pick_undecided(live: _LiveBoxes):
     found when the row was classified) is widest overall, the first such
     row on ties: its index, the guard's tape slot, the bound to improve
     ('+' when the upper bound is nearer to deciding the guard) and the
-    guard's enclosure.  None when no such enclosure has positive width."""
+    guard's enclosure; no slot, for a round-robin split, when that
+    enclosure is infinite, as `splitheur` cannot score it.  None when no
+    such enclosure has positive width."""
     best, best_width = None, 0.0
-    for i, row in enumerate(live.rows):
-        status = row[4]
+    for i, status in enumerate(row[4] for row in live.rows):
         if isinstance(status, Undecided) and status.hi - status.lo > best_width:
             best, best_width = i, status.hi - status.lo
     if best is None:
         return None
+    if math.isinf(best_width):
+        return best, None, None, None
     status = live.rows[best][4]
     sign = "+" if abs(status.hi) < abs(status.lo) else "-"
     return best, status.slot, sign, (status.lo, status.hi)
@@ -376,14 +378,15 @@ def verify_solution(problem: Problem, x, depth: int = 25,
 
     x holds one value per existential variable (ValueError otherwise).
     Equalities are checked numerically to EQUALITY_TOL, and a NaN or
-    infinite value is a counterexample.  Each universal
-    branch is proved by interval evaluation with recursive bisection up to
-    `depth` levels; midpoints are sampled to find counterexamples.  A
-    guard without an enclosure on a box (a division by an interval that
-    contains zero, say) is undecided there, and a midpoint where a leaf is
-    undefined or NaN is no counterexample.  max_boxes caps the total bisection
-    work per branch (exceeding it reports Unknown rather than exploring an
-    exponential tree).
+    infinite value is a counterexample.  Each universal branch is proved
+    by interval evaluation, bisecting up to `depth` levels, depth first
+    from a work list that holds (lo, hi, depth left) and pops the lower
+    half first; midpoints are sampled to find counterexamples.  A guard
+    without an enclosure on a box (a division by an interval that
+    contains zero, say) is undecided there, and a midpoint where a leaf
+    is undefined or NaN is no counterexample.  max_boxes caps the boxes
+    examined per branch (exceeding it reports Unknown rather than
+    exploring an exponential tree).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.r,):
@@ -403,12 +406,26 @@ def verify_solution(problem: Problem, x, depth: int = 25,
     sawunknown = False
     for i, br in enumerate(problem.branches):
         cb = compile_branch(_substitute_x(br.formula, env), br.box.names)
-        res = _check_forall(cb, *br.box.endpoints(), depth, [max_boxes])
-        if res == "unknown":
-            sawunknown = True
-        elif res is not None:
-            return VerifyResult(VerifyStatus.COUNTEREXAMPLE, branch_id=i,
-                                point=res, reason="formula false at point")
+        work, boxes = [(*br.box.endpoints(), depth)], max_boxes
+        while work and boxes > 0:
+            boxes -= 1
+            lo, hi, left = work.pop()
+            verdict = reduce_formula(cb, *guard_enclosures(cb, lo, hi)[:2])
+            if verdict is True:
+                continue
+            mid = {n: midpoint(l, h) for n, l, h in zip(cb.tape.names, lo, hi)}
+            if verdict is False or reduce_at_point(cb, mid) is False:
+                return VerifyResult(VerifyStatus.COUNTEREXAMPLE, branch_id=i,
+                                    point=mid, reason="formula false at point")
+            widths = [h - l for l, h in zip(lo, hi)]
+            try:
+                children = (halves(lo, hi, widths.index(max(widths)))
+                            if left > 0 else ())
+            except SplitDegenerate:
+                children = ()
+            sawunknown = sawunknown or not children
+            work += [(*child, left - 1) for child in reversed(children)]
+        sawunknown = sawunknown or bool(work)
     if sawunknown:
         return VerifyResult(VerifyStatus.UNKNOWN, reason="bisection depth limit")
     return VerifyResult(VerifyStatus.VERIFIED)
@@ -425,53 +442,3 @@ def _substitute_x(f: Formula, env: dict[str, float]) -> Formula:
             total = Add(total, Mul(Const(env[name]), coeff))
         return Guard(Sub(total, f.rhs))
     return f
-
-
-def _guard_enclosures(cb: CompiledBranch, lo: tuple[float, ...],
-                      hi: tuple[float, ...]) -> tuple[list[float], list[float]]:
-    """The guard enclosures of one guard-tape run, or, where that run has
-    no enclosure, of one run per guard slot; a slot without an enclosure
-    gets [-inf, +inf], which leaves its guard undecided."""
-    try:
-        return eval_on_box(cb.guards, lo, hi)
-    except DomainError:
-        pass
-    n = len(lo) + len(cb.guards.init)
-    L, H = [-math.inf] * n, [math.inf] * n
-    for s in set(cb.guard_slot.values()):
-        try:
-            Ls, Hs = eval_on_box(cb.cones[s], lo, hi)
-        except DomainError:
-            continue
-        L[s], H[s] = Ls[s], Hs[s]
-    return L, H
-
-
-def _check_forall(cb: CompiledBranch, lo: tuple[float, ...],
-                  hi: tuple[float, ...], depth: int, budget: list[int]):
-    """None when the compiled formula holds on the box [lo, hi], a
-    counterexample point, or 'unknown'."""
-    budget[0] -= 1
-    if budget[0] < 0:
-        return "unknown"
-    verdict = reduce_formula(cb, *_guard_enclosures(cb, lo, hi))
-    if verdict is True:
-        return None
-    mid = {n: midpoint(l, h) for n, l, h in zip(cb.tape.names, lo, hi)}
-    if verdict is False or reduce_at_point(cb, mid) is False:
-        return mid
-    if depth <= 0:
-        return "unknown"
-    widths = [h - l for l, h in zip(lo, hi)]
-    try:
-        children = halves(lo, hi, widths.index(max(widths)))
-    except SplitDegenerate:
-        return "unknown"
-    sawunknown = False
-    for child_lo, child_hi in children:
-        res = _check_forall(cb, child_lo, child_hi, depth - 1, budget)
-        if res == "unknown":
-            sawunknown = True
-        elif res is not None:
-            return res
-    return "unknown" if sawunknown else None

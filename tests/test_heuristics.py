@@ -293,9 +293,9 @@ def test_splitheur_fairness_window():
     table = AgeTable()
     choices = []
     for _ in range(24):
-        ages = table.ages(0, 0, len(box))
+        ages = table.ages(0, len(box))
         k = choose(t, box, "+", ages, kappa)
-        table.record_choice(0, 0, len(box), k)
+        table.record_choice(0, len(box), k)
         choices.append(k)
         box = box_halves(box, k)[0]
     window = int(np.ceil(1 / kappa)) + len(box)
@@ -317,12 +317,15 @@ def test_round_robin_var_cycles_and_skips():
 def test_age_table_inheritance():
     slot = 3
     table = AgeTable()
-    table.record_choice(5, slot, 2, 0)   # ages now [0, 1]
-    table.inherit(5, [8, 9])
-    assert table.ages(8, slot, 2).tolist() == [0, 1]
-    assert table.ages(9, slot, 2).tolist() == [0, 1]
-    assert table.ages(8, slot + 1, 2).tolist() == [0, 0]
-    assert 5 not in table._ages
+    table.record_choice(slot, 2, 0)   # ages now [0, 1]
+    child = table.inherit()
+    assert child.ages(slot, 2).tolist() == [0, 1]
+    # the copies are independent
+    child.record_choice(slot, 2, 1)
+    assert child.ages(slot, 2).tolist() == [1, 0]
+    assert table.ages(slot, 2).tolist() == [0, 1]
+    # a slot never chosen starts at zeros
+    assert child.ages(slot + 1, 2).tolist() == [0, 0]
 
 
 def test_heuristic_config_rejects_infinite_kappa():

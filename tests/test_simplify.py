@@ -229,6 +229,21 @@ def test_simplify_branch_undecided(two_branch_problem):
     assert (status.lo, status.hi) == (-2.0, 1.0)
 
 
+def test_guard_without_enclosure_is_undecided():
+    # y1/y1 has no enclosure on [0, 1]; the mean-value form must not read
+    # the slots that the fallback leaves infinite
+    p = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [0,1] : y1/y1 <= 2 or x1*y1 <= 1 ;
+    """)
+    br = p.branches[0]
+    cb = compile_branch(br.formula, br.box.names, p.x_vars)
+    (g,) = guard_leaves(br.formula)
+    status = Undecided(cb.guard_slot[id(g)], -np.inf, np.inf)
+    assert simplify_branch(cb, *br.box.endpoints()) == (status, 0)
+
+
 def test_missing_coefficient_becomes_zero_interval():
     p = ef.parse_problem("""
         exists x1 x2 ;

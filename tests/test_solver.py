@@ -226,6 +226,37 @@ def test_stop_reason_names_the_budget(benchmarks, two_branch_problem, source,
     assert out.reason == reason
 
 
+CROSSING_GUARD = """
+    exists x1 ;
+    forall-vars y1 ;
+    branch y1 in [0,1] : y1 <= 0.5 or x1*y1 <= 1 ;
+    branch y1 in [0,1] : -x1 <= 0 ;
+"""
+ONE_ULP = "branch y1 in [1,1.0000000000000002] :"
+
+
+@pytest.mark.parametrize("strategy", list(ef.Strategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("branches,outcome,reason,counts", [
+    ("branch y1 in [0,1] : y1 >= 2 ;", Outcome.INFEASIBLE,
+     "a branch is false over its whole box", (0, 0, 0)),
+    ("branch y1 in [0,1] : x1 <= -1 ;\nbranch y1 in [0,1] : -x1 <= -1 ;",
+     Outcome.INFEASIBLE, "exact interval system is LP-infeasible", (0, 0, 1)),
+    (None, Outcome.BUDGET_EXHAUSTED,
+     "cannot split an undecided branch further", (53, 53, 0)),
+    (f"{ONE_ULP} x1*y1 <= -1 ;\n{ONE_ULP} -x1*y1 <= -1 ;",
+     Outcome.BUDGET_EXHAUSTED, "no target branch can be split further",
+     (0, 0, 1)),
+], ids=["false-box", "lp-infeasible", "undecided", "one-ulp"])
+def test_stop_reasons(strategy, branches, outcome, reason, counts):
+    # CROSSING_GUARD is satisfiable (x1 = 0), but its guard y1 <= 0.5
+    # stays undecided on the box with lower end 0.5 until it is one ulp wide
+    text = (CROSSING_GUARD if branches is None
+            else f"exists x1 ;\nforall-vars y1 ;\n{branches}\n")
+    _, out = solve_text(text, heuristic=ef.HeuristicConfig(strategy=strategy))
+    assert (out.outcome, out.reason) == (outcome, reason)
+    assert (out.stats.splits, out.stats.rounds, out.stats.lp_solves) == counts
+
+
 def test_simplex_iteration_limit_is_a_budget_outcome(benchmarks, monkeypatch):
     monkeypatch.setattr(simplex, "MAX_ITER", 1)
     out = ef.solve(benchmarks["A"])
@@ -341,7 +372,7 @@ def pick_undecided_tree_walk(live):
     enclosure."""
     best = None
     best_width = -1.0
-    for i, (_, cb, lo, hi, status, _) in enumerate(live.rows):
+    for i, (_, cb, lo, hi, status, *_) in enumerate(live.rows):
         if not isinstance(status, Undecided):
             continue
         box = ef.Box.from_endpoints(cb.tape.names, lo, hi)
@@ -513,6 +544,36 @@ def test_verify_needs_bisection_for_disjunction():
     assert res.status is VerifyStatus.COUNTEREXAMPLE
 
 
+TWO_ROOTS = "branch y1 in [0,1] : x1*((y1 - 0.3)*(y1 - 0.7)) <= 0 ;"
+
+
+@pytest.mark.parametrize("max_boxes,status,point", [
+    (200_000, VerifyStatus.COUNTEREXAMPLE, {"y1": 0.25}),
+    (1, VerifyStatus.UNKNOWN, None),
+    (2, VerifyStatus.COUNTEREXAMPLE, {"y1": 0.25}),
+], ids=["unlimited", "one-box", "two-boxes"])
+def test_verify_bisects_the_lower_half_first(max_boxes, status, point):
+    # the midpoint 0.5 holds; the lower half's midpoint 0.25 fails first,
+    # before the upper half's 0.75
+    p = ef.parse_problem(f"exists x1 ;\nforall-vars y1 ;\n{TWO_ROOTS}\n")
+    res = ef.verify_solution(p, np.array([1.0]), max_boxes=max_boxes)
+    assert (res.status, res.point) == (status, point)
+
+
+def test_verify_box_budget_is_per_branch():
+    # the first branch never decides and spends its one box; a budget
+    # shared across branches would leave none for the second
+    p = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [0,1] : x1*(y1 - y1) <= 0 ;
+        branch y1 in [0,1] : x1*y1 <= -1 ;
+    """)
+    res = ef.verify_solution(p, np.array([1.0]), max_boxes=1)
+    assert res.status is VerifyStatus.COUNTEREXAMPLE
+    assert (res.branch_id, res.point) == (1, {"y1": 0.5})
+
+
 def test_verify_undefined_point_is_no_counterexample():
     # the only leaf is undefined at the midpoint y1 = 0 and has no
     # enclosure on any box around it: bisection ends at the depth limit
@@ -564,6 +625,22 @@ def test_box_near_the_double_range_is_split():
     """)
     out = ef.solve(p, SolveConfig(max_splits=200))
     assert out.stats.splits > 0
+    assert out.stats.split_history[0] == (0, None, 0)
+
+
+@pytest.mark.parametrize("strategy", list(ef.Strategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("branch", [
+    "branch y1 in [-1,1] : 1/y1 <= 0 or x1 <= 1 ;",
+    "branch y1 in [0,1] : y1/y1 <= 2 or x1*y1 <= 1 ;",
+], ids=["reciprocal", "quotient"])
+def test_guard_without_enclosure_is_split(strategy, branch):
+    # the guard has no enclosure on a box around y1 = 0, so that box stays
+    # undecided and is split round-robin, as splitheur cannot score it
+    _, out = solve_text(f"exists x1 ;\nforall-vars y1 ;\n{branch}\n",
+                        heuristic=ef.HeuristicConfig(strategy=strategy),
+                        max_splits=50)
+    assert out.outcome is Outcome.BUDGET_EXHAUSTED
+    assert out.reason == "split budget exhausted before guard split"
     assert out.stats.split_history[0] == (0, None, 0)
 
 
