@@ -117,9 +117,8 @@ def div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
 
 
 def power(lo: float, hi: float, n: int) -> tuple[float, float]:
-    """Integer power, n >= 1, as a single monotone-piecewise operation."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"exponent must be a positive integer, got {n}")
+    """Integer power, n >= 1 (checked where n enters: `Pow` and
+    `Interval.power`), as a single monotone-piecewise operation."""
     if n == 1:
         return lo, hi
     if n % 2 == 1:
@@ -234,6 +233,8 @@ class Interval:
         return Interval(*div(self.lo, self.hi, other.lo, other.hi))
 
     def power(self, n: int) -> Interval:
+        if n < 1 or n != int(n):
+            raise ValueError(f"exponent must be a positive integer, got {n}")
         return Interval(*power(self.lo, self.hi, n))
 
     def sin(self) -> Interval:

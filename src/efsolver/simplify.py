@@ -3,10 +3,11 @@ Boolean structure in three values, and classify each branch box.
 
 The three values are Python's True, False and None (undecided), and one
 walk (`_reduce`) evaluates every formula in them, strong Kleene style,
-with a leaf decider: `reduce_formula` decides the guard leaves from slot
-enclosures on a box, for the solver's classification and the verifier's
-boxes, and `reduce_at_point` from float values at a point, for the
-verifier's midpoints.
+with a leaf decider: `simplify_branch` decides the guard leaves from
+slot enclosures on a box, narrowed where they straddle (below), for the
+solver's classification; `reduce_formula` from slot enclosures alone,
+for the verifier's boxes; and `reduce_at_point` from float values at a
+point, for the verifier's midpoints.
 
 A guard "body <= 0" over a box B is decided from I = enclosure of body on
 B: true when hi(I) <= 0, false when lo(I) > 0, undecided otherwise.  For a
@@ -17,13 +18,14 @@ I is the natural enclosure (one run of the tape) where that decides the
 guard.  Where it straddles, I is the natural enclosure intersected with
 the mean-value form f(c) + sum_j f'_j(B) (B_j - c_j) around the midpoint
 c of B (`expr.mean_value`); both enclose the body on B, so the
-intersection does too, and it is never wider than the natural one.  A
-decided guard costs no more than before.  The form decides the guards
-only: an Undecided status keeps the natural enclosure of its widest guard
-leaf, because the guard pick and the trial splits of `splitheur` that
-read it score the children with natural enclosures, and comparing a
-tightened parent with natural children misleads the variable choice
-(224 splits become 441 on the benchmark's guarded workload, seed 101).
+intersection does too, and it is never wider than the natural one.
+`simplify_branch` decides leaf by leaf inside the one walk, so only the
+leaves it reaches are narrowed.  The form decides the guards only: an
+Undecided status keeps the natural enclosure of its widest guard leaf,
+because the guard pick and the trial splits of `splitheur` that read it
+score the children with natural enclosures, and comparing a tightened
+parent with natural children misleads the variable choice (224 splits
+become 441 on the benchmark's guarded workload, seed 101).
 
 A branch formula is compiled once (`compile_branch`) into one tape over
 its box dimensions that holds every guard body and the linear atom's
@@ -78,10 +80,9 @@ class CompiledBranch:
     none) and the right-hand side.  `guards` and `linear` are the parts
     of the tape that the guard bodies and the linear atom need, and
     `cones[s]` the part that slot s alone needs.  `guard_slot` maps each
-    guard leaf of the formula, by identity, to its slot, and `guard_leaves`
-    holds (slot, strict) of each guard leaf in leaf order.
-    `mean_value[s]` is the mean-value form of guard slot s, derived when
-    `simplify_branch` first needs it (the verifier never does).
+    guard leaf of the formula, by identity, to its slot.  `mean_value[s]`
+    is the mean-value form of guard slot s, derived when `simplify_branch`
+    first needs it to decide a leaf (the verifier never does).
     """
 
     formula: Formula
@@ -89,7 +90,6 @@ class CompiledBranch:
     guards: Tape
     linear: Tape | None
     guard_slot: dict[int, int]
-    guard_leaves: tuple[tuple[int, bool], ...]
     coeff_slots: tuple[int, ...]
     rhs_slot: int | None
     cones: dict[int, Tape]
@@ -114,7 +114,6 @@ def compile_branch(formula: Formula, names: Sequence[str],
         guards=tape.restrict(guard_slots),
         linear=tape.restrict(linear_slots) if linear_slots else None,
         guard_slot={id(g): s for g, s in zip(guards, guard_slots)},
-        guard_leaves=tuple((s, g.strict) for g, s in zip(guards, guard_slots)),
         coeff_slots=linear_slots[:-1],
         rhs_slot=linear_slots[-1] if linear_slots else None,
         cones={s: tape.restrict((s,)) for s in tape.roots},
@@ -193,7 +192,9 @@ class Undecided:
     """Guard leaves straddle zero.  slot is the tape slot of the first
     widest of them, in leaf order, and lo, hi are that leaf's natural body
     enclosure (infinite where it has none): the guard the solver splits
-    for when it picks this box."""
+    for when it picks this box.  hi - lo is positive, perhaps infinite, as
+    `decide_guard` leaves a guard undecided only where lo <= 0 < hi, or
+    lo < 0 <= hi if strict, and enclosures are never NaN."""
 
     slot: int
     lo: float
@@ -208,20 +209,37 @@ def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
                     hi: Sequence[float]) -> tuple[BranchStatus, int]:
     """Classify the compiled branch on the box with endpoints lo, hi.
 
-    Decides the guards from `guard_enclosures`, tightened by the mean-value
-    form where its one run of the guard tape leaves a guard leaf undecided,
-    and returns the status with the number of guard leaves the form decided.
-    The status is the verdict of `reduce_formula`, with a LinearRow (from
-    one run of the linear tape) for the Linear leaf and an Undecided for
-    the slots of the surviving guard leaves.
+    The status is the verdict of the walk, with a LinearRow (from one run
+    of the linear tape) for the Linear leaf and an Undecided for the slots
+    of the surviving guard leaves.  The walk decides each guard leaf it
+    reaches on its slot's natural enclosure from `guard_enclosures` and,
+    only where that straddles zero after a whole run, on the slot's
+    mean-value enclosure, narrowed at most once per box.  The count
+    returned is that of the leaves the form decided among those reached.
     """
-    L = H = DL = DH = ()
+    # a fallback run (whole False) leaves the slots the form reads at +-inf
+    L, H, whole = guard_enclosures(cb, lo, hi) if cb.guard_slot else ((), (), False)
+    narrowed: dict[int, tuple[float, float]] = {}
+    mid = None
     tightened = 0
-    if cb.guard_slot:
-        L, H, whole = guard_enclosures(cb, lo, hi)
-        # the fallback's runs leave the slots that the form reads at +-inf
-        DL, DH, tightened = _tighten(cb, lo, hi, L, H) if whole else (L, H, 0)
-    status = reduce_formula(cb, DL, DH)
+
+    def decide(g: Guard, s: int) -> bool | None:
+        nonlocal mid, tightened
+        d = decide_guard(g.strict, L[s], H[s])
+        if d is not None or not whole:
+            return d
+        if s not in narrowed:
+            if mid is None:
+                mid = [midpoint(l, h) for l, h in zip(lo, hi)]
+            form = cb.mean_value.get(s)
+            if form is None:
+                form = cb.mean_value[s] = mean_value_form(cb.tape, s)
+            narrowed[s] = mean_value(form, mid, L, H)
+        d = decide_guard(g.strict, *narrowed[s])
+        tightened += d is not None
+        return d
+
+    status = _reduce(cb.formula, cb.guard_slot, decide)
     if isinstance(status, Linear):
         L, H = eval_on_box(cb.linear, lo, hi)
         r = cb.rhs_slot
@@ -253,32 +271,3 @@ def guard_enclosures(cb: CompiledBranch, lo: Sequence[float],
             continue
         L[s], H[s] = Ls[s], Hs[s]
     return L, H, False
-
-
-def _tighten(cb: CompiledBranch, lo: Sequence[float], hi: Sequence[float],
-             L: list[float], H: list[float]):
-    """The slot endpoints that decide the guards of cb on the box, and the
-    number of guard leaves they decide where the natural ones, L and H of
-    a run of cb.guards, do not: L and H with the slot of every undecided
-    leaf narrowed by its mean-value form."""
-    tight: dict[int, tuple[float, float]] = {}
-    mid = None
-    decided = 0
-    for s, strict in cb.guard_leaves:
-        if decide_guard(strict, L[s], H[s]) is not None:
-            continue
-        if s not in tight:
-            if mid is None:
-                mid = [midpoint(l, h) for l, h in zip(lo, hi)]
-            form = cb.mean_value.get(s)
-            if form is None:
-                form = cb.mean_value[s] = mean_value_form(cb.tape, s)
-            tight[s] = mean_value(form, mid, L, H)
-        if decide_guard(strict, *tight[s]) is not None:
-            decided += 1
-    if not tight:
-        return L, H, 0
-    DL, DH = L.copy(), H.copy()
-    for s, (l, h) in tight.items():
-        DL[s], DH[s] = l, h
-    return DL, DH, decided

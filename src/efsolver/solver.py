@@ -84,8 +84,8 @@ class SolveStats:
     splits: int = 0
     rounds: int = 0  # iterations that performed at least one split
     lp_solves: int = 0
-    # guard leaves the mean-value form decided where the natural enclosure
-    # straddled zero, summed over every box classified
+    # guard leaves the walk reached that the mean-value form decided where
+    # the natural enclosure straddled zero, summed over every box classified
     guard_tightenings: int = 0
     wall_time: float = 0.0
     # (branch_id, coefficient index or RHS_COEFFICIENT or None, dimension)
@@ -226,13 +226,15 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
 
     def split(i: int, slot: int | None, sign: str | None,
               base: tuple[float, float] | None, coefficient: int | None) -> bool:
-        """Split row i's box along a dimension with lo < mid < hi:
-        round-robin without a target slot (always under round-robin), else
-        the trial-split choice for improving the enclosure `base` of that
-        slot of the row's tape.  False when no dimension can be split."""
+        """Split row i's box along a dimension with lo < mid < hi: the
+        trial-split choice for improving the enclosure `base` of that slot
+        of the row's tape; round-robin without a target slot, under
+        round-robin, or where `base` has no finite width, which
+        `splitheur` cannot score.  False when no dimension can be split."""
         bid, cb, lo, hi, _, rr, ages = live.rows[i]
         try:
-            if slot is None or hc.strategy is Strategy.ROUND_ROBIN:
+            if (slot is None or hc.strategy is Strategy.ROUND_ROBIN
+                    or not math.isfinite(base[1] - base[0])):
                 dim = round_robin_var(lo, hi, rr)
             else:
                 dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign,
@@ -257,10 +259,7 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         # targets (row, slot, sign, base, coefficient): the widest undecided
         # guard while any box is undecided, else the LP's rows, scored lazily
         if live.undecided:
-            target = _pick_undecided(live)
-            if target is None:
-                return stop("undecided branch with degenerate guard enclosures")
-            targets = [(*target, None)]
+            targets = [(*_pick_undecided(live), None)]
             suffix = " before guard split"
             exhausted = "cannot split an undecided branch further"
         else:
@@ -279,8 +278,10 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             if sol.rho <= -ACCEPT_TOL:
                 return done(_solution(sol.x, live, stats))
 
-            p_width = live.p_hi - live.p_lo
-            rows = select_targets(p_width, live.q_hi - live.q_lo, resid, hc)
+            with np.errstate(over="ignore"):  # inf is the right width there
+                p_width = live.p_hi - live.p_lo
+                q_width = live.q_hi - live.q_lo
+            rows = select_targets(p_width, q_width, resid, hc)
             if not len(rows):
                 # nothing can be tightened: every row is an exact point
                 # system, so the LP verdict is final
@@ -311,18 +312,11 @@ def _pick_undecided(live: _LiveBoxes):
     found when the row was classified) is widest overall, the first such
     row on ties: its index, the guard's tape slot, the bound to improve
     ('+' when the upper bound is nearer to deciding the guard) and the
-    guard's enclosure; no slot, for a round-robin split, when that
-    enclosure is infinite, as `splitheur` cannot score it.  None when no
-    such enclosure has positive width."""
-    best, best_width = None, 0.0
-    for i, status in enumerate(row[4] for row in live.rows):
-        if isinstance(status, Undecided) and status.hi - status.lo > best_width:
-            best, best_width = i, status.hi - status.lo
-    if best is None:
-        return None
-    if math.isinf(best_width):
-        return best, None, None, None
-    status = live.rows[best][4]
+    guard's enclosure.  Called only while some row is Undecided."""
+    rows = live.rows
+    best = max((i for i, row in enumerate(rows) if isinstance(row[4], Undecided)),
+               key=lambda i: rows[i][4].hi - rows[i][4].lo)
+    status = rows[best][4]
     sign = "+" if abs(status.hi) < abs(status.lo) else "-"
     return best, status.slot, sign, (status.lo, status.hi)
 

@@ -21,6 +21,7 @@ from efsolver.expr import (Add, Const, Cos, Div, Mul, Neg, Pow, Sin, Sub, Var,
                            compile_tape, eval_on_box, mean_value,
                            mean_value_form)
 from efsolver.intervals import midpoint
+from efsolver.model import Guard, formula_leaves
 from efsolver.simplify import (LinearRow, compile_branch, decide_guard,
                                simplify_branch)
 
@@ -178,8 +179,25 @@ def test_only_undecided_guards_are_tightened():
     cb = compile_branch(br.formula, br.box.names, p.x_vars)
     lo, hi = br.box.endpoints()
     L, H = eval_on_box(cb.guards, lo, hi)
-    natural = [decide_guard(strict, L[s], H[s])
-               for s, strict in cb.guard_leaves]
+    slots = [(cb.guard_slot[id(g)], g.strict)
+             for g in formula_leaves(br.formula) if isinstance(g, Guard)]
+    natural = [decide_guard(strict, L[s], H[s]) for s, strict in slots]
     assert natural == [False, None]
     status, tightened = simplify_branch(cb, lo, hi)
     assert isinstance(status, LinearRow) and tightened == 1
+
+
+def test_walk_narrows_only_the_leaves_it_reaches():
+    # both guards straddle naturally; the form decides the first true,
+    # which settles the or before the walk reaches the second
+    p = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 y2 ;
+        branch y1 in [0.5,0.75], y2 in [0.5,0.75] :
+          y1^2 - 2*y1*y2 + y2^2 - 0.2 <= 0 or y1^2 - 2*y1*y2 + y2^2 - 0.3 <= 0
+          or x1*y1 <= 1 ;
+    """)
+    br = p.branches[0]
+    cb = compile_branch(br.formula, br.box.names, p.x_vars)
+    assert simplify_branch(cb, *br.box.endpoints()) == (True, 1)
+    assert len(cb.mean_value) == 1

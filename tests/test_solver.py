@@ -7,10 +7,12 @@ import pytest
 
 import efsolver as ef
 from efsolver import simplex, solver
-from efsolver.expr import eval_on_box
+from efsolver.expr import eval_on_box, mean_value, mean_value_form
+from efsolver.heuristics import RHS_COEFFICIENT
+from efsolver.intervals import midpoint
 from efsolver.model import Guard, Linear, Or
-from efsolver.simplify import (Undecided, _tighten, compile_branch,
-                               decide_guard, reduce_at_point)
+from efsolver.simplify import (Undecided, compile_branch, decide_guard,
+                               reduce_at_point)
 from efsolver.solver import (Outcome, SolveConfig, VerifyStatus,
                              _substitute_x)
 
@@ -257,6 +259,24 @@ def test_stop_reasons(strategy, branches, outcome, reason, counts):
     assert (out.stats.splits, out.stats.rounds, out.stats.lp_solves) == counts
 
 
+@pytest.mark.parametrize("strategy", ["split-worst", "split-all"])
+def test_overflowing_width_is_split_round_robin(strategy):
+    # the right-hand side's enclosure [-1.5e308, 1.5e308] is wider than the
+    # largest double; splitheur cannot score it, so the row is split
+    # round-robin instead of stopping the solve
+    _, out = solve_text("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [-1,1] : x1 <= 1.5e308*y1 ;
+        branch y1 in [0,1] : -x1 <= -1 ;
+    """, heuristic=ef.HeuristicConfig(strategy=ef.Strategy.from_name(strategy)),
+        max_splits=5)
+    assert (out.outcome, out.reason) == (Outcome.BUDGET_EXHAUSTED,
+                                         "split budget exhausted")
+    assert out.stats.splits == 5
+    assert out.stats.split_history[0] == (0, RHS_COEFFICIENT, 0)
+
+
 def test_simplex_iteration_limit_is_a_budget_outcome(benchmarks, monkeypatch):
     monkeypatch.setattr(simplex, "MAX_ITER", 1)
     out = ef.solve(benchmarks["A"])
@@ -337,7 +357,12 @@ PINNED_COUNTS = [
     ("B", "split-worst", (131, 131, 132)),
     ("C", "split-worst", (91, 91, 92)),
     ("A", "round-robin", (43, 43, 44)),
-] + [("eq_guarded", s.value, (1, 1, 2)) for s in ef.Strategy]
+] + [("eq_guarded", s.value, (1, 1, 2)) for s in ef.Strategy] + [
+    ("B", "round-robin", (568, 568, 569)),
+    ("C", "round-robin", (2023, 2023, 2024)),
+    ("D", "round-robin", (959, 959, 960)),
+    ("D", "split-worst", (418, 418, 419)),
+]
 
 
 @pytest.mark.parametrize("name,strategy,counts", PINNED_COUNTS)
@@ -376,8 +401,14 @@ def pick_undecided_tree_walk(live):
         if not isinstance(status, Undecided):
             continue
         box = ef.Box.from_endpoints(cb.tape.names, lo, hi)
-        # the guards decide on the tightened enclosures of `simplify_branch`
-        L, H, _ = _tighten(cb, lo, hi, *eval_on_box(cb.guards, lo, hi))
+        # the guards decide on the enclosures of `simplify_branch`: every
+        # slot narrowed by its mean-value form, which never undoes a
+        # decision of the natural enclosure
+        natural = eval_on_box(cb.guards, lo, hi)
+        L, H = (list(ends) for ends in natural)
+        mid = [midpoint(l, h) for l, h in zip(lo, hi)]
+        for s in set(cb.guard_slot.values()):
+            L[s], H[s] = mean_value(mean_value_form(cb.tape, s), mid, *natural)
         slot = cb.guard_slot
         for g in residue_guards(cb.formula, lambda g: decide_guard(
                 g.strict, L[slot[id(g)]], H[slot[id(g)]])):
