@@ -10,8 +10,8 @@ split next.
 """
 
 from .errors import (AllDimensionsDegenerate, DomainError, EFSolverError,
-                     EqualitiesInfeasible, InvalidProblem, ParseError,
-                     SimplexIterationLimit, SplitDegenerate,
+                     EqualitiesInfeasible, InvalidProblem, LPOverflow,
+                     ParseError, SimplexIterationLimit, SplitDegenerate,
                      UndeclaredVariable)
 from .expr import (Add, Const, Cos, Div, Expr, Mul, Neg, Pow, Sin, Sub, Tape,
                    Var, compile_tape, enclose, eval_on_box)
@@ -22,8 +22,8 @@ from .intervals import Box, Interval
 from .model import (And, Branch, Formula, Guard, Linear, Or, Problem,
                     Violation, validate_problem)
 from .parsing import parse_problem
-from .relaxation import (FeasibilityLP, LPSolution, LPStatus, residual_vector,
-                         rohn_transform, solve_feasibility)
+from .relaxation import (DualTableau, FeasibilityLP, LPSolution, LPStatus,
+                         residual_vector, rohn_transform, solve_feasibility)
 from .simplex import SimplexStatus, simplex_solve
 from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
                        classify_guard, compile_branch, reduce_formula,

@@ -6,12 +6,14 @@
     efsolver bench [--json] [--time-budget SECS] [--max-splits N]
 
 Exit codes for `solve`: 0 solution found, 1 infeasible, 2 budget
-exhausted, 3 input error (bad command line, unreadable, unparsable or
-invalid problem, a number outside the double range or a coefficient or
-right-hand side without an enclosure on a box, input nested too deeply
-for the recursive parser and evaluators; a guard without an enclosure
-only leaves its box undecided); `bench` exits 0 or 3.  With --json,
-machine-readable output is one JSON object per run, newline-delimited.
+exhausted (splits, time or simplex iterations) or an LP whose tableau
+left the double range, 3 input error (bad command line, unreadable,
+unparsable or invalid problem, a number outside the double range or a
+coefficient or right-hand side without an enclosure on a box, input
+nested too deeply for the recursive parser and evaluators; a guard
+without an enclosure only leaves its box undecided); `bench` exits 0 or
+3.  With --json, machine-readable output is one JSON object per run,
+newline-delimited.
 --verify runs `verify_solution` after solve and reports its outcome
 (verified, counterexample or unknown) as `verify_status`.
 """
@@ -49,6 +51,7 @@ class RunReport:
     splits: int
     rounds: int
     lp_solves: int
+    pivots: int
     guard_tightenings: int
     wall_time_ms: float
     strategy: str
@@ -72,6 +75,7 @@ def make_report(result: SolveOutcome, cfg: SolveConfig,
         splits=result.stats.splits,
         rounds=result.stats.rounds,
         lp_solves=result.stats.lp_solves,
+        pivots=result.stats.pivots,
         guard_tightenings=result.stats.guard_tightenings,
         wall_time_ms=result.stats.wall_time * 1000.0,
         strategy=cfg.heuristic.strategy.value,
@@ -135,6 +139,7 @@ def _print_human(problem, result: SolveOutcome, report: RunReport) -> None:
     if result.witness_id is not None:
         print(f"witness branch: {result.witness_id}")
     print(f"splits: {report.splits}   lp solves: {report.lp_solves}   "
+          f"pivots: {report.pivots}   "
           f"guard tightenings: {report.guard_tightenings}   "
           f"time: {report.wall_time_ms:.1f} ms")
     if report.verify_status is not None:

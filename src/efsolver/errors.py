@@ -26,6 +26,11 @@ class SimplexIterationLimit(EFSolverError):
     """The simplex method reached its iteration limit without finishing."""
 
 
+class LPOverflow(EFSolverError):
+    """The residual LP's tableau left the double range (an inf or NaN
+    entry), so its solution cannot be read."""
+
+
 class ParseError(EFSolverError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")

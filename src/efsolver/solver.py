@@ -12,7 +12,11 @@ Otherwise each iteration takes its split targets from one of two
 sources: the widest straddling guard while any box is undecided, else
 the residual LP built from the arrays.  One LP both decides solvability
 (rho <= 0) and, when infeasible so far, supplies the residuals that
-select the target rows.  Both sources feed one split loop: each target
+select the target rows.  Each LP starts from the previous one's optimal
+dual tableau, which the table keeps in row order; a warm solve that
+would decide the run (rho <= -ACCEPT_TOL, or no row left to improve) is
+repeated cold, so every verdict and every reported x come from a cold
+solve.  Both sources feed one split loop: each target
 box is split at the midpoint of the chosen dimension, the children
 replace their parent in the table (once per round under split-all), and
 the loop repeats until a solution is certified, infeasibility is proved,
@@ -37,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AllDimensionsDegenerate, EqualitiesInfeasible,
-                     InvalidProblem, SimplexIterationLimit, SplitDegenerate)
+                     InvalidProblem, LPOverflow, SimplexIterationLimit,
+                     SplitDegenerate)
 from .expr import Add, Const, Expr, Mul, Sub
 from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
@@ -45,8 +50,8 @@ from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
 from .intervals import Box, halves, midpoint
 from .model import (And, Branch, Formula, Guard, Linear, Or, Problem,
                     validate_problem)
-from .relaxation import (LPSolution, adversarial_lhs, residual_vector,
-                         rohn_transform, solve_feasibility)
+from .relaxation import (DualTableau, LPSolution, adversarial_lhs,
+                         residual_vector, rohn_transform, solve_feasibility)
 from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
                        compile_branch, guard_enclosures, reduce_at_point,
                        reduce_formula, simplify_branch)
@@ -84,6 +89,7 @@ class SolveStats:
     splits: int = 0
     rounds: int = 0  # iterations that performed at least one split
     lp_solves: int = 0
+    pivots: int = 0  # simplex pivots over every LP solve, cold and warm
     # guard leaves the walk reached that the mean-value form decided where
     # the natural enclosure straddled zero, summed over every box classified
     guard_tightenings: int = 0
@@ -128,6 +134,8 @@ class _LiveBoxes:
     appended, or None; no other row can be false, because the loop stops
     on one.  `undecided` counts the Undecided rows, and
     `guard_tightenings` sums the classifications' tightened counts.
+    `dual` keeps the last LP's optimal dual tableau, and `commit` tells it
+    which rows left and how many arrived, so its columns follow the rows.
     """
 
     def __init__(self, problem: Problem):
@@ -142,6 +150,7 @@ class _LiveBoxes:
         self.false_row: int | None = None
         self.undecided = 0
         self.guard_tightenings = 0
+        self.dual = DualTableau()
         for br in problem.branches:
             cb = compile_branch(br.formula, br.box.names, self.x_vars)
             self._stage(cb, *br.box.endpoints(), 0, AgeTable())
@@ -189,6 +198,7 @@ class _LiveBoxes:
         self.p_hi = np.concatenate([self.p_hi[k] for k in kept] + [p_hi])
         self.q_lo = np.concatenate([self.q_lo[k] for k in kept] + [q_lo])
         self.q_hi = np.concatenate([self.q_hi[k] for k in kept] + [q_hi])
+        self.dual.replace(split, len(new))
         self._split, self._staged = [], []
 
     def witness(self, i: int) -> Branch:
@@ -265,23 +275,31 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         else:
             # every live box is a linear interval row
             lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d)
-            stats.lp_solves += 1
-            try:
-                sol = solve_feasibility(lp)
-            except EqualitiesInfeasible as exc:
-                return done(SolveOutcome(Outcome.INFEASIBLE, stats,
-                                         reason=str(exc)))
-            except SimplexIterationLimit as exc:
-                return stop(str(exc))
-            resid = residual_vector(lp, sol)
-
-            if sol.rho <= -ACCEPT_TOL:
-                return done(_solution(sol.x, live, stats))
-
             with np.errstate(over="ignore"):  # inf is the right width there
                 p_width = live.p_hi - live.p_lo
                 q_width = live.q_hi - live.q_lo
-            rows = select_targets(p_width, q_width, resid, hc)
+            warm = live.dual
+            while True:
+                stats.lp_solves += 1
+                try:
+                    sol = solve_feasibility(lp, warm)
+                except EqualitiesInfeasible as exc:
+                    return done(SolveOutcome(Outcome.INFEASIBLE, stats,
+                                             reason=str(exc)))
+                except (SimplexIterationLimit, LPOverflow) as exc:
+                    return stop(str(exc))
+                stats.pivots += sol.pivots
+                resid = residual_vector(lp, sol)
+                rows = (select_targets(p_width, q_width, resid, hc)
+                        if sol.rho > -ACCEPT_TOL else ())
+                # a verdict rests on a cold solve: solve a warm one's LP
+                # again from scratch, keeping the saved tableau
+                if not sol.warm or len(rows):
+                    break
+                warm = None
+
+            if sol.rho <= -ACCEPT_TOL:
+                return done(_solution(sol.x, live, stats))
             if not len(rows):
                 # nothing can be tightened: every row is an exact point
                 # system, so the LP verdict is final

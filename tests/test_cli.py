@@ -282,3 +282,40 @@ def test_json_report_carries_reason_and_witness(bench_file, tmp_path, capsys):
 
     assert main(["solve", bench_file("B"), "--json", "--max-splits", "0"]) == 2
     assert json.loads(capsys.readouterr().out)["reason"] == "split budget exhausted"
+
+
+OVERFLOW_TEXT = """exists x1 ;
+forall-vars y1 ;
+branch y1 in [-1,1] : x1 <= 1.5e308*y1 ;
+branch y1 in [0,1] : -x1 <= -1 ;
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("strategy,reason", [
+    ("round-robin", "residual LP overflow: the dual tableau left the double range"),
+    ("split-worst", "split budget exhausted"),
+    ("split-all", "split budget exhausted")])
+def test_lp_overflow_ends_with_a_reason(tmp_path, capsys, strategy, reason):
+    # right-hand sides near the double range overflow the fourth LP's dual
+    # tableau under round-robin, warm and then cold: the run stops with
+    # exit 2 and names the overflow, with numpy warnings as errors
+    path = tmp_path / "overflow.efp"
+    path.write_text(OVERFLOW_TEXT, encoding="utf-8")
+    assert main(["solve", str(path), "--strategy", strategy,
+                 "--max-splits", "5", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["reason"] == reason
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_pivots_are_reported(bench_file, capsys):
+    out = ef.solve(ef.parse_problem(benchmark_text("A")))
+    assert out.stats.pivots == 28
+    assert main(["solve", bench_file("A")]) == 0
+    assert "   pivots: 28   " in capsys.readouterr().out
+    assert main(["solve", bench_file("A"), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pivots"] == 28
+    assert main(["bench", "--json", "--instances", "A"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["pivots"] for r in reports] == [28, 44, 28]

@@ -79,6 +79,26 @@ def test_simple_bounded():
     assert (T[-1, :-1] >= 0).all()
 
 
+def test_dual_pivots_restore_feasibility():
+    # min x1 + x2 s.t. x1 + 2 x2 >= 4, 3 x1 + x2 >= 3, written as <= rows
+    # with negative right-hand sides: the slack basis is dual feasible but
+    # not primal feasible, and two dual pivots reach the optimum (0.4, 1.8)
+    T, basis = standard_tableau([1.0, 1.0], [[-1.0, -2.0], [-3.0, -1.0]],
+                                [0.0, 0.0])
+    T[:2, -1] = [-4.0, -3.0]
+    tally = [0]
+    assert simplex_solve(T, basis, tally) is SimplexStatus.OPTIMAL
+    assert tally == [2] and sorted(basis.tolist()) == [0, 1]
+    x = np.zeros(4)
+    x[basis] = T[:-1, -1]
+    assert x[:2] == pytest.approx([0.4, 1.8], abs=1e-12)
+    assert T[-1, -1] == pytest.approx(-2.2, abs=1e-12)
+    # x1 <= -1 has no solution with x1 >= 0
+    T, basis = standard_tableau([1.0], [[1.0]], [0.0])
+    T[0, -1] = -1.0
+    assert simplex_solve(T, basis) is SimplexStatus.INFEASIBLE
+
+
 def test_iteration_limit_raises_a_typed_error(monkeypatch):
     # the LP above takes two pivots and one optimality test
     lp = ([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
@@ -374,13 +394,13 @@ def test_tableau_height_is_2r_plus_2(benchmarks, monkeypatch):
     lps, shapes = [], []
     solve, build = relaxation.simplex_solve, relaxation.solve_feasibility
 
-    def solving(T, basis):
+    def solving(T, basis, *rest):
         shapes.append(T.shape)
-        return solve(T, basis)
+        return solve(T, basis, *rest)
 
-    def building(lp):
+    def building(lp, *rest):
         lps.append((lp.n, lp.r, lp.eq_coeffs.shape[0]))
-        return build(lp)
+        return build(lp, *rest)
 
     monkeypatch.setattr(relaxation, "simplex_solve", solving)
     monkeypatch.setattr(ef.solver, "solve_feasibility", building)
@@ -419,26 +439,137 @@ def test_degenerate_lp_reaches_bland_rule_identically(monkeypatch):
     assert np.array_equal(first.x, again.x) and first.rho == again.rho
 
 
-# (splits, LP solves, simplex pivots) of the dual simplex; a change to the
-# pivot rules or the tableau's column order moves the pivot counts
+# (splits, LP solves, simplex pivots) of the dual simplex, warm started
+# from the previous LP's tableau, plus the cold solve that confirms the
+# final verdict; a change to the pivot rules, the warm update or the
+# tableau's column order moves the pivot counts
 PINNED_PIVOTS = [
-    ("A", "split-all", (60, 5, 25)),
-    ("B", "split-all", (104, 10, 52)),
-    ("C", "split-all", (91, 8, 67)),
-    ("D", "split-all", (458, 9, 133)),
-    ("A", "split-worst", (17, 18, 118)),
-    ("B", "split-worst", (131, 132, 842)),
-    ("C", "split-worst", (91, 92, 797)),
-    ("A", "round-robin", (43, 44, 252)),
-    ("eq_guarded", "split-all", (1, 2, 6)),
+    ("A", "split-all", (60, 6, 28)),
+    ("B", "split-all", (104, 11, 38)),
+    ("C", "split-all", (91, 9, 31)),
+    ("D", "split-all", (458, 10, 95)),
+    ("A", "split-worst", (17, 19, 44)),
+    ("B", "split-worst", (131, 133, 178)),
+    ("C", "split-worst", (91, 93, 117)),
+    ("A", "round-robin", (43, 45, 28)),
+    ("eq_guarded", "split-all", (1, 3, 8)),
 ]
+
+
+def solve_bundled(benchmarks, name, strategy):
+    return ef.solve(benchmarks[name], ef.SolveConfig(
+        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.from_name(strategy)),
+        max_splits=5000))
 
 
 @pytest.mark.parametrize("name,strategy,counts", PINNED_PIVOTS)
 def test_pinned_pivot_counts(benchmarks, monkeypatch, name, strategy, counts):
     pivots = record_pivots(monkeypatch)
-    out = ef.solve(benchmarks[name], ef.SolveConfig(
-        heuristic=ef.HeuristicConfig(strategy=ef.Strategy.from_name(strategy)),
-        max_splits=5000))
+    out = solve_bundled(benchmarks, name, strategy)
     assert out.is_solution
     assert (out.stats.splits, out.stats.lp_solves, len(pivots)) == counts
+    assert out.stats.pivots == len(pivots)
+
+
+def test_pinned_one_box_pivot_total(benchmarks, monkeypatch):
+    # the four cells of the benchmark's one-box workload; solved cold from
+    # the slack basis, every LP, they took 14,332 pivots over 1,212 LPs
+    pivots = record_pivots(monkeypatch)
+    outs = [solve_bundled(benchmarks, name, strategy) for name, strategy in
+            (("B", "split-worst"), ("C", "split-worst"), ("D", "split-worst"),
+             ("B", "round-robin"))]
+    assert [out.stats.splits for out in outs] == [131, 91, 418, 568]
+    assert sum(out.stats.lp_solves for out in outs) == 1216
+    assert sum(out.stats.pivots for out in outs) == len(pivots) == 993
+
+
+# -- the warm start --------------------------------------------------------------
+
+@pytest.mark.parametrize("name,strategy", [
+    ("B", "round-robin"), ("D", "split-worst"), ("D", "split-all")])
+def test_warm_solves_match_cold_solves(benchmarks, monkeypatch, name, strategy):
+    # every LP after the first is re-optimised from the previous LP's
+    # tableau; each must have the optimum of a cold solve of the same
+    # arrays, at a point that attains it, and none may fall back
+    solve = relaxation.solve_feasibility
+    warm_solves = 0
+
+    def checked(lp, warm=None):
+        nonlocal warm_solves
+        sol = solve(lp, warm)
+        if sol.warm:
+            warm_solves += 1
+            cold = solve(lp)
+            assert not cold.warm
+            assert sol.rho == pytest.approx(cold.rho, rel=1e-9)
+            assert sol.status is cold.status
+            assert (sol.x1 >= 0).all() and (sol.x2 >= 0).all()
+            worst = residual_vector(lp, sol).max(initial=-RHO_FLOOR)
+            assert worst <= sol.rho + 1e-9 * max(1.0, abs(sol.rho))
+            assert lp.eq_coeffs @ sol.x == pytest.approx(lp.eq_rhs, abs=1e-9)
+        return sol
+
+    monkeypatch.setattr(ef.solver, "solve_feasibility", checked)
+    out = solve_bundled(benchmarks, name, strategy)
+    assert out.is_solution
+    # the first LP and the one that confirms the verdict are cold
+    assert warm_solves == out.stats.lp_solves - 2 > 0
+
+
+def test_fallback_gives_the_cold_result_bit_for_bit():
+    # a saved tableau with a NaN entry cannot be warm started; the solve
+    # falls back to a cold one, whose result and tableau it keeps
+    rng = np.random.default_rng(11)
+    lp = random_lp(rng, "tall")
+    warm = relaxation.DualTableau()
+    first = solve_feasibility(lp, warm)
+    assert not first.warm and warm.T is not None
+    saved = warm.T.copy()
+    warm.T[0, 0] = np.nan
+    sol = solve_feasibility(lp, warm)
+    cold = solve_feasibility(lp)
+    assert not sol.warm and sol.pivots == cold.pivots > 0
+    assert np.array_equal(sol.x1, cold.x1) and np.array_equal(sol.x2, cold.x2)
+    assert sol.rho == cold.rho and sol.status is cold.status
+    assert np.array_equal(warm.T, saved)
+    # the same LP again, warm started: no pivot is needed
+    again = solve_feasibility(lp, warm)
+    assert again.warm and again.pivots == 0 and again.rho == cold.rho
+
+
+def test_forced_fallbacks_reproduce_the_cold_run(benchmarks, monkeypatch):
+    # with no column to pivot a basic parent out, every warm solve that
+    # splits a basic parent falls back; split-worst splits the worst row,
+    # whose multiplier is basic, so the run repeats the cold-only run
+    # bit for bit
+    cold_only = []
+    monkeypatch.setattr(ef.solver, "solve_feasibility",
+                        lambda lp, warm=None: solve_feasibility(lp))
+    want = solve_bundled(benchmarks, "B", "split-worst")
+    monkeypatch.undo()
+
+    def solving(lp, warm=None):
+        sol = solve_feasibility(lp, warm)
+        cold_only.append(not sol.warm)
+        return sol
+
+    monkeypatch.setattr(relaxation, "pivot_out", lambda *args: False)
+    monkeypatch.setattr(ef.solver, "solve_feasibility", solving)
+    out = solve_bundled(benchmarks, "B", "split-worst")
+    assert all(cold_only) and len(cold_only) == want.stats.lp_solves
+    assert out.stats.split_history == want.stats.split_history
+    assert np.array_equal(out.x, want.x)
+    assert out.stats.pivots == want.stats.pivots
+
+
+def test_overflowing_cold_tableau_raises_lp_overflow():
+    # the fourth LP of round-robin on "x1 <= 1.5e308*y1 over y1 in [-1,1]
+    # and -x1 <= -1": right-hand sides near the double range overflow a
+    # pivot of the dual; the error names the overflow, and no tableau is
+    # saved
+    P = [[-1.0], [1.0], [1.0], [1.0], [1.0]]
+    lp = residual_lp(P, P, [-1.0, -1.5e308, -7.5e307, 0.0, 7.5e307])
+    warm = relaxation.DualTableau()
+    with pytest.raises(ef.LPOverflow, match="residual LP overflow"):
+        solve_feasibility(lp, warm)
+    assert warm.T is None
