@@ -61,8 +61,9 @@ class HeuristicConfig:
     """Tuning knobs for target selection.
 
     epsilon > 0 is required for the convergence guarantee; epsilon = 0 is
-    accepted to allow studying the degenerate behaviour.  aging_kappa = 0
-    gives the pure greedy variable choice.
+    accepted to allow studying the degenerate behaviour, and an infinite
+    epsilon is not, since it would make every score of a positive width
+    inf.  aging_kappa = 0 gives the pure greedy variable choice.
     """
 
     epsilon: float = 1e-3
@@ -71,8 +72,8 @@ class HeuristicConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and >= 0")
         if not (self.aging_kappa >= 0 and math.isfinite(self.aging_kappa)):
             raise ValueError("aging_kappa must be finite and >= 0")
         if not isinstance(self.strategy, Strategy):
@@ -82,8 +83,22 @@ class HeuristicConfig:
 def coeff_score(width, x1, x2, epsilon: float):
     """width * (max(x1, x2) + epsilon), elementwise over scalars or arrays:
     the expected residual improvement from shrinking a coefficient
-    enclosure of that width whose column has LP values x1, x2."""
-    return width * (np.maximum(x1, x2) + epsilon)
+    enclosure of that width whose column has LP values x1, x2.  Where a
+    score of a finite width overflows, every score is scaled by one power
+    of two, which is exact, so the scores keep the order of their exact
+    values instead of tying at inf, as in `splitheur`."""
+    width, value = np.asarray(width), np.maximum(x1, x2)
+    finite = np.isfinite(width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = width * (value + epsilon)
+        if np.isfinite(score[finite]).all():
+            return score
+        # width < 2**a and value + epsilon < 2**(b + 1) with top = a + b + 1;
+        # scaled, every finite-width score stays below 2**1000
+        top = (np.frexp(width[finite].max())[1]
+               + np.frexp(max(value.max(), epsilon))[1] + 1)
+        scale = math.ldexp(1.0, 1000 - int(top))
+        return width * (value * scale + epsilon * scale)
 
 
 def select_targets(p_width: np.ndarray, q_width: np.ndarray,

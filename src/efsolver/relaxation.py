@@ -51,8 +51,8 @@ large), so an unbounded dual means that C x = d has no solution.
 Warm start (Chvatal ch. 10, sensitivity analysis).  The solver's
 consecutive LPs differ only in their rows: a split removes the parent
 box's row and appends its children's.  The dual's constraint rows do not
-change, so the previous optimal tableau, kept in a `DualTableau` whose
-y columns follow the rows, is updated instead of rebuilt:
+change, so one update (`_reoptimise`) takes an optimal tableau to the
+next LP's:
 
 1. Each child's y column is appended as B^-1 a, where B^-1 is the
    tableau's block of columns for the starting basis (the 2r slacks and
@@ -69,14 +69,20 @@ y columns follow the rows, is updated instead of rebuilt:
    (`simplex.simplex_solve`); the tableau is then optimal.  No big-M
    column and no phase 1 are needed.
 
-The warm solve falls back to a cold one when a parent has no column to
-pivot in, when the tableau is neither primal nor dual feasible after
-step 2 (a child's enclosure that is not nested in its parent's can do
-that), when the simplex reports anything but OPTIMAL or reaches its
-iteration limit, and when an entry is not finite; the fallback's
-tableau, if finite, replaces the saved one.  A tableau with an inf or NaN
-entry (rows whose endpoints lie near the double range can overflow a
-pivot) is never saved, and a cold solve that overflows raises LPOverflow.
+A cold solve is the same update from the starting tableau, which has no
+y column: there B^-1 = I, each row's column is a itself, no parent has
+to leave, and step 3 makes primal pivots only.  A `DualTableau` keeps
+the last optimal tableau with the keys of its y columns' rows (the
+solver's box ids).  The next LP starts from it when the saved rows still
+among its rows are its leading rows, in the same order: the saved rows
+that left are the parents, its other rows the children.  Any error of
+the warm update sends the LP to a cold solve: no column to pivot a
+parent out, a tableau neither primal nor dual feasible after step 2 (a
+child's enclosure that is not nested in its parent's can do that), an
+entry that is not finite before or after step 3 (rows whose endpoints
+lie near the double range can overflow a pivot), the iteration limit,
+or a simplex status other than OPTIMAL.  The cold solve's errors
+propagate, and only a finite optimal tableau is saved.
 
 A warm solution can differ from the cold one by pivot round-off, so the
 solver never rests a verdict on it: when a warm solve reports
@@ -91,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EqualitiesInfeasible, LPOverflow, SimplexIterationLimit
+from .errors import EFSolverError, EqualitiesInfeasible, LPOverflow
 from .simplex import EPS, SimplexStatus, pivot_out, simplex_solve
 
 RHO_FLOOR = 1.0
@@ -104,6 +110,7 @@ class FeasibilityLP:
 
     Column j of the LP carries the upper endpoint of interval column j
     (variables x1); column r+j carries the lower endpoint (variables x2).
+    `keys` names the rows (the solver's box ids), in increasing order.
     """
 
     p_hi: np.ndarray
@@ -111,6 +118,7 @@ class FeasibilityLP:
     b: np.ndarray
     eq_coeffs: np.ndarray
     eq_rhs: np.ndarray
+    keys: np.ndarray
 
     @property
     def n(self) -> int:
@@ -143,132 +151,105 @@ class LPSolution:
         return self.x1 - self.x2
 
 
+@dataclass
 class DualTableau:
-    """The optimal dual tableau of the last LP solved with it, and its
-    basis, kept for the next LP's warm start.
+    """An optimal dual tableau, its basis and the keys of the rows of its
+    y columns, in column order, kept for the next LP's warm start; T is
+    None until a solve saves one."""
 
-    Its y columns follow the rows of that LP.  `cols[i]` is the y column
-    of the current row i, or -1 for a row appended since; `replace` keeps
-    it up to date as rows leave and arrive.  Rows keep their relative
-    order and new rows come last, as in the solver's live-box table.
-    `T` is None until a solve saves a tableau, and `cols` means nothing
-    then.
-    """
-
-    def __init__(self):
-        self.T: np.ndarray | None = None
-        self.basis: np.ndarray | None = None
-        self.cols = np.zeros(0, dtype=np.intp)
-
-    def replace(self, removed: list[int], added: int) -> None:
-        """The rows at positions `removed` left and `added` rows were
-        appended.  Without a tableau the next solve is cold and sets
-        `cols` itself."""
-        if self.T is None:
-            return
-        keep = np.ones(self.cols.size, dtype=bool)
-        keep[removed] = False
-        self.cols = np.concatenate([self.cols[keep],
-                                    np.full(added, -1, dtype=np.intp)])
-
-    def _save(self, T: np.ndarray, basis: np.ndarray, n: int) -> None:
-        self.T, self.basis = T, basis
-        self.cols = np.arange(n, dtype=np.intp)
+    T: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    keys: np.ndarray | None = None
 
 
 def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
-                   eq_coeffs: np.ndarray, eq_rhs: np.ndarray) -> FeasibilityLP:
-    """Pack the endpoint arrays (n x r, n x r, n) and the equalities
-    C x = d (k x r, k) into the LP data; the arrays are not copied."""
-    return FeasibilityLP(p_hi, p_lo, q_lo, eq_coeffs, eq_rhs)
+                   eq_coeffs: np.ndarray, eq_rhs: np.ndarray,
+                   keys: np.ndarray) -> FeasibilityLP:
+    """Pack the endpoint arrays (n x r, n x r, n), the equalities
+    C x = d (k x r, k) and the rows' increasing keys (n) into the LP
+    data; the arrays are not copied."""
+    return FeasibilityLP(p_hi, p_lo, q_lo, eq_coeffs, eq_rhs, keys)
 
 
-def _y_columns(p_lo: np.ndarray, p_hi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The y columns of rows (p_lo, p_hi, b) as the cold tableau holds
-    them: the 2r + 1 constraint entries, then the reduced cost at the
-    starting basis, where z (cost RHO_FLOOR) is basic in sum(y) + z = 1."""
-    n, r = p_lo.shape
-    cols = np.empty((2 * r + 2, n))
-    cols[:r] = p_lo.T
-    cols[r:2 * r] = -p_hi.T
-    cols[2 * r] = 1.0
-    cols[-1] = b - RHO_FLOOR
-    return cols
-
-
-def solve_feasibility(lp: FeasibilityLP,
-                      warm: DualTableau | None = None) -> LPSolution:
+def solve_feasibility(lp: FeasibilityLP, warm: DualTableau | None = None,
+                      tally: list[int] | None = None) -> LPSolution:
     """Minimise the worst row violation rho subject to rho >= -RHO_FLOOR.
 
     One simplex solve of the dual (see the module docstring) on a tableau
     of 2r + 2 rows and n + 2k + 2r + 2 columns: y, u+, u- (u = u+ - u-),
     the slacks of the Punder rows, then those of the Pbar rows, z, and
-    the right-hand side.  Without `warm` the solve is cold.  With it, the
-    solve starts from its tableau when it holds one, falls back to a cold
-    solve, and saves the optimal tableau there.  Raises
-    EqualitiesInfeasible when C x = d admits no solution and LPOverflow
-    when the cold tableau leaves the double range; both come from a cold
-    solve.  With the floor the LP is never unbounded.
+    the right-hand side.  With `warm`, the solve starts from its tableau
+    when the keys allow, and saves the optimal tableau there.  Adds the
+    pivots made to tally[0] when a tally is given, also when it raises.
+    Errors come from a cold solve: EqualitiesInfeasible when C x = d
+    admits no solution, LPOverflow when the tableau leaves the double
+    range, and SimplexIterationLimit.  With the floor the LP is never
+    unbounded.
     """
     n, r, k = lp.n, lp.r, lp.eq_coeffs.shape[0]
-    tally = [0]
+    tally = [0] if tally is None else tally
+    start, T, kept = tally[0], None, None
+    if warm is not None and warm.T is not None:
+        # the saved keys found in lp sit at increasing positions (both
+        # arrays increase): its leading rows when the last is kept.size - 1
+        pos = lp.keys.searchsorted(warm.keys)
+        kept = ((lp.keys.take(pos, mode="clip") == warm.keys).nonzero()[0]
+                if lp.n else pos[:0])
+        if kept.size and pos[kept[-1]] != kept.size - 1:
+            kept = None
     with np.errstate(over="ignore", invalid="ignore"):
-        warmed = warm is not None and _warm_solve(lp, warm, tally)
-        if warmed:
-            T = warm.T
-        else:
-            T, basis = _cold_tableau(lp)
-            status = simplex_solve(T, basis, tally)
-            if not np.isfinite(T).all():
-                raise LPOverflow("residual LP overflow: the dual tableau "
-                                 "left the double range")
-            if status is not SimplexStatus.OPTIMAL:
-                raise EqualitiesInfeasible("equality system C x = d is infeasible")
-            if warm is not None:
-                warm._save(T, basis, n)
+        if kept is not None:
+            try:
+                T, basis = _reoptimise(lp, warm.T, warm.basis, kept, tally)
+            except EFSolverError:
+                pass
+        warmed = T is not None
+        if not warmed:
+            T, basis = _reoptimise(lp, *_starting_tableau(lp),
+                                   np.zeros(0, dtype=np.intp), tally)
+    if warm is not None:
+        warm.T, warm.basis, warm.keys = T, basis, lp.keys
     s, z = n + 2 * k, n + 2 * k + 2 * r
     x = np.maximum(T[-1, s:z], 0.0)
     rho = float(T[-1, z] - RHO_FLOOR)
     status = LPStatus.UNBOUNDED if rho <= -RHO_FLOOR + FLOOR_TOL else LPStatus.OPTIMAL
-    return LPSolution(x[r:], x[:r], rho, status, tally[0], warmed)
+    return LPSolution(x[r:], x[:r], rho, status, tally[0] - start, warmed)
 
 
-def _cold_tableau(lp: FeasibilityLP) -> tuple[np.ndarray, np.ndarray]:
-    """The dual's tableau at the basis of the slacks and z."""
-    n, r = lp.n, lp.r
-    C, k = lp.eq_coeffs, lp.eq_coeffs.shape[0]
-    s, z = n + 2 * k, n + 2 * k + 2 * r
-    T = np.zeros((2 * r + 2, z + 2))
-    T[:, :n] = _y_columns(lp.p_lo, lp.p_hi, lp.b)
-    T[:r, n:n + k] = -C.T
-    T[r:2 * r, n:n + k] = C.T
-    T[:2 * r, n + k:s] = -T[:2 * r, n:n + k]
-    T[:2 * r, s:z] = np.eye(2 * r)
-    T[2 * r, z] = T[2 * r, -1] = 1.0
-    T[-1, n:n + k] = -lp.eq_rhs
-    T[-1, n + k:s] = lp.eq_rhs
+def _starting_tableau(lp: FeasibilityLP) -> tuple[np.ndarray, np.ndarray]:
+    """The dual's tableau without y columns at the basis of the slacks
+    and z: the u+, u-, slack, z and right-hand-side columns."""
+    r, C, k = lp.r, lp.eq_coeffs, lp.eq_coeffs.shape[0]
+    T = np.zeros((2 * r + 2, 2 * k + 2 * r + 2))
+    T[:r, :k] = -C.T
+    T[r:2 * r, :k] = C.T
+    T[:2 * r, k:2 * k] = -T[:2 * r, :k]
+    T[:2 * r, 2 * k:-2] = np.eye(2 * r)
+    T[2 * r, -2] = T[2 * r, -1] = 1.0
+    T[-1, :k] = -lp.eq_rhs
+    T[-1, k:2 * k] = lp.eq_rhs
     T[-1, -1] = -RHO_FLOOR
-    return T, np.arange(s, z + 1)
+    return T, np.arange(2 * k, 2 * k + 2 * r + 1)
 
 
-def _warm_solve(lp: FeasibilityLP, warm: DualTableau, tally: list[int]) -> bool:
-    """Update warm's tableau to lp's rows and re-optimise it (steps 1-3 of
-    the module docstring), counting pivots in tally[0].  True when warm
-    holds lp's optimal tableau; False when a cold solve must run, and warm
-    then holds no tableau."""
-    T, basis, cols = warm.T, warm.basis, warm.cols
-    warm.T = warm.basis = None
-    if T is None or cols.size != lp.n:
-        return False
+def _reoptimise(lp: FeasibilityLP, T: np.ndarray, basis: np.ndarray,
+                kept: np.ndarray, tally: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-3 of the module docstring: lp's optimal tableau and basis
+    from T and basis, whose y columns `kept` hold lp's leading rows in
+    order and whose other y columns are parents.  T and basis stay as
+    they are; pivots are counted in tally[0].  Raises an EFSolverError
+    when the update fails."""
     r, k = lp.r, lp.eq_coeffs.shape[0]
-    old = T.shape[1] - 2 * k - 2 * r - 2  # y columns of the saved tableau
-    kept = cols[cols >= 0]
+    old = T.shape[1] - 2 * k - 2 * r - 2  # y columns of T
     new = slice(kept.size, lp.n)
     # 1. the children's columns B^-1 a, with B^-1 in the columns of the
-    # starting basis, and the objective row pricing them the same way
-    a = _y_columns(lp.p_lo[new], lp.p_hi[new], lp.b[new])
-    added = T[:, old + 2 * k:old + 2 * k + 2 * r + 1] @ a[:-1]
-    added[-1] += a[-1]
+    # starting basis; the objective row prices them the same way, from
+    # their reduced costs at that basis, b - RHO_FLOOR (z, of cost
+    # RHO_FLOOR, is basic in sum(y) + z = 1)
+    a = np.empty((2 * r + 1, lp.n - kept.size))
+    a[:r], a[r:2 * r], a[2 * r] = lp.p_lo[new].T, -lp.p_hi[new].T, 1.0
+    added = T[:, old + 2 * k:old + 2 * k + 2 * r + 1] @ a
+    added[-1] += lp.b[new] - RHO_FLOOR
     T = np.concatenate([T[:, :old], added, T[:, old:]], axis=1)
     basis = np.where(basis >= old, basis + a.shape[1], basis)
     # 2. pivot the basic parents out, then drop every parent's column
@@ -277,24 +258,27 @@ def _warm_solve(lp: FeasibilityLP, warm: DualTableau, tally: list[int]) -> bool:
     allowed[kept] = True
     for row in np.flatnonzero(~allowed[basis]):
         if not pivot_out(T, basis, row, allowed):
-            return False
+            raise EFSolverError("no column to pivot a parent out")
         tally[0] += 1
     keep = np.flatnonzero(np.append(allowed, True))
     index = np.empty(T.shape[1], dtype=basis.dtype)
     index[keep] = np.arange(keep.size)
     T, basis = T[:, keep], index[basis]
-    if not np.isfinite(T).all() or (
-            (T[:-1, -1] < -EPS).any() and (T[-1, :-1] < -EPS).any()):
-        return False
+    _check_finite(T)
+    if (T[:-1, -1] < -EPS).any() and (T[-1, :-1] < -EPS).any():
+        raise EFSolverError("neither primal nor dual feasible")
     # 3. dual pivots to a feasible right-hand side, then primal ones
-    try:
-        status = simplex_solve(T, basis, tally)
-    except SimplexIterationLimit:
-        return False
-    if status is not SimplexStatus.OPTIMAL or not np.isfinite(T).all():
-        return False
-    warm._save(T, basis, lp.n)
-    return True
+    status = simplex_solve(T, basis, tally)
+    _check_finite(T)
+    if status is not SimplexStatus.OPTIMAL:
+        raise EqualitiesInfeasible("equality system C x = d is infeasible")
+    return T, basis
+
+
+def _check_finite(T: np.ndarray) -> None:
+    if not np.isfinite(T).all():
+        raise LPOverflow("residual LP overflow: the dual tableau left the "
+                         "double range")
 
 
 def residual_vector(lp: FeasibilityLP, sol: LPSolution) -> np.ndarray:

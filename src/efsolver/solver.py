@@ -13,7 +13,7 @@ sources: the widest straddling guard while any box is undecided, else
 the residual LP built from the arrays.  One LP both decides solvability
 (rho <= 0) and, when infeasible so far, supplies the residuals that
 select the target rows.  Each LP starts from the previous one's optimal
-dual tableau, which the table keeps in row order; a warm solve that
+dual tableau, whose columns are keyed by box id; a warm solve that
 would decide the run (rho <= -ACCEPT_TOL, or no row left to improve) is
 repeated cold, so every verdict and every reported x come from a cold
 solve.  Both sources feed one split loop: each target
@@ -134,8 +134,7 @@ class _LiveBoxes:
     appended, or None; no other row can be false, because the loop stops
     on one.  `undecided` counts the Undecided rows, and
     `guard_tightenings` sums the classifications' tightened counts.
-    `dual` keeps the last LP's optimal dual tableau, and `commit` tells it
-    which rows left and how many arrived, so its columns follow the rows.
+    `keys` holds the rows' box ids, which key the residual LP's rows.
     """
 
     def __init__(self, problem: Problem):
@@ -145,12 +144,12 @@ class _LiveBoxes:
         r = problem.r
         self.p_lo, self.p_hi = np.zeros((0, r)), np.zeros((0, r))
         self.q_lo, self.q_hi = np.zeros(0), np.zeros(0)
+        self.keys = np.zeros(0, dtype=np.intp)
         self._split: list[int] = []
         self._staged: list[_Row] = []
         self.false_row: int | None = None
         self.undecided = 0
         self.guard_tightenings = 0
-        self.dual = DualTableau()
         for br in problem.branches:
             cb = compile_branch(br.formula, br.box.names, self.x_vars)
             self._stage(cb, *br.box.endpoints(), 0, AgeTable())
@@ -198,7 +197,8 @@ class _LiveBoxes:
         self.p_hi = np.concatenate([self.p_hi[k] for k in kept] + [p_hi])
         self.q_lo = np.concatenate([self.q_lo[k] for k in kept] + [q_lo])
         self.q_hi = np.concatenate([self.q_hi[k] for k in kept] + [q_hi])
-        self.dual.replace(split, len(new))
+        ids = np.array([row[0] for row in new], dtype=np.intp)
+        self.keys = np.concatenate([self.keys[k] for k in kept] + [ids])
         self._split, self._staged = [], []
 
     def witness(self, i: int) -> Branch:
@@ -217,10 +217,12 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
     hc = cfg.heuristic
     C, d = problem.eq_matrix(), problem.eq_vector()
     live = _LiveBoxes(problem)
+    dual, pivots = DualTableau(), [0]
 
     def done(outcome: SolveOutcome) -> SolveOutcome:
         stats.wall_time = time.perf_counter() - t0
         stats.guard_tightenings = live.guard_tightenings
+        stats.pivots = pivots[0]
         return outcome
 
     def stop(reason: str) -> SolveOutcome:
@@ -274,21 +276,20 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
             exhausted = "cannot split an undecided branch further"
         else:
             # every live box is a linear interval row
-            lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d)
+            lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d, live.keys)
             with np.errstate(over="ignore"):  # inf is the right width there
                 p_width = live.p_hi - live.p_lo
                 q_width = live.q_hi - live.q_lo
-            warm = live.dual
+            warm = dual
             while True:
                 stats.lp_solves += 1
                 try:
-                    sol = solve_feasibility(lp, warm)
+                    sol = solve_feasibility(lp, warm, pivots)
                 except EqualitiesInfeasible as exc:
                     return done(SolveOutcome(Outcome.INFEASIBLE, stats,
                                              reason=str(exc)))
                 except (SimplexIterationLimit, LPOverflow) as exc:
                     return stop(str(exc))
-                stats.pivots += sol.pivots
                 resid = residual_vector(lp, sol)
                 rows = (select_targets(p_width, q_width, resid, hc)
                         if sol.rho > -ACCEPT_TOL else ())

@@ -107,7 +107,8 @@ class EndpointSystem:
     def lp(self, eq_coeffs=None, eq_rhs=None):
         if eq_coeffs is None:
             eq_coeffs, eq_rhs = np.zeros((0, self.r)), np.zeros(0)
-        return rohn_transform(self.p_lo, self.p_hi, self.q_lo, eq_coeffs, eq_rhs)
+        return rohn_transform(self.p_lo, self.p_hi, self.q_lo, eq_coeffs, eq_rhs,
+                              np.arange(len(self.q_lo)))
 
 
 def random_interval_system(rng, r=None, n=None, width_min=0.1,

@@ -9,9 +9,9 @@ the benchmark's generated guarded instances for seeds 101-103 at their
 split caps under each strategy, and 40 `random_robust_problem` draws from default_rng(7)
 under each strategy.  Every run is bounded by a split cap only, so the
 records do not depend on machine speed.  A record holds the outcome, the
-reason, the split, round, LP-solve and guard-tightening counts, the
-witness id, the verifier's status on a solution, a SHA-256 digest of the
-split history and x as `float.hex` strings.
+reason, the split, round, LP-solve, simplex-pivot and guard-tightening
+counts, the witness id, the verifier's status on a solution, a SHA-256
+digest of the split history and x as `float.hex` strings.
 
 The first form writes the records of the checkout this file lies in; the
 second prints every run whose records differ and exits 1 if any do.
@@ -88,6 +88,7 @@ def record(problem, strategy, max_splits) -> dict:
     return {
         "outcome": out.outcome.value, "reason": out.reason,
         "splits": s.splits, "rounds": s.rounds, "lp_solves": s.lp_solves,
+        "pivots": s.pivots,
         "guard_tightenings": s.guard_tightenings,
         "witness_id": out.witness_id, "verify": verify,
         "split_history": hashlib.sha256(

@@ -190,6 +190,8 @@ def run_cli(argv):
     ["solve"],
     [],
     ["solve", "A", "--kappa", "inf"],
+    ["solve", "A", "--epsilon", "inf"],
+    ["bench", "--epsilon", "inf"],
 ])
 def test_bad_command_line_exit_code(bench_file, capsys, args):
     argv = [bench_file(a) if a == "A" else a for a in args]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,23 @@ def test_coeff_score_values():
     scores = coeff_score(np.array([4.0, 0.0, 2.0]), np.array([0.0, 5.0, 1.0]),
                          np.array([0.0, 0.0, 3.0]), 0.5)
     assert scores.tolist() == [2.0, 0.0, 7.0]
+
+
+def test_coeff_score_scales_overflowing_scores():
+    # at epsilon = 1e308 three of these scores overflow; scaled by one
+    # power of two they stay finite, without an overflow warning (an error
+    # under the test configuration), and keep the order of their exact
+    # values, so the widest of the three wins instead of the first inf
+    width = np.array([2.0, 3.0, 0.0, 2.0, 1e-3])
+    x1, x2 = np.array([0.0, 1.0, 5.0, 1e300, 0.0]), np.zeros(5)
+    scores = coeff_score(width, x1, x2, 1e308)
+    assert math.isfinite(coeff_score(2.0, 0.0, 0.0, 1e308))
+    j, _ = split_coefficient(width, LPSolution(x1, x2, 1.0),
+                             HeuristicConfig(epsilon=1e308))
+    exact = [Fraction(w) * (Fraction(v) + Fraction(1e308)) for w, v in zip(width, x1)]
+    assert np.isfinite(scores).all()
+    assert np.argsort(scores).tolist() == sorted(range(5), key=exact.__getitem__)
+    assert j == 1
 
 
 def test_coeff_score_theorem_hypotheses():
@@ -338,6 +356,10 @@ def test_heuristic_config_rejects_infinite_kappa():
 def test_heuristic_config_validation():
     with pytest.raises(ValueError):
         HeuristicConfig(epsilon=-1.0)
+    # every score of a positive width would be inf, so the first column
+    # would win every split
+    with pytest.raises(ValueError, match="finite"):
+        HeuristicConfig(epsilon=math.inf)
     HeuristicConfig(epsilon=0.0)  # allowed: degenerate variant
     assert Strategy.from_name("split-all") is Strategy.SPLIT_ALL
     with pytest.raises(ValueError):

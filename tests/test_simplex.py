@@ -25,14 +25,16 @@ def standard_tableau(c, A, b):
     return T, np.arange(n, n + m)
 
 
-def residual_lp(p_lo, p_hi, b, C=None, d=None):
+def residual_lp(p_lo, p_hi, b, C=None, d=None, keys=None):
     """The residual LP of the interval rows [p_lo, p_hi] x <= b and
-    C x = d, as `solve_feasibility` takes it."""
+    C x = d, as `solve_feasibility` takes it; the rows' keys are 0, 1, ...
+    unless given."""
     p_lo, p_hi, b = (np.asarray(a, dtype=float) for a in (p_lo, p_hi, b))
     r = p_lo.shape[1]
     C = np.zeros((0, r)) if C is None else np.asarray(C, dtype=float)
     d = np.zeros(0) if d is None else np.asarray(d, dtype=float)
-    return rohn_transform(p_lo, p_hi, b, C, d)
+    keys = np.arange(len(b)) if keys is None else np.asarray(keys)
+    return rohn_transform(p_lo, p_hi, b, C, d, keys)
 
 
 def primal(lp):
@@ -151,7 +153,7 @@ def test_eq_conflict_equalities_are_infeasible(benchmarks):
     with pytest.raises(EqualitiesInfeasible):
         solve_feasibility(rohn_transform(np.zeros((0, r)), np.zeros((0, r)),
                                          np.zeros(0), problem.eq_matrix(),
-                                         problem.eq_vector()))
+                                         problem.eq_vector(), np.zeros(0, int)))
 
 
 def test_negative_equality_rhs():
@@ -494,9 +496,9 @@ def test_warm_solves_match_cold_solves(benchmarks, monkeypatch, name, strategy):
     solve = relaxation.solve_feasibility
     warm_solves = 0
 
-    def checked(lp, warm=None):
+    def checked(lp, warm=None, tally=None):
         nonlocal warm_solves
-        sol = solve(lp, warm)
+        sol = solve(lp, warm, tally)
         if sol.warm:
             warm_solves += 1
             cold = solve(lp)
@@ -537,6 +539,64 @@ def test_fallback_gives_the_cold_result_bit_for_bit():
     assert again.warm and again.pivots == 0 and again.rho == cold.rho
 
 
+def keyed_rows(rng):
+    """Rows (p_lo, p_hi, b) of three columns by key: 0, 1 and 2, then two
+    children for each of 1, 2, 5 and 7, whose enclosures lie inside their
+    parent's."""
+    rows = {}
+    for key in range(3):
+        lo = rng.normal(size=3)
+        rows[key] = lo, lo + rng.uniform(0.5, 2.0, 3), rng.normal()
+    children = {1: (5, 6), 2: (7, 8), 5: (9, 10), 7: (11, 12)}
+    for parent, keys in children.items():
+        lo, hi, b = rows[parent]
+        for key in keys:
+            a, c = np.sort(rng.uniform(0.0, 1.0, (2, 3)), axis=0)
+            rows[key] = lo + a * (hi - lo), lo + c * (hi - lo), b + rng.uniform(0.0, 0.1)
+    return rows
+
+
+def keyed_lp(rows, keys):
+    return residual_lp(*([rows[key][i] for key in keys] for i in range(3)),
+                       keys=keys)
+
+
+def test_keyed_warm_start_follows_the_rows(monkeypatch):
+    # keys [0, 1, 2], then 1 split into 5 and 6, then two rounds of splits
+    # (2 into 7 and 8, 5 into 9 and 10, then 7 into 11 and 12) with no LP
+    # between them: every LP after the first is warm started, with the
+    # cold optimum, and some parents are basic and pivoted out
+    pivot_outs = []
+    pivot_out = relaxation.pivot_out
+    monkeypatch.setattr(relaxation, "pivot_out",
+                        lambda *args: pivot_outs.append(1) or pivot_out(*args))
+    verdicts = set()
+    for seed in range(20):
+        rows, warm = keyed_rows(np.random.default_rng(seed)), relaxation.DualTableau()
+        for i, keys in enumerate(([0, 1, 2], [0, 2, 5, 6], [0, 6, 8, 9, 10, 11, 12])):
+            lp = keyed_lp(rows, keys)
+            sol, cold = solve_feasibility(lp, warm), solve_feasibility(lp)
+            assert sol.warm == (i > 0) and warm.keys.tolist() == keys
+            assert sol.rho == pytest.approx(cold.rho, rel=1e-9, abs=1e-9)
+            verdicts.add(sol.status)
+    assert len(pivot_outs) > 0 and verdicts == {LPStatus.OPTIMAL, LPStatus.UNBOUNDED}
+
+
+@pytest.mark.parametrize("saved,keys", [([0, 2], [0, 1, 2]), ([1, 2], [0, 1, 2]),
+                                        ([0, 6], [0, 5, 6])])
+def test_saved_rows_out_of_place_solve_cold(saved, keys):
+    # the saved rows still present must be the LP's leading rows in the
+    # same order; otherwise the solve is cold, bit for bit
+    rows = keyed_rows(np.random.default_rng(3))
+    warm = relaxation.DualTableau()
+    solve_feasibility(keyed_lp(rows, saved), warm)
+    lp = keyed_lp(rows, keys)
+    sol, cold = solve_feasibility(lp, warm), solve_feasibility(lp)
+    assert not sol.warm and sol.pivots == cold.pivots
+    assert np.array_equal(sol.x1, cold.x1) and np.array_equal(sol.x2, cold.x2)
+    assert sol.rho == cold.rho and warm.keys.tolist() == keys
+
+
 def test_forced_fallbacks_reproduce_the_cold_run(benchmarks, monkeypatch):
     # with no column to pivot a basic parent out, every warm solve that
     # splits a basic parent falls back; split-worst splits the worst row,
@@ -544,12 +604,12 @@ def test_forced_fallbacks_reproduce_the_cold_run(benchmarks, monkeypatch):
     # bit for bit
     cold_only = []
     monkeypatch.setattr(ef.solver, "solve_feasibility",
-                        lambda lp, warm=None: solve_feasibility(lp))
+                        lambda lp, warm, tally: solve_feasibility(lp, None, tally))
     want = solve_bundled(benchmarks, "B", "split-worst")
     monkeypatch.undo()
 
-    def solving(lp, warm=None):
-        sol = solve_feasibility(lp, warm)
+    def solving(lp, warm, tally):
+        sol = solve_feasibility(lp, warm, tally)
         cold_only.append(not sol.warm)
         return sol
 

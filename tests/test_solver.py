@@ -277,12 +277,31 @@ def test_overflowing_width_is_split_round_robin(strategy):
     assert out.stats.split_history[0] == (0, RHS_COEFFICIENT, 0)
 
 
+def test_pivots_of_an_lp_that_raises_are_counted(monkeypatch):
+    # round-robin's fourth LP pivots warm, falls back, pivots cold and
+    # overflows; the report counts every pivot simplex._pivot made
+    calls = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: calls.append(pivot(*args)))
+    _, out = solve_text("""
+        exists x1 ;
+        forall-vars y1 ;
+        branch y1 in [-1,1] : x1 <= 1.5e308*y1 ;
+        branch y1 in [0,1] : -x1 <= -1 ;
+    """, heuristic=ef.HeuristicConfig(strategy=ef.Strategy.ROUND_ROBIN),
+        max_splits=5)
+    assert out.reason == ("residual LP overflow: the dual tableau left the "
+                          "double range")
+    assert out.stats.lp_solves == 4
+    assert out.stats.pivots == len(calls) == 6
+
+
 def test_simplex_iteration_limit_is_a_budget_outcome(benchmarks, monkeypatch):
     monkeypatch.setattr(simplex, "MAX_ITER", 1)
     out = ef.solve(benchmarks["A"])
     assert out.outcome is Outcome.BUDGET_EXHAUSTED
     assert out.reason == "simplex iteration limit reached (1 pivots in one solve)"
-    assert out.stats.lp_solves == 1
+    assert out.stats.lp_solves == out.stats.pivots == 1
 
 
 def test_exact_point_system_infeasible():
