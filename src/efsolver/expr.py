@@ -11,12 +11,20 @@ The solver does not walk trees.  `compile_tape` compiles several trees
 over one box layout into one flat tape: a straight-line list of
 operations on numbered slots (the box dimensions, the constants, then one
 slot per operation), in which structurally equal subterms share a slot.
-`eval_on_box` runs a tape on plain float endpoints, one box per run, and
-every operation calls the float-level rounding helpers of `intervals`,
-which the `Interval` operators call as well, so a tape gives bit for bit
-the tree walk's enclosure.  The tree walk stays as the test oracle.  Both
-are naive (no dependency tracking), so the enclosure generally
-overestimates; containment is guaranteed.
+`eval_on_box` runs a tape on plain float endpoints, one box per run, as a
+kernel: a Python function generated from the tape's shape (the number of
+box dimensions and constants, and the operations) as straight-line code
+over local variables, one pair per slot.  The kernel inlines the rounding
+rules of `intervals` for negation, sums, differences, products and
+integer powers, from the templates that also build the float-level
+helpers the `Interval` operators call, and calls the helpers for
+quotients, sine and cosine.  So a tape gives bit for bit the tree walk's
+enclosure, which stays as the test oracle.  The constants come in as an
+argument, so the source holds only slot indices, exponents and the
+helpers' names, and tapes of one shape share one kernel: kernels are
+compiled once per shape and cached (bounded), and a tape keeps its kernel
+after its first run.  Both evaluators are naive (no dependency tracking),
+so the enclosure generally overestimates; containment is guaranteed.
 
 `mean_value_form` derives from a tape the mean-value form of one of its
 slots: a second interval tape that propagates forward-mode derivatives
@@ -29,8 +37,10 @@ overestimation on small boxes.
 from __future__ import annotations
 
 import math
+import re
+import textwrap
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 from . import intervals as iv
@@ -208,12 +218,13 @@ class Cos(Expr):
 
 # -- interval tapes -------------------------------------------------------------
 
-_BINARY = {Add: iv.add, Sub: iv.sub, Mul: iv.mul, Div: iv.div}
-_UNARY = {Neg: iv.neg, Sin: iv.sin, Cos: iv.cos}
+_BINARY = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
+_UNARY = {Neg: "neg", Sin: "sin", Cos: "cos"}
 
-# One operation: (helper, a, b, dst) sets slot dst to helper(slot a, slot
-# b) for a binary helper, or to helper(slot a) when b is None.
-Op = tuple[Callable[..., tuple[float, float]], int, int | None, int]
+# One operation: (code, a, b, dst) sets slot dst to the operation `code`
+# ("add", "sub", "mul", "div", "neg", "sin", "cos" or ("pow", k)) of slot a
+# and slot b, or of slot a alone when b is None.
+Op = tuple[str | tuple[str, int], int, int | None, int]
 
 
 @dataclass(frozen=True)
@@ -243,6 +254,11 @@ class Tape:
                 need.update((a,) if b is None else (a, b))
         return Tape(self.names, self.init, tuple(reversed(kept)), tuple(slots))
 
+    @cached_property
+    def kernel(self) -> Callable:
+        """The compiled kernel of the tape's shape; see `eval_on_box`."""
+        return _kernel((len(self.names), len(self.init), self.ops))
+
 
 def compile_tape(exprs: Sequence[Expr], names: Sequence[str]) -> Tape:
     """Compile `exprs` over the box dimensions `names` into one tape.
@@ -268,13 +284,13 @@ def compile_tape(exprs: Sequence[Expr], names: Sequence[str]) -> Tape:
             key, op = (Const, repr(e.value)), None
         elif kind is Pow:
             a = slot(e.base)
-            key, op = (Pow, a, e.exponent), (partial(iv.power, n=e.exponent), a, None)
+            key = op = (("pow", e.exponent), a, None)
         elif kind in _UNARY:
             a = slot(e.arg)
-            key, op = (kind, a), (_UNARY[kind], a, None)
+            key = op = (_UNARY[kind], a, None)
         elif kind in _BINARY:
             a, b = slot(e.left), slot(e.right)
-            key, op = (kind, a, b), (_BINARY[kind], a, b)
+            key = op = (_BINARY[kind], a, b)
         else:
             raise TypeError(f"cannot compile {kind.__name__} node")
         dst = slot_of.get(key)
@@ -293,6 +309,56 @@ def compile_tape(exprs: Sequence[Expr], names: Sequence[str]) -> Tape:
     return Tape(names, tuple(init), tuple(ops), roots)
 
 
+# The statements of each operation in a kernel: a rounding rule of
+# `intervals`, or a call of its helper.  A power's rule writes x ** k for
+# the helper's _pow(x, k).
+_RULES = {
+    "neg": iv.NEG, "add": iv.ADD, "sub": iv.SUB, "mul": iv.MUL,
+    "div": "{lo}, {hi} = div({alo}, {ahi}, {blo}, {bhi})\n",
+    "sin": "{lo}, {hi} = sin({alo}, {ahi})\n",
+    "cos": "{lo}, {hi} = cos({alo}, {ahi})\n",
+}
+_POW_CALL = re.compile(r"_pow\((\w+), (\w+)\)")
+# on OverflowError, `power` raises the helper's DomainError
+_POW_GUARD = "try:\n{body}except OverflowError:\n    {lo}, {hi} = power({alo}, {ahi}, {n})\n"
+
+
+def _kernel_body(shape: tuple[int, int, tuple[Op, ...]]) -> str:
+    """The statements of the kernel of a tape shape (len(names), len(init),
+    ops): a function kernel(lo, hi, c) of the box endpoints and the
+    constants `init` that returns the endpoints of every slot.  Slot s
+    lives in the locals l{s} and h{s}, loaded where an operation first
+    reads it."""
+    n, _, ops = shape
+    bound = {dst for *_, dst in ops}
+    body = []
+    for code, a, b, dst in ops:
+        for s in (a, b):
+            if s is not None and s not in bound:
+                bound.add(s)
+                body.append(f"l{s} = lo[{s}]\nh{s} = hi[{s}]\n" if s < n
+                            else f"l{s} = h{s} = c[{s - n}]\n")
+        ends = {"alo": f"l{a}", "ahi": f"h{a}", "blo": f"l{b}", "bhi": f"h{b}",
+                "lo": f"l{dst}", "hi": f"h{dst}"}
+        if isinstance(code, tuple):  # ("pow", k)
+            k = code[1]
+            rule = _POW_CALL.sub(r"\1 ** \2", iv.power_rule(k).format(n=k, **ends))
+            body.append(_POW_GUARD.format(body=textwrap.indent(rule, "    "), n=k, **ends))
+        else:
+            body.append(_RULES[code].format(**ends))
+    body.append("L = [*lo, *c]\nH = [*hi, *c]\n")
+    body += [f"L[{dst}] = l{dst}\nH[{dst}] = h{dst}\n" for *_, dst in ops]
+    body.append("return L, H\n")
+    return "".join(body)
+
+
+@lru_cache(maxsize=256)
+def _kernel(shape: tuple[int, int, tuple[Op, ...]]) -> Callable:
+    """The kernel of a tape shape, compiled once per shape: tapes that differ
+    only in their constants share it."""
+    return iv.define("kernel", "lo, hi, c", _kernel_body(shape), "<tape kernel>")
+
+
 def eval_on_box(tape: Tape, lo: Sequence[float], hi: Sequence[float]
                 ) -> tuple[list[float], list[float]]:
     """Run `tape` on the box with endpoints lo, hi (in `tape.names` order).
@@ -301,14 +367,7 @@ def eval_on_box(tape: Tape, lo: Sequence[float], hi: Sequence[float]
     the k-th compiled expression is (L[s], H[s]) with s = tape.roots[k].
     An overflowing operation raises DomainError.
     """
-    L = [*lo, *tape.init]
-    H = [*hi, *tape.init]
-    for fn, a, b, dst in tape.ops:
-        if b is None:
-            L[dst], H[dst] = fn(L[a], H[a])
-        else:
-            L[dst], H[dst] = fn(L[a], H[a], L[b], H[b])
-    return L, H
+    return tape.kernel(lo, hi, tape.init)
 
 
 def enclose(t: Expr, box: Box) -> Interval:
@@ -347,7 +406,7 @@ class MeanValueForm:
 def mean_value_form(tape: Tape, slot: int) -> MeanValueForm:
     """Derive the mean-value form of slot `slot` of `tape`.
 
-    Each derivative rule calls the `intervals` helpers on the natural
+    Each derivative rule is a few tape operations on the natural
     enclosures of the operands: u'v + uv' for a product, (u' - (u/v) v')/v
     for a quotient, n u^(n-1) u' for a power, cos(u) u' and -sin(u) u' for
     sine and cosine.  Structurally zero derivatives are dropped and
@@ -371,12 +430,12 @@ def mean_value_form(tape: Tape, slot: int) -> MeanValueForm:
             slot_of[key] = new_slot(value)
         return slot_of[key]
 
-    def apply(fn, a, b=None) -> int:
+    def apply(code, a, b=None) -> int:
         a, b = (const(1.0) if d == _ONE else d for d in (a, b))
-        key = (fn, a, b)
+        key = (code, a, b)
         if key not in slot_of:
             slot_of[key] = dst = new_slot(0.0)
-            ops.append((fn, a, b, dst))
+            ops.append((code, a, b, dst))
         return slot_of[key]
 
     def times(p, q):
@@ -384,55 +443,55 @@ def mean_value_form(tape: Tape, slot: int) -> MeanValueForm:
             return None
         if p == _ONE or q == _ONE:
             return q if p == _ONE else p
-        return apply(iv.mul, p, q)
+        return apply("mul", p, q)
 
     def plus(p, q):
         if p is None or q is None:
             return q if p is None else p
-        return apply(iv.add, p, q)
+        return apply("add", p, q)
 
     def minus(p, q):
         if q is None:
             return p
-        return apply(iv.neg, q) if p is None else apply(iv.sub, p, q)
+        return apply("neg", q) if p is None else apply("sub", p, q)
 
     zero = (None,) * n
     grad: dict[int, tuple] = {j: tuple(_ONE if k == j else None for k in range(n))
                               for j in range(n)}
-    for fn, a, b, dst in cone.ops:
+    for code, a, b, dst in cone.ops:
         da = grad.get(a, zero)
         db = grad.get(b, zero) if b is not None else zero
         if da == db == zero:
             continue
-        if fn is iv.neg:
+        if code == "neg":
             g = [minus(None, p) for p in da]
-        elif fn is iv.add:
+        elif code == "add":
             g = [plus(p, q) for p, q in zip(da, db)]
-        elif fn is iv.sub:
+        elif code == "sub":
             g = [minus(p, q) for p, q in zip(da, db)]
-        elif fn is iv.mul:
+        elif code == "mul":
             g = [plus(times(p, b), times(a, q)) for p, q in zip(da, db)]
-        elif fn is iv.div:
-            g = [None if num is None else apply(iv.div, num, b)
+        elif code == "div":
+            g = [None if num is None else apply("div", num, b)
                  for num in (minus(p, times(dst, q)) for p, q in zip(da, db))]
         else:
-            if fn is iv.sin:
-                factor = apply(iv.cos, a)
-            elif fn is iv.cos:
-                factor = apply(iv.neg, apply(iv.sin, a))
-            elif fn.keywords["n"] == 1:  # partial(iv.power, n=k) from here on
+            if code == "sin":
+                factor = apply("cos", a)
+            elif code == "cos":
+                factor = apply("neg", apply("sin", a))
+            elif code[1] == 1:  # ("pow", k) from here on
                 factor = _ONE
             else:
-                k = fn.keywords["n"]
-                lower = a if k == 2 else apply(partial(iv.power, n=k - 1), a)
-                factor = apply(iv.mul, const(float(k)), lower)
+                k = code[1]
+                lower = a if k == 2 else apply(("pow", k - 1), a)
+                factor = apply("mul", const(float(k)), lower)
             g = [times(factor, p) for p in da]
         grad[dst] = tuple(g)
 
     form = N + slot  # f(c), from the cone run on the point box
     for j, d in enumerate(grad.get(slot, zero)):
         if d is not None:
-            form = apply(iv.add, form, times(d, apply(iv.sub, j, N + j)))
+            form = apply("add", form, times(d, apply("sub", j, N + j)))
     names = (tuple(f"Y[{s}]" for s in range(N))
              + tuple(f"c[{s}]" for s in range(N)))
     return MeanValueForm(slot, cone, Tape(names, tuple(init), tuple(ops), (form,)))

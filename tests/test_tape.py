@@ -1,15 +1,23 @@
 """Interval tapes against the tree-walk oracle `Expr.interval`.
 
-Both evaluators call the same float-level helpers of `intervals`, so a
+A tape runs as a generated kernel that inlines the rounding rules of
+`intervals`; the oracle calls the helpers built from the same rules.  So a
 tape must give the oracle's enclosure bit for bit, and must raise
-DomainError exactly where the oracle does."""
+DomainError, with the same message, exactly where the oracle does."""
 
+import io
+import keyword
+import re
+import sys
+import tokenize
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import efsolver as ef
-from efsolver import simplify
+from efsolver import expr, simplify
 from efsolver.errors import DomainError
 from efsolver.expr import (Add, Const, Cos, Div, Mul, Neg, Pow, Sin, Sub, Var,
                            compile_tape, eval_on_box)
@@ -19,8 +27,12 @@ from conftest import box_env, parse_expr
 
 NAMES = ("y1", "y2", "y3")
 
+# subnormals, so that products underflow to zero; signed zeros, for exact
+# zero products and signed-zero minima; values near the double range, where
+# rounding outward reaches inf
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308]
 constants = (st.floats(-1e3, 1e3, allow_nan=False)
-             | st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 1e200, -1e300]))
+             | st.sampled_from([1.0, -2.5, 1e-300, 1e200, -1e300, *EXTREMES]))
 leaves = st.builds(Const, constants) | st.builds(Var, st.sampled_from(NAMES))
 
 
@@ -34,7 +46,8 @@ def _extend(children):
 
 exprs = st.recursive(leaves, _extend, max_leaves=12)
 endpoints = (st.floats(-10.0, 10.0, allow_nan=False)
-             | st.floats(-1e160, 1e160, allow_nan=False))
+             | st.floats(-1e160, 1e160, allow_nan=False)
+             | st.sampled_from(EXTREMES))
 
 
 @st.composite
@@ -47,21 +60,27 @@ def boxes(draw):
 
 
 def oracle(t, box):
-    """(lo, hi) of the tree walk as float hex strings, or DomainError."""
+    """(lo, hi) of the tree walk as float hex strings, or the DomainError
+    message as a string."""
     try:
         iv = t.interval(box_env(box))
-    except DomainError:
-        return DomainError
+    except DomainError as e:
+        return f"DomainError: {e}"
     return iv.lo.hex(), iv.hi.hex()
 
 
 def tape_run(tape, box):
-    """(lo, hi) of every root of the tape, as in `oracle`, or DomainError."""
+    """(lo, hi) of every root of the tape, as in `oracle`, or the DomainError
+    message."""
     try:
         L, H = eval_on_box(tape, *box.endpoints())
-    except DomainError:
-        return DomainError
+    except DomainError as e:
+        return f"DomainError: {e}"
     return [(float(L[s]).hex(), float(H[s]).hex()) for s in tape.roots]
+
+
+def raised(result):
+    return isinstance(result, str)
 
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=400,
@@ -73,7 +92,7 @@ SETTINGS = settings(derandomize=True, database=None, max_examples=400,
 def test_tape_matches_tree_walk_bit_for_bit(t, box):
     expected = oracle(t, box)
     got = tape_run(compile_tape((t,), NAMES), box)
-    assert got == (expected if expected is DomainError else [expected])
+    assert got == (expected if raised(expected) else [expected])
 
 
 @SETTINGS
@@ -84,13 +103,14 @@ def test_shared_tape_matches_each_tree_walk(ts, box):
     ts = ts + [Add(ts[0], ts[1])]
     expected = [oracle(t, box) for t in ts]
     tape = compile_tape(ts, NAMES)
-    if DomainError in expected:
-        assert tape_run(tape, box) is DomainError
+    if any(map(raised, expected)):
+        # the shared tape stops at the first operation that raises
+        assert tape_run(tape, box) in [e for e in expected if raised(e)]
     else:
         assert tape_run(tape, box) == expected
     for t, want, slot in zip(ts, expected, tape.roots):
         got = tape_run(tape.restrict((slot,)), box)
-        assert got == (want if want is DomainError else [want])
+        assert got == (want if raised(want) else [want])
 
 
 @pytest.mark.parametrize("t,dims", [
@@ -101,11 +121,108 @@ def test_shared_tape_matches_each_tree_walk(ts, box):
     (Pow(Var("y1"), 3), (1e103, 1e104)),
     (Pow(Var("y1"), 2), (-1e200, 1.0)),
     (Sin(Mul(Var("y1"), Var("y1"))), (1e200, 1e201)),
+    (Add(Var("y1"), Const(1.7e308)), (-1.0, 1.7976931348623157e308)),
+    (Mul(Var("y1"), Const(1.0)), (-1.7976931348623157e308, 1.0)),
+    # ** raises OverflowError: odd, even above, below and around zero
+    (Pow(Var("y1"), 5), (-1e100, 1.0)),
+    (Pow(Var("y1"), 4), (1.0, 1e100)),
+    (Pow(Var("y1"), 4), (-1e100, -1.0)),
+    (Pow(Var("y1"), 6), (-1e100, 2.0)),
+    (Pow(Var("y1"), 2), (1e200, 1e201)),
 ])
 def test_overflow_raises_domain_error_on_both_paths(t, dims):
     box = Box.of(("y1", dims))
-    assert oracle(t, box) is DomainError
-    assert tape_run(compile_tape((t,), ("y1",)), box) is DomainError
+    expected = oracle(t, box)
+    assert raised(expected)
+    assert tape_run(compile_tape((t,), ("y1",)), box) == expected
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("dims", [
+    (0.0, 2.0), (-0.0, 2.0), (-3.0, 0.0), (-3.0, -0.0), (-1.5, 2.0),
+    (-2.0, 1.5), (0.0, 0.0), (-0.0, 0.0), (1e-200, 3.0), (-3.0, -1e-200),
+    (-1e-310, 1e-310)])
+def test_even_powers_at_and_around_zero(n, dims):
+    t = Pow(Var("y1"), n)
+    box = Box.of(("y1", dims))
+    assert tape_run(compile_tape((t,), ("y1",)), box) == [oracle(t, box)]
+
+
+def test_a_900_term_sum_compiles_and_matches_the_tree_walk():
+    terms = [Mul(Const(0.1 * k - 7.3), Var(NAMES[k % 3])) if k % 2 else Const(1.0 / (k + 3))
+             for k in range(900)]
+    t = terms[0]
+    for term in terms[1:]:
+        t = Add(t, term)
+    box = Box.of(("y1", (-1.0, 0.5)), ("y2", (0.0, 2.0)), ("y3", (-1e-3, 1e-3)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))  # the tree walk recurses per term
+    try:
+        tape = compile_tape((t,), NAMES)
+        expected = oracle(t, box)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(tape.ops) == 899 + 450
+    assert tape_run(tape, box) == [expected]
+
+
+def test_tapes_of_one_shape_share_a_kernel():
+    # the verifier's case: every call compiles the branches with a new x
+    def body(c):
+        return Sub(Mul(Const(c), Pow(Var("y1"), 2)), Div(Sin(Var("y2")), Const(3.0 + c)))
+    box = Box.of(("y1", (-1.0, 2.0)), ("y2", (0.5, 1.5)))
+    tapes = [compile_tape((body(c),), box.names) for c in (1.5, -2e-3)]
+    assert tapes[0].ops == tapes[1].ops and tapes[0].init != tapes[1].init
+    assert tapes[0].kernel is tapes[1].kernel
+    for c, tape in zip((1.5, -2e-3), tapes):
+        assert tape_run(tape, box) == [oracle(body(c), box)]
+
+
+def test_verifying_a_new_x_compiles_no_kernel(benchmarks):
+    problem = benchmarks["A"]
+    out = ef.solve(problem)
+    expr._kernel.cache_clear()  # no shape of this problem is evicted below
+    assert ef.verify_solution(problem, out.x)
+    misses = expr._kernel.cache_info().misses
+    # the next double above each nonzero value; a zero would become a new
+    # constant slot instead of sharing that of the constant 0 in the tape
+    x = np.where(out.x == 0.0, 0.0, np.nextafter(out.x, np.inf))
+    assert ef.verify_solution(problem, x)
+    assert expr._kernel.cache_info().misses == misses
+
+
+FIXED_NAMES = {"lo", "hi", "c", "L", "H", "_t", "_b", "_p", "_m", "_nextafter",
+               "_INF", "_NINF", "_overflow", "_round_zero_product", "div", "sin",
+               "cos", "power", "OverflowError"}
+
+
+def test_kernel_source_holds_slots_exponents_and_fixed_names():
+    zeta, omega = Var("zeta"), Var("omega")
+    t = Add(Mul(Const(123.456), Pow(zeta, 4)),
+            Sub(Div(Sin(omega), Const(7e-5)),
+                Neg(Mul(Cos(Pow(zeta, 3)), Pow(Add(omega, Const(-0.25)), 1)))))
+    tape = compile_tape((t,), ("zeta", "omega"))
+    src = expr._kernel_body((len(tape.names), len(tape.init), tape.ops))
+    for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+        if tok.type == tokenize.NAME:
+            assert (keyword.iskeyword(tok.string) or tok.string in FIXED_NAMES
+                    or re.fullmatch(r"[lh]\d+", tok.string)), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit() or tok.string == "0.0", tok
+    for value in ("zeta", "omega", "123.456", repr(7e-5), "0.25"):
+        assert value not in src
+
+
+def test_clearing_the_kernel_cache_changes_no_split(benchmarks):
+    config = ef.SolveConfig(heuristic=ef.HeuristicConfig(
+        strategy=ef.Strategy.from_name("split-worst")), max_splits=3000)
+    runs = []
+    for _ in range(2):
+        expr._kernel.cache_clear()
+        out = ef.solve(benchmarks["B"], config)
+        assert out.is_solution
+        runs.append((out.stats.split_history, [float(v).hex() for v in out.x]))
+    assert runs[0] == runs[1]
 
 
 def test_structurally_equal_subterms_share_a_slot():
