@@ -13,18 +13,18 @@ operations on numbered slots (the box dimensions, the constants, then one
 slot per operation), in which structurally equal subterms share a slot.
 `eval_on_box` runs a tape on plain float endpoints, one box per run, as a
 kernel: a Python function generated from the tape's shape (the number of
-box dimensions and constants, and the operations) as straight-line code
-over local variables, one pair per slot.  The kernel inlines the rounding
-rules of `intervals` for negation, sums, differences, products and
-integer powers, from the templates that also build the float-level
-helpers the `Interval` operators call, and calls the helpers for
-quotients, sine and cosine.  So a tape gives bit for bit the tree walk's
-enclosure, which stays as the test oracle.  The constants come in as an
-argument, so the source holds only slot indices, exponents and the
-helpers' names, and tapes of one shape share one kernel: kernels are
-compiled once per shape and cached (bounded), and a tape keeps its kernel
-after its first run.  Both evaluators are naive (no dependency tracking),
-so the enclosure generally overestimates; containment is guaranteed.
+box dimensions and the operations) as straight-line code over local
+variables, one pair per slot, and one call per operation of the
+float-level helper of `intervals` that the `Interval` operators call
+too.  So a tape gives bit for bit the tree walk's enclosure, which stays
+as the test oracle.  The constants come in as an argument, so the source
+holds only slot indices, exponents and the helpers' names, and tapes of
+one shape share one kernel: kernels are compiled once per shape and
+cached (bounded), and a tape keeps its kernel after its first run.
+Compiling costs about 30 us per operation, some 100 runs' worth, and a
+solve runs most of its kernels hundreds of times.  Both evaluators are
+naive (no dependency tracking), so the enclosure generally
+overestimates; containment is guaranteed.
 
 `mean_value_form` derives from a tape the mean-value form of one of its
 slots: a second interval tape that propagates forward-mode derivatives
@@ -37,7 +37,6 @@ overestimation on small boxes.
 from __future__ import annotations
 
 import math
-import re
 import textwrap
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -257,7 +256,7 @@ class Tape:
     @cached_property
     def kernel(self) -> Callable:
         """The compiled kernel of the tape's shape; see `eval_on_box`."""
-        return _kernel((len(self.names), len(self.init), self.ops))
+        return _kernel((len(self.names), self.ops))
 
 
 def compile_tape(exprs: Sequence[Expr], names: Sequence[str]) -> Tape:
@@ -309,27 +308,19 @@ def compile_tape(exprs: Sequence[Expr], names: Sequence[str]) -> Tape:
     return Tape(names, tuple(init), tuple(ops), roots)
 
 
-# The statements of each operation in a kernel: a rounding rule of
-# `intervals`, or a call of its helper.  A power's rule writes x ** k for
-# the helper's _pow(x, k).
-_RULES = {
-    "neg": iv.NEG, "add": iv.ADD, "sub": iv.SUB, "mul": iv.MUL,
-    "div": "{lo}, {hi} = div({alo}, {ahi}, {blo}, {bhi})\n",
-    "sin": "{lo}, {hi} = sin({alo}, {ahi})\n",
-    "cos": "{lo}, {hi} = cos({alo}, {ahi})\n",
-}
-_POW_CALL = re.compile(r"_pow\((\w+), (\w+)\)")
-# on OverflowError, `power` raises the helper's DomainError
-_POW_GUARD = "try:\n{body}except OverflowError:\n    {lo}, {hi} = power({alo}, {ahi}, {n})\n"
+# The names a kernel calls: an operation code (`Op`) names its helper in
+# `intervals`, and ("pow", k) calls `power` with k.
+_HELPERS = {name: getattr(iv, name)
+            for name in ("neg", "add", "sub", "mul", "div", "sin", "cos", "power")}
 
 
-def _kernel_body(shape: tuple[int, int, tuple[Op, ...]]) -> str:
-    """The statements of the kernel of a tape shape (len(names), len(init),
-    ops): a function kernel(lo, hi, c) of the box endpoints and the
-    constants `init` that returns the endpoints of every slot.  Slot s
-    lives in the locals l{s} and h{s}, loaded where an operation first
-    reads it."""
-    n, _, ops = shape
+def _kernel_body(shape: tuple[int, tuple[Op, ...]]) -> str:
+    """The statements of the kernel of a tape shape (len(names), ops): a
+    function kernel(lo, hi, c) of the box endpoints and the constants
+    `init` that returns the endpoints of every slot.  Slot s lives in the
+    locals l{s} and h{s}, loaded where an operation first reads it, and
+    each operation is one call of its helper in `intervals`."""
+    n, ops = shape
     bound = {dst for *_, dst in ops}
     body = []
     for code, a, b, dst in ops:
@@ -338,14 +329,13 @@ def _kernel_body(shape: tuple[int, int, tuple[Op, ...]]) -> str:
                 bound.add(s)
                 body.append(f"l{s} = lo[{s}]\nh{s} = hi[{s}]\n" if s < n
                             else f"l{s} = h{s} = c[{s - n}]\n")
-        ends = {"alo": f"l{a}", "ahi": f"h{a}", "blo": f"l{b}", "bhi": f"h{b}",
-                "lo": f"l{dst}", "hi": f"h{dst}"}
         if isinstance(code, tuple):  # ("pow", k)
-            k = code[1]
-            rule = _POW_CALL.sub(r"\1 ** \2", iv.power_rule(k).format(n=k, **ends))
-            body.append(_POW_GUARD.format(body=textwrap.indent(rule, "    "), n=k, **ends))
+            call = f"power(l{a}, h{a}, {code[1]})"
+        elif b is None:
+            call = f"{code}(l{a}, h{a})"
         else:
-            body.append(_RULES[code].format(**ends))
+            call = f"{code}(l{a}, h{a}, l{b}, h{b})"
+        body.append(f"l{dst}, h{dst} = {call}\n")
     body.append("L = [*lo, *c]\nH = [*hi, *c]\n")
     body += [f"L[{dst}] = l{dst}\nH[{dst}] = h{dst}\n" for *_, dst in ops]
     body.append("return L, H\n")
@@ -353,10 +343,13 @@ def _kernel_body(shape: tuple[int, int, tuple[Op, ...]]) -> str:
 
 
 @lru_cache(maxsize=256)
-def _kernel(shape: tuple[int, int, tuple[Op, ...]]) -> Callable:
+def _kernel(shape: tuple[int, tuple[Op, ...]]) -> Callable:
     """The kernel of a tape shape, compiled once per shape: tapes that differ
     only in their constants share it."""
-    return iv.define("kernel", "lo, hi, c", _kernel_body(shape), "<tape kernel>")
+    source = "def kernel(lo, hi, c):\n" + textwrap.indent(_kernel_body(shape), "    ")
+    namespace: dict = {}
+    exec(compile(source, "<tape kernel>", "exec"), _HELPERS, namespace)
+    return namespace["kernel"]
 
 
 def eval_on_box(tape: Tape, lo: Sequence[float], hi: Sequence[float]

@@ -6,23 +6,15 @@ real result despite rounding.  Exact operations (negation, sums with zero
 rounding error, products with a zero factor) are not inflated.  A result
 that leaves the double range raises DomainError.
 
-The arithmetic works on float endpoints.  Each rounding rule the interval
-tapes of `expr` inline (negation, sum, difference, product, integer
-power) is written once, as a template: Python statements over the
-operand endpoints {alo}, {ahi}, {blo}, {bhi} and the result endpoints
-{lo}, {hi}, run in this module's namespace (`define`).  The float-level
-helpers `neg`, `add`, `sub`, `mul` and `power` are built from those
-templates, and `expr` builds its tape kernels from the same ones, so the
-two cannot drift.  `div`, `sin` and `cos` are plain functions, which the
-kernels call.  The `Interval` operators call the helpers.
+The arithmetic is written once, as functions on float endpoints (`add`,
+`mul`, `power`, `sin`, ...); the `Interval` operators and the tape kernels
+of `expr` both call them.
 """
 
 from __future__ import annotations
 
 import math
-import textwrap
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import DomainError, SplitDegenerate
 
@@ -45,178 +37,89 @@ def _overflow(lo: float, hi: float) -> DomainError:
     return DomainError(f"interval leaves the double range: [{lo}, {hi}]")
 
 
-# -- rounding rules -------------------------------------------------------------
+# -- float-level operations ----------------------------------------------------
 #
-# `_t`, `_b`, `_p` and `_m` are scratch variables, dead after the rule that
-# sets them.  A result that does not overflow is ordered (lo <= hi) and never
-# NaN, so only the outer infinities need checking.
+# Each takes and returns interval endpoints as plain floats.  The Interval
+# operators and the tape kernels of `expr` both call these, so the two
+# evaluators round identically.  The bodies call no other function on the
+# common path, since a tape runs them once per operation.  Operations that
+# can overflow raise DomainError; their results are otherwise ordered
+# (lo <= hi) and never NaN, so only the outer infinities need checking.
 
-_OVERFLOW = """\
-if {lo} == _NINF or {hi} == _INF:
-    raise _overflow({lo}, {hi})
-"""
-
-NEG = """\
-{lo} = -{ahi}
-{hi} = -{alo}
-"""
+def neg(lo: float, hi: float) -> tuple[float, float]:
+    return -hi, -lo
 
 
-def _rounded_sum(s: str, a: str, b: str, way: str) -> str:
-    # rounded toward `way` unless the TwoSum residual shows a + b was exact
-    return (f"{s} = {a} + {b}\n"
-            f"_t = {s} - {a}\n"
-            f"if {a} - ({s} - _t) + ({b} - _t) != 0.0:\n"
-            f"    {s} = _nextafter({s}, {way})\n")
-
-
-ADD = (_rounded_sum("{lo}", "{alo}", "{blo}", "_NINF")
-       + _rounded_sum("{hi}", "{ahi}", "{bhi}", "_INF") + _OVERFLOW)
-
-# a - b is a + (-b) exactly, so the difference is the sum with b negated
-SUB = ("_b = -{bhi}\n" + _rounded_sum("{lo}", "{alo}", "_b", "_NINF")
-       + "_b = -{blo}\n" + _rounded_sum("{hi}", "{ahi}", "_b", "_INF") + _OVERFLOW)
-
-# The minimum and the maximum of the four products, the first of equal
-# ones as min() and max() keep it, then rounded outward, a zero endpoint by
-# `_round_zero_product`.
-MUL = """\
-{lo} = {hi} = {alo} * {blo}
-_p = {alo} * {bhi}
-if _p < {lo}:
-    {lo} = _p
-elif _p > {hi}:
-    {hi} = _p
-_p = {ahi} * {blo}
-if _p < {lo}:
-    {lo} = _p
-elif _p > {hi}:
-    {hi} = _p
-_p = {ahi} * {bhi}
-if _p < {lo}:
-    {lo} = _p
-elif _p > {hi}:
-    {hi} = _p
-if {lo} != 0.0 and {hi} != 0.0:
-    {lo} = _nextafter({lo}, _NINF)
-    {hi} = _nextafter({hi}, _INF)
-else:
-    {lo}, {hi} = _round_zero_product({lo}, {hi}, {alo}, {ahi}, {blo}, {bhi})
-""" + _OVERFLOW
-
-
-def _round_zero_product(lo: float, hi: float, alo: float, ahi: float,
-                        blo: float, bhi: float) -> tuple[float, float]:
-    """Round the product enclosure [lo, hi] of [alo, ahi] * [blo, bhi] outward
-    where an endpoint is zero.  A product is exact when one factor is
-    exactly zero, and then it is zero.  A zero endpoint stays unrounded only
-    when no product of two nonzero endpoints underflowed to zero, which would
-    tie with it.  That happens exactly when the product of the smallest
-    nonzero magnitudes does, since rounding is monotone."""
-    a = min(abs(alo) or _INF, abs(ahi) or _INF)
-    b = min(abs(blo) or _INF, abs(bhi) or _INF)
-    underflow = a * b == 0.0
-    if lo != 0.0 or underflow:
-        lo = _down(lo)
-    if hi != 0.0 or underflow:
-        hi = _up(hi)
+def add(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    # each endpoint rounded outward unless the TwoSum residual shows the sum
+    # was exact
+    lo = alo + blo
+    t = lo - alo
+    if alo - (lo - t) + (blo - t) != 0.0:
+        lo = _nextafter(lo, _NINF)
+    hi = ahi + bhi
+    t = hi - ahi
+    if ahi - (hi - t) + (bhi - t) != 0.0:
+        hi = _nextafter(hi, _INF)
+    if lo == _NINF or hi == _INF:
+        raise _overflow(lo, hi)
     return lo, hi
 
 
-# Integer powers {n} >= 1, monotone piecewise.  A power of zero is exact,
-# and x^n of even n is at least 0.  The helper `power` calls `_pow`, which
-# raises DomainError where x ** n leaves the double range; a tape kernel
-# writes x ** n in its place and calls `power` on OverflowError, so that
-# the same error is raised.
-_POW_ONE = """\
-{lo} = {alo}
-{hi} = {ahi}
-"""
-
-_POW_ODD = """\
-{lo} = _pow({alo}, {n})
-if {alo} != 0.0:
-    {lo} = _nextafter({lo}, _NINF)
-{hi} = _pow({ahi}, {n})
-if {ahi} != 0.0:
-    {hi} = _nextafter({hi}, _INF)
-""" + _OVERFLOW
-
-_POW_EVEN = """\
-if {alo} >= 0.0:
-    {lo} = _pow({alo}, {n})
-    if {alo} != 0.0:
-        {lo} = _nextafter({lo}, _NINF)
-    if not {lo} > 0.0:
-        {lo} = 0.0
-    {hi} = _pow({ahi}, {n})
-    if {ahi} != 0.0:
-        {hi} = _nextafter({hi}, _INF)
-elif {ahi} <= 0.0:
-    {lo} = _pow({ahi}, {n})
-    if {ahi} != 0.0:
-        {lo} = _nextafter({lo}, _NINF)
-    if not {lo} > 0.0:
-        {lo} = 0.0
-    {hi} = _pow({alo}, {n})
-    if {alo} != 0.0:
-        {hi} = _nextafter({hi}, _INF)
-else:
-    # straddles zero: the minimum 0 is attained exactly
-    _m = -{alo}
-    if {ahi} > _m:
-        _m = {ahi}
-    {lo} = 0.0
-    {hi} = _nextafter(_pow(_m, {n}), _INF)
-""" + _OVERFLOW
+def sub(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    # a - b is a + (-b) exactly, so this is `add` with b negated
+    b = -bhi
+    lo = alo + b
+    t = lo - alo
+    if alo - (lo - t) + (b - t) != 0.0:
+        lo = _nextafter(lo, _NINF)
+    b = -blo
+    hi = ahi + b
+    t = hi - ahi
+    if ahi - (hi - t) + (b - t) != 0.0:
+        hi = _nextafter(hi, _INF)
+    if lo == _NINF or hi == _INF:
+        raise _overflow(lo, hi)
+    return lo, hi
 
 
-def _pow(x: float, n: int) -> float:
-    try:
-        return x ** n
-    except OverflowError:
-        raise DomainError(f"{x!r}^{n} leaves the double range") from None
-
-
-def power_rule(n: int) -> str:
-    """The template of the power x^n, n >= 1."""
-    if n == 1:
-        return _POW_ONE
-    return _POW_ODD if n % 2 == 1 else _POW_EVEN
-
-
-def define(name: str, params: str, body: str, filename: str) -> Callable:
-    """The function `name(params)` with the statements `body`, compiled in
-    this module's namespace, where every name the templates use is bound."""
-    namespace: dict = {}
-    source = f"def {name}({params}):\n" + textwrap.indent(body, "    ")
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace[name]
-
-
-# -- float-level operations ----------------------------------------------------
-#
-# Each takes and returns interval endpoints as plain floats.  Operations that
-# can overflow raise DomainError.
-
-_ENDS = {"alo": "alo", "ahi": "ahi", "blo": "blo", "bhi": "bhi",
-         "lo": "lo", "hi": "hi", "n": "n"}
-_RETURN = "return lo, hi\n"
-
-neg = define("neg", "alo, ahi", NEG.format(**_ENDS) + _RETURN, "<intervals.neg>")
-add = define("add", "alo, ahi, blo, bhi", ADD.format(**_ENDS) + _RETURN,
-             "<intervals.add>")
-sub = define("sub", "alo, ahi, blo, bhi", SUB.format(**_ENDS) + _RETURN,
-             "<intervals.sub>")
-mul = define("mul", "alo, ahi, blo, bhi", MUL.format(**_ENDS) + _RETURN,
-             "<intervals.mul>")
-power = define("power", "alo, ahi, n", (
-    "if n == 1:\n" + textwrap.indent(_POW_ONE, "    ")
-    + "elif n % 2 == 1:\n" + textwrap.indent(_POW_ODD, "    ")
-    + "else:\n" + textwrap.indent(_POW_EVEN, "    ")).format(**_ENDS) + _RETURN,
-    "<intervals.power>")
-power.__doc__ = """Integer power, n >= 1 (checked where n enters: `Pow` and
-    `Interval.power`), as a single monotone-piecewise operation."""
+def mul(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
+    # the minimum and the maximum of the four products, the first of equal
+    # ones as min() and max() keep it, then rounded outward
+    lo = hi = alo * blo
+    p = alo * bhi
+    if p < lo:
+        lo = p
+    elif p > hi:
+        hi = p
+    p = ahi * blo
+    if p < lo:
+        lo = p
+    elif p > hi:
+        hi = p
+    p = ahi * bhi
+    if p < lo:
+        lo = p
+    elif p > hi:
+        hi = p
+    if lo != 0.0 and hi != 0.0:
+        lo = _nextafter(lo, _NINF)
+        hi = _nextafter(hi, _INF)
+    else:
+        # A product is exact when one factor is exactly zero, and then it is
+        # zero, so a zero endpoint stays unrounded, unless a product of two
+        # nonzero endpoints underflowed to zero and ties with it.
+        underflow = (alo != 0.0 and (blo != 0.0 and alo * blo == 0.0
+                                     or bhi != 0.0 and alo * bhi == 0.0)
+                     or ahi != 0.0 and (blo != 0.0 and ahi * blo == 0.0
+                                        or bhi != 0.0 and ahi * bhi == 0.0))
+        if lo != 0.0 or underflow:
+            lo = _nextafter(lo, _NINF)
+        if hi != 0.0 or underflow:
+            hi = _nextafter(hi, _INF)
+    if lo == _NINF or hi == _INF:
+        raise _overflow(lo, hi)
+    return lo, hi
 
 
 def div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
@@ -226,6 +129,46 @@ def div(alo: float, ahi: float, blo: float, bhi: float) -> tuple[float, float]:
     lo = _down(min(quotients))
     hi = _up(max(quotients))
     if lo == -_INF or hi == _INF:
+        raise _overflow(lo, hi)
+    return lo, hi
+
+
+def power(alo: float, ahi: float, n: int) -> tuple[float, float]:
+    """Integer power, n >= 1 (checked where n enters: `Pow` and
+    `Interval.power`), as a single monotone-piecewise operation.  A power
+    of zero is exact, and x^n of even n is at least 0."""
+    if n == 1:
+        return alo, ahi
+    if n % 2 == 1:
+        lo = _pow(alo, n)
+        if alo != 0.0:
+            lo = _nextafter(lo, _NINF)
+        hi = _pow(ahi, n)
+        if ahi != 0.0:
+            hi = _nextafter(hi, _INF)
+    elif alo >= 0.0:
+        lo = _pow(alo, n)
+        if alo != 0.0:
+            lo = _nextafter(lo, _NINF)
+        if not lo > 0.0:
+            lo = 0.0
+        hi = _pow(ahi, n)
+        if ahi != 0.0:
+            hi = _nextafter(hi, _INF)
+    elif ahi <= 0.0:
+        lo = _pow(ahi, n)
+        if ahi != 0.0:
+            lo = _nextafter(lo, _NINF)
+        if not lo > 0.0:
+            lo = 0.0
+        hi = _pow(alo, n)
+        if alo != 0.0:
+            hi = _nextafter(hi, _INF)
+    else:
+        # straddles zero: the minimum 0 is attained exactly
+        lo = 0.0
+        hi = _nextafter(_pow(-alo if -alo > ahi else ahi, n), _INF)
+    if lo == _NINF or hi == _INF:
         raise _overflow(lo, hi)
     return lo, hi
 
@@ -337,6 +280,13 @@ class Interval:
 
     def cos(self) -> Interval:
         return Interval(*cos(self.lo, self.hi))
+
+
+def _pow(x: float, n: int) -> float:
+    try:
+        return x ** n
+    except OverflowError:
+        raise DomainError(f"{x!r}^{n} leaves the double range") from None
 
 
 def _grid_hits(lo: float, hi: float, offset: float) -> bool:

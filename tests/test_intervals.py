@@ -46,6 +46,80 @@ def test_mul_encloses_the_exact_products(a, b):
     assert Fraction(lo) <= min(exact) and max(exact) <= Fraction(hi)
 
 
+# The float-level helpers are written without calls, so that a tape kernel
+# runs them fast.  These references state each rule with min, max and
+# helper calls instead; the two must agree bit for bit, signed zeros and
+# error messages included.
+
+def _ref_sum(a, b, way):
+    s = a + b
+    t = s - a
+    return s if (a - (s - t)) + (b - t) == 0.0 else math.nextafter(s, way)
+
+
+def _ref_checked(lo, hi):
+    if lo == -math.inf or hi == math.inf:
+        raise intervals._overflow(lo, hi)
+    return lo, hi
+
+
+def _ref_mul(alo, ahi, blo, bhi):
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    lo, hi = min(products), max(products)
+    a = min(abs(alo) or math.inf, abs(ahi) or math.inf)
+    b = min(abs(blo) or math.inf, abs(bhi) or math.inf)
+    exact_zero = (lo == 0.0 or hi == 0.0) and a * b != 0.0
+    if lo != 0.0 or not exact_zero:
+        lo = math.nextafter(lo, -math.inf)
+    if hi != 0.0 or not exact_zero:
+        hi = math.nextafter(hi, math.inf)
+    return _ref_checked(lo, hi)
+
+
+def _ref_power(lo, hi, n):
+    def pow_round(x, way):
+        v = intervals._pow(x, n)
+        return v if x == 0.0 else math.nextafter(v, way)
+    if n == 1:
+        return lo, hi
+    if n % 2 == 1:
+        return _ref_checked(pow_round(lo, -math.inf), pow_round(hi, math.inf))
+    if lo >= 0.0:
+        return _ref_checked(max(0.0, pow_round(lo, -math.inf)), pow_round(hi, math.inf))
+    if hi <= 0.0:
+        return _ref_checked(max(0.0, pow_round(hi, -math.inf)), pow_round(lo, math.inf))
+    return _ref_checked(0.0, pow_round(max(-lo, hi), math.inf))
+
+
+REFERENCES = [
+    (intervals.neg, lambda alo, ahi: (-ahi, -alo), 2),
+    (intervals.add, lambda alo, ahi, blo, bhi: _ref_checked(
+        _ref_sum(alo, blo, -math.inf), _ref_sum(ahi, bhi, math.inf)), 4),
+    (intervals.sub, lambda alo, ahi, blo, bhi: _ref_checked(
+        _ref_sum(alo, -bhi, -math.inf), _ref_sum(ahi, -blo, math.inf)), 4),
+    (intervals.mul, _ref_mul, 4),
+] + [(lambda alo, ahi, n=n: intervals.power(alo, ahi, n),
+      lambda alo, ahi, n=n: _ref_power(alo, ahi, n), 2) for n in range(1, 6)]
+
+extreme = (tiny | st.floats(-1e160, 1e160, allow_nan=False)
+           | st.sampled_from([1.7e308, -1.7e308, 1e-310, -1e-310, 1.0, -1.0]))
+
+
+def _outcome(f, args):
+    try:
+        return tuple(v.hex() for v in f(*args))
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(a=st.tuples(extreme, extreme), b=st.tuples(extreme, extreme))
+def test_helpers_match_their_references_bit_for_bit(a, b):
+    args = (*sorted(a), *sorted(b))
+    for helper, reference, arity in REFERENCES:
+        assert _outcome(helper, args[:arity]) == _outcome(reference, args[:arity])
+
+
 def test_sin_monotone_piecewise():
     r = Interval(0.0, math.pi).sin()
     assert r.hi == 1.0
