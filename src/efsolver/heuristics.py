@@ -3,19 +3,21 @@
 Three decisions are made when the LP relaxation reports rho > 0:
 
 * which branch box to split (`select_targets`, array operations over the
-  live rows): the row with the largest residual, the oldest box among
-  near-ties (split-worst), every row with positive residual, in box id
-  order (split-all), or, for the classical round-robin
-  baseline, simply the oldest live box in rotation (no residual
-  information used at all);
+  live rows' residuals and the mask of the rows that splitting can
+  improve, which the solver's live-box table keeps): the row with the
+  largest residual, the oldest box among near-ties (split-worst), every
+  row with positive residual, in box id order (split-all), or, for the
+  classical round-robin baseline, simply the oldest live box in rotation
+  (no residual information used at all);
 
 * which interval coefficient to improve, only for the rows actually split
-  (`split_coefficient`, which scores every column with `coeff_score`): the
-  score width(p_j) * (max(x1_j, x2_j) + epsilon) estimates how much
-  shrinking column j moves the residual.  The epsilon term keeps columns
-  whose LP value happens to be zero from being starved: with epsilon = 0
-  the score degenerates to 0 there and the argmax can stall on a useless
-  column forever;
+  (`split_coefficient`, which scores each column of the row with
+  `coeff_score`'s formula, in floats): the score
+  width(p_j) * (max(x1_j, x2_j) + epsilon) estimates how much shrinking
+  column j moves the residual.  The epsilon term keeps columns whose LP
+  value happens to be zero from being starved: with epsilon = 0 the score
+  degenerates to 0 there and the argmax can stall on a useless column
+  forever;
 
 * which box variable to split for that coefficient expression
   (`splitheur`, with the ages of the box's `AgeTable`): trial evaluation
@@ -30,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,62 +103,75 @@ def coeff_score(width, x1, x2, epsilon: float):
         return width * (value * scale + epsilon * scale)
 
 
-def select_targets(p_width: np.ndarray, q_width: np.ndarray,
-                   residual: np.ndarray, cfg: HeuristicConfig) -> np.ndarray:
+def select_targets(improvable: np.ndarray, residual: np.ndarray,
+                   cfg: HeuristicConfig) -> np.ndarray:
     """Indices of the rows to split, in preference order.
 
-    p_width (n x r) and q_width (n) are the widths of the coefficient and
-    right-hand-side enclosures of the live rows, in box id order.
-    Split-all returns every positive-residual row (every improvable row
-    when none is positive) in box id order, since it splits them all.
-    The single-box strategies return every improvable row in preference
-    order (worst residual first; oldest box first for the round-robin
-    baseline): the caller splits the first row whose box can still be
-    split and ignores the rest.  Rows whose intervals all have zero width
-    cannot be improved by splitting and are skipped.
+    improvable (n) marks the live rows, in box id order, with an
+    enclosure of positive width among their coefficients or right-hand
+    side: rows whose intervals all have zero width cannot be improved by
+    splitting and are skipped.  Split-all returns every improvable
+    positive-residual row (every improvable row when none is positive) in
+    box id order, since it splits them all.  The single-box strategies
+    return every improvable row in preference order (worst residual
+    first; oldest box first for the round-robin baseline): the caller
+    splits the first row whose box can still be split and ignores the
+    rest.
 
     The rows that bind at the LP optimum have equal residuals in exact
     arithmetic, so under split-worst every row within
     TIE_TOL * max(1, |worst|) of the worst residual ties with it, and the
     older box goes first; LP round-off never decides a split.
     """
-    improvable = (p_width > 0).any(axis=1) | (q_width > 0)
     if cfg.strategy is Strategy.ROUND_ROBIN:
         # classical baseline: rotate through the branches (oldest live box
         # first), ignoring the residual information entirely
-        return np.flatnonzero(improvable)
+        return improvable.nonzero()[0]
     if cfg.strategy is Strategy.SPLIT_ALL:
-        violated = np.flatnonzero(improvable & (residual > 0))
-        return violated if violated.size else np.flatnonzero(improvable)
-    rows = np.flatnonzero(improvable)
+        violated = (improvable & (residual > 0)).nonzero()[0]
+        return violated if violated.size else improvable.nonzero()[0]
+    rows = improvable.nonzero()[0]
     if not rows.size:
         return rows
     key = residual[rows]
-    worst = key.max()
-    key = np.where(key >= worst - TIE_TOL * max(1.0, abs(worst)), worst, key)
-    return rows[np.argsort(-key, kind="stable")]
+    worst = float(key.max())
+    key[key >= worst - TIE_TOL * max(1.0, abs(worst))] = worst
+    return rows[(-key).argsort(kind="stable")]
 
 
-def split_coefficient(p_width: np.ndarray, sol: LPSolution,
+def split_coefficient(p_width: Iterable[float], sol: LPSolution,
                       cfg: HeuristicConfig) -> tuple[int | None, str | None]:
     """The coefficient to improve in one row returned by select_targets,
     and the bound of its enclosure to target.
 
-    p_width holds the widths of the row's coefficient enclosures.  Returns
-    an x index with sign '+' (upper bound) or '-' (lower bound),
-    RHS_COEFFICIENT with '-' when only the right-hand side has width
-    (raising its lower bound weakens the worst case), or (None, None) for
-    round-robin, which chooses the variable without coefficient
-    information.
+    p_width holds the widths of the row's coefficient enclosures, read
+    only when the strategy scores them.  Returns an x index with sign '+'
+    (upper bound) or '-' (lower bound), RHS_COEFFICIENT with '-' when
+    only the right-hand side has width (raising its lower bound weakens
+    the worst case), or (None, None) for round-robin, which chooses the
+    variable without coefficient information.  The scores are
+    `coeff_score`'s, computed in floats for the one row; the first
+    largest wins, a NaN (an infinite width at a zero score factor)
+    counting as the largest, as in numpy's argmax.
     """
     if cfg.strategy is Strategy.ROUND_ROBIN:
         return None, None
-    if not (p_width > 0).any():
-        return RHS_COEFFICIENT, "-"
-    scores = coeff_score(p_width, sol.x1, sol.x2, cfg.epsilon)
+    widths = list(map(float, p_width))
+    x1, x2 = sol.x1.tolist(), sol.x2.tolist()
+    scores = [w * (max(v1, v2) + cfg.epsilon) for w, v1, v2 in zip(widths, x1, x2)]
+    if not all(map(math.isfinite, scores)) and any(
+            math.isfinite(w) and not math.isfinite(s) for w, s in zip(widths, scores)):
+        scores = coeff_score(np.array(widths), sol.x1, sol.x2, cfg.epsilon).tolist()
     # zero-width coefficients cannot be tightened; never pick them
-    j = int(np.argmax(np.where(p_width > 0, scores, -np.inf)))
-    return j, "+" if sol.x1[j] - sol.x2[j] >= 0 else "-"
+    j, best = None, -math.inf
+    for i, (w, s) in enumerate(zip(widths, scores)):
+        if w > 0 and (s != s or j is None or s > best):
+            j, best = i, s
+            if s != s:
+                break
+    if j is None:
+        return RHS_COEFFICIENT, "-"
+    return j, "+" if x1[j] - x2[j] >= 0 else "-"
 
 
 def splitheur(tape: Tape, slot: int, lo: Sequence[float], hi: Sequence[float],

@@ -51,38 +51,62 @@ large), so an unbounded dual means that C x = d has no solution.
 Warm start (Chvatal ch. 10, sensitivity analysis).  The solver's
 consecutive LPs differ only in their rows: a split removes the parent
 box's row and appends its children's.  The dual's constraint rows do not
-change, so one update (`_reoptimise`) takes an optimal tableau to the
-next LP's:
+change, so one update (`_update`) takes an optimal tableau to the next
+LP's:
 
-1. Each child's y column is appended as B^-1 a, where B^-1 is the
+1. Each child's y column is computed as B^-1 a, where B^-1 is the
    tableau's block of columns for the starting basis (the 2r slacks and
    z), and priced by the objective row the same way.  A child's
    enclosures lie inside its parent's, so at the parent's optimal x
    (x1, x2 >= 0) the child's residual is at most the parent's, which is
    at most rho: every child's reduced cost rho - residual_child is >= 0,
    and the tableau stays dual feasible.
-2. Each parent whose y is basic is pivoted out by a dual ratio test on
-   its row (`simplex.pivot_out`), which keeps every reduced cost >= 0
-   and may leave that row's right-hand side negative.  The parents'
-   columns are then dropped.
+2. The parents' columns are dropped, the children's are appended after
+   the kept y columns, and each parent that was basic is pivoted out by
+   a dual ratio test on its row (`simplex.pivot_out`), which keeps every
+   reduced cost >= 0 and may leave that row's right-hand side negative.
 3. Dual simplex pivots restore a nonnegative right-hand side
    (`simplex.simplex_solve`); the tableau is then optimal.  No big-M
    column and no phase 1 are needed.
 
-A cold solve is the same update from the starting tableau, which has no
-y column: there B^-1 = I, each row's column is a itself, no parent has
-to leave, and step 3 makes primal pivots only.  A `DualTableau` keeps
-the last optimal tableau with the keys of its y columns' rows (the
-solver's box ids).  The next LP starts from it when the saved rows still
-among its rows are its leading rows, in the same order: the saved rows
-that left are the parents, its other rows the children.  Any error of
-the warm update sends the LP to a cold solve: no column to pivot a
-parent out, a tableau neither primal nor dual feasible after step 2 (a
-child's enclosure that is not nested in its parent's can do that), an
-entry that is not finite before or after step 3 (rows whose endpoints
-lie near the double range can overflow a pivot), the iteration limit,
-or a simplex status other than OPTIMAL.  The cold solve's errors
-propagate, and only a finite optimal tableau is saved.
+Dropping the parents first gives the same bits as pivoting beside them
+and dropping them after: a pivot updates each column from that column,
+the entering column and the pivot row's entry alone, and the ratio test
+breaks ties by the order of the columns, which the drop keeps.  A basic
+parent's column is a unit vector, so no other basic column is a
+candidate in its row either way.
+
+A `DualTableau` keeps the last optimal tableau, its basis and the keys of
+its y columns' rows (the solver's box ids), with two persistent flat
+buffers and the pivots' scratch.  The tableau is a C-contiguous view of
+the front of one buffer, and the update lays the next one out in the
+other with slice copies: the runs of kept columns between the parents
+(a gather when many parents leave at once), the children's columns, and
+the fixed tail (u+, u-, slacks, z, right-hand side); then the buffers
+swap.  So a split costs a few slice copies however many rows are live,
+no buffer is allocated until the tableau outgrows them (they double),
+and the pivots' in-place arithmetic runs on contiguous memory, several
+times faster than on a strided view.  When no parent was basic and every
+new reduced cost and right-hand side is >= -EPS, the saved optimum
+stands: the one `simplex_solve` call returns at its first two checks,
+and x and rho keep their bits.  The finiteness check then reads the
+tableau once, and not again after step 3, which made no pivot.
+
+A cold solve is the same update, in new buffers, from the starting
+tableau, which has no y column: there B^-1 = I, each row's column is a
+itself, no parent has to leave, and step 3 makes primal pivots only.
+The next LP starts warm when the saved rows still among its rows are its
+leading rows, in the same order: the saved rows that left are the
+parents, its other rows the children.  Any error of the warm update
+sends the LP to a cold solve: no column to pivot a parent out, a tableau
+neither primal nor dual feasible after step 2 (a child's enclosure that
+is not nested in its parent's can do that), an entry that is not finite
+before or after step 3 (rows whose endpoints lie near the double range
+can overflow a pivot), the iteration limit, or a simplex status other
+than OPTIMAL.  The update has swapped and changed the buffers by then,
+so they are dropped and the cold solve starts new ones.  The cold
+solve's errors propagate and leave no tableau saved; only a finite
+optimal tableau is kept.
 
 A warm solution can differ from the cold one by pivot round-off, so the
 solver never rests a verdict on it: when a warm solve reports
@@ -93,6 +117,7 @@ solver solves the same LP cold and decides on that.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +180,20 @@ class LPSolution:
 class DualTableau:
     """An optimal dual tableau, its basis and the keys of the rows of its
     y columns, in column order, kept for the next LP's warm start; T is
-    None until a solve saves one."""
+    None until a solve saves one.
+
+    T is a C-contiguous view of the front of the flat array `buf`; the
+    next LP's update lays its tableau out in `spare`, an array of the
+    same size, and the two swap.  `work` is the pivots' scratch, also of
+    that size, viewed in T's shape.  The three double when a tableau
+    outgrows them."""
 
     T: np.ndarray | None = None
     basis: np.ndarray | None = None
     keys: np.ndarray | None = None
+    buf: np.ndarray | None = None
+    spare: np.ndarray | None = None
+    work: np.ndarray | None = None
 
 
 def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
@@ -183,44 +217,78 @@ def solve_feasibility(lp: FeasibilityLP, warm: DualTableau | None = None,
     pivots made to tally[0] when a tally is given, also when it raises.
     Errors come from a cold solve: EqualitiesInfeasible when C x = d
     admits no solution, LPOverflow when the tableau leaves the double
-    range, and SimplexIterationLimit.  With the floor the LP is never
-    unbounded.
+    range, and SimplexIterationLimit; `warm` then holds no tableau.  With
+    the floor the LP is never unbounded.
     """
     n, r, k = lp.n, lp.r, lp.eq_coeffs.shape[0]
     tally = [0] if tally is None else tally
-    start, T, kept = tally[0], None, None
-    if warm is not None and warm.T is not None:
-        # the saved keys found in lp sit at increasing positions (both
-        # arrays increase): its leading rows when the last is kept.size - 1
-        pos = lp.keys.searchsorted(warm.keys)
-        kept = ((lp.keys.take(pos, mode="clip") == warm.keys).nonzero()[0]
-                if lp.n else pos[:0])
-        if kept.size and pos[kept[-1]] != kept.size - 1:
-            kept = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kept is not None:
-            try:
-                T, basis = _reoptimise(lp, warm.T, warm.basis, kept, tally)
-            except EFSolverError:
-                pass
-        warmed = T is not None
-        if not warmed:
-            T, basis = _reoptimise(lp, *_starting_tableau(lp),
-                                   np.zeros(0, dtype=np.intp), tally)
-    if warm is not None:
-        warm.T, warm.basis, warm.keys = T, basis, lp.keys
+    start = tally[0]
+    state = DualTableau() if warm is None else warm
+    parents = _parents(lp.keys, state) if state.T is not None else None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if parents is not None:
+                try:
+                    _update(lp, state, parents, tally)
+                except EFSolverError:
+                    parents = None
+            warmed = parents is not None
+            if not warmed:
+                _start(lp, state)
+                _update(lp, state, np.zeros(0, dtype=np.intp), tally)
+    except BaseException:
+        # the update has written into the buffers: drop them
+        state.T = state.basis = state.keys = None
+        state.buf = state.spare = state.work = None
+        raise
+    state.keys = lp.keys
     s, z = n + 2 * k, n + 2 * k + 2 * r
-    x = np.maximum(T[-1, s:z], 0.0)
-    rho = float(T[-1, z] - RHO_FLOOR)
+    x = np.maximum(state.T[-1, s:z], 0.0)
+    rho = float(state.T[-1, z] - RHO_FLOOR)
     status = LPStatus.UNBOUNDED if rho <= -RHO_FLOOR + FLOOR_TOL else LPStatus.OPTIMAL
     return LPSolution(x[r:], x[:r], rho, status, tally[0] - start, warmed)
 
 
-def _starting_tableau(lp: FeasibilityLP) -> tuple[np.ndarray, np.ndarray]:
-    """The dual's tableau without y columns at the basis of the slacks
-    and z: the u+, u-, slack, z and right-hand-side columns."""
+def _parents(keys: np.ndarray, saved: DualTableau) -> np.ndarray | None:
+    """The saved y columns whose rows are not among `keys` (the parents),
+    in increasing order, or None when the saved rows that remain are not
+    the leading rows of `keys` in the same order."""
+    old = saved.keys
+    if not keys.size:
+        return np.arange(old.size)
+    # a single-box split leaves one parent, the first saved key out of
+    # place: the saved keys after it sit one position earlier, and the
+    # new keys after them are larger than it
+    m = min(old.size, keys.size)
+    moved = (old[:m] != keys[:m]).nonzero()[0]
+    if not moved.size and m == old.size:
+        return moved
+    first = int(moved[0]) if moved.size else m
+    if (first < m and keys.size >= old.size - 1
+            and (first < old.size - 1 or keys[first] > old[first])
+            and (old[first + 1:] == keys[first:old.size - 1]).all()):
+        return moved[:1]
+    # otherwise the saved keys found in keys sit at increasing positions
+    # (both arrays increase): its leading rows when the last is at kept - 1
+    pos = keys.searchsorted(old)
+    parents = (keys.take(pos, mode="clip") != old).nonzero()[0]
+    last, kept = old.size - 1, old.size - parents.size
+    for p in parents[::-1].tolist():
+        if p != last:
+            break
+        last -= 1
+    return parents if not kept or pos[last] == kept - 1 else None
+
+
+def _start(lp: FeasibilityLP, state: DualTableau) -> None:
+    """Put into `state`, in new buffers with room for lp's rows, the
+    dual's tableau without y columns at the basis of the slacks and z:
+    the u+, u-, slack, z and right-hand-side columns."""
     r, C, k = lp.r, lp.eq_coeffs, lp.eq_coeffs.shape[0]
-    T = np.zeros((2 * r + 2, 2 * k + 2 * r + 2))
+    rows, width = 2 * r + 2, 2 * k + 2 * r + 2
+    size = 2 * rows * (lp.n + width)
+    state.buf, state.spare, state.work = np.zeros(size), np.empty(size), np.empty(size)
+    T = state.T = state.buf[:rows * width].reshape(rows, width)
     T[:r, :k] = -C.T
     T[r:2 * r, :k] = C.T
     T[:2 * r, k:2 * k] = -T[:2 * r, :k]
@@ -229,50 +297,80 @@ def _starting_tableau(lp: FeasibilityLP) -> tuple[np.ndarray, np.ndarray]:
     T[-1, :k] = -lp.eq_rhs
     T[-1, k:2 * k] = lp.eq_rhs
     T[-1, -1] = -RHO_FLOOR
-    return T, np.arange(2 * k, 2 * k + 2 * r + 1)
+    state.basis = np.arange(2 * k, 2 * k + 2 * r + 1)
 
 
-def _reoptimise(lp: FeasibilityLP, T: np.ndarray, basis: np.ndarray,
-                kept: np.ndarray, tally: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 1-3 of the module docstring: lp's optimal tableau and basis
-    from T and basis, whose y columns `kept` hold lp's leading rows in
-    order and whose other y columns are parents.  T and basis stay as
-    they are; pivots are counted in tally[0].  Raises an EFSolverError
-    when the update fails."""
-    r, k = lp.r, lp.eq_coeffs.shape[0]
-    old = T.shape[1] - 2 * k - 2 * r - 2  # y columns of T
-    new = slice(kept.size, lp.n)
+def _update(lp: FeasibilityLP, state: DualTableau, parents: np.ndarray,
+            tally: list[int]) -> None:
+    """Steps 1-3 of the module docstring, in the buffers of `state`: from
+    its optimal tableau, whose y columns but `parents` hold lp's leading
+    rows in order, lp's optimal tableau and basis.  Pivots are counted in
+    tally[0].  Raises an EFSolverError when the update fails, which
+    leaves `state` changed."""
+    n, r, k = lp.n, lp.r, lp.eq_coeffs.shape[0]
+    T, basis, tail = state.T, state.basis, 2 * k + 2 * r + 2
+    old = T.shape[1] - tail  # y columns of T
+    kept = old - parents.size
+    width = n + tail
+    new = slice(kept, n)
     # 1. the children's columns B^-1 a, with B^-1 in the columns of the
     # starting basis; the objective row prices them the same way, from
     # their reduced costs at that basis, b - RHO_FLOOR (z, of cost
     # RHO_FLOOR, is basic in sum(y) + z = 1)
-    a = np.empty((2 * r + 1, lp.n - kept.size))
-    a[:r], a[r:2 * r], a[2 * r] = lp.p_lo[new].T, -lp.p_hi[new].T, 1.0
+    a = np.ones((2 * r + 1, n - kept))
+    a[:r] = lp.p_lo[new].T
+    np.negative(lp.p_hi[new].T, out=a[r:2 * r])
     added = T[:, old + 2 * k:old + 2 * k + 2 * r + 1] @ a
     added[-1] += lp.b[new] - RHO_FLOOR
-    T = np.concatenate([T[:, :old], added, T[:, old:]], axis=1)
-    basis = np.where(basis >= old, basis + a.shape[1], basis)
-    # 2. pivot the basic parents out, then drop every parent's column
-    allowed = np.ones(T.shape[1] - 1, dtype=bool)
-    allowed[:old] = False
-    allowed[kept] = True
-    for row in np.flatnonzero(~allowed[basis]):
-        if not pivot_out(T, basis, row, allowed):
+    # 2. lay out the kept columns, the children's and the tail in the
+    # spare buffer, leaving the parents' out: a pivot acts column by
+    # column, so the columns that stay get the bits they would get
+    # beside the parents'.  T stays C-contiguous, which numpy's in-place
+    # arithmetic needs to run at full speed
+    rows, size = T.shape[0], T.shape[0] * width
+    if state.spare.size < size:
+        state.spare, state.work = np.empty(2 * size), np.empty(2 * size)
+    new_T = state.spare[:size].reshape(rows, width)
+    if parents.size == 1:
+        p = int(parents[0])
+        new_T[:, :p] = T[:, :p]
+        new_T[:, p:kept] = T[:, p + 1:old]
+    elif parents.size:
+        new_T[:, :kept] = T[:, np.delete(np.arange(old), parents)]
+    else:
+        new_T[:, :kept] = T[:, :kept]
+    new_T[:, kept:n] = added
+    new_T[:, n:] = T[:, old:]
+    state.buf, state.spare = state.spare, state.buf
+    T = state.T = new_T
+    work = state.work[:T.size].reshape(T.shape)
+    # the parents basic in some row leave by pivots; the other columns
+    # move left past the parents before them, the tail by the children
+    gone, leaving, moved = parents.tolist(), [], []
+    for row, col in enumerate(basis.tolist()):
+        if col >= old:
+            moved.append(col - old + n)
+            continue
+        below = bisect_left(gone, col) if gone else 0
+        if below < len(gone) and gone[below] == col:
+            leaving.append(row)
+        moved.append(col - below)
+    basis[:] = moved
+    for row in leaving:
+        if not pivot_out(T, basis, row, work):
             raise EFSolverError("no column to pivot a parent out")
         tally[0] += 1
-    keep = np.flatnonzero(np.append(allowed, True))
-    index = np.empty(T.shape[1], dtype=basis.dtype)
-    index[keep] = np.arange(keep.size)
-    T, basis = T[:, keep], index[basis]
     _check_finite(T)
-    if (T[:-1, -1] < -EPS).any() and (T[-1, :-1] < -EPS).any():
+    # T is finite, so the least entry stands for every entry
+    if T[:-1, -1].min() < -EPS and T[-1, :-1].min() < -EPS:
         raise EFSolverError("neither primal nor dual feasible")
     # 3. dual pivots to a feasible right-hand side, then primal ones
-    status = simplex_solve(T, basis, tally)
-    _check_finite(T)
+    before = tally[0]
+    status = simplex_solve(T, basis, tally, work)
+    if tally[0] != before:
+        _check_finite(T)
     if status is not SimplexStatus.OPTIMAL:
         raise EqualitiesInfeasible("equality system C x = d is infeasible")
-    return T, basis
 
 
 def _check_finite(T: np.ndarray) -> None:

@@ -52,9 +52,14 @@ class SimplexStatus(enum.Enum):
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
            work: np.ndarray) -> None:
-    """Pivot T on (row, col); `work` is scratch of T's shape."""
+    """Pivot T on (row, col); `work` is scratch of T's shape.  The outer
+    product of the entering column and the pivot row is the column spread
+    over `work`'s rows, then multiplied by the row in place: the same
+    products, which numpy forms about twice as fast along contiguous rows
+    as from the column view."""
     prow = T[row] / T[row, col]
-    np.multiply(T[:, col, None], prow, out=work)
+    work[...] = T[:, col, None]
+    work *= prow
     T -= work
     T[row] = prow
     basis[row] = col
@@ -89,44 +94,48 @@ def _choose_dual_leaving(rhs: np.ndarray, basis: np.ndarray,
     return i if rhs[i] < -EPS else None
 
 
-def _least_ratio(T: np.ndarray, cols: np.ndarray, entries: np.ndarray) -> int:
-    """The column of `cols` whose reduced cost over |entry| is least,
-    lowest index on ties; negative reduced costs count as 0."""
-    ratios = np.maximum(T[-1, cols], 0.0) / np.abs(entries)
+def _least_ratio(T: np.ndarray, cols: np.ndarray, sizes: np.ndarray) -> int:
+    """The column of `cols` whose reduced cost over the size of its entry
+    (`sizes`, > 0) is least, lowest index on ties; negative reduced costs
+    count as 0."""
+    ratios = np.maximum(T[-1].take(cols), 0.0) / sizes
     return int(cols[(ratios <= np.minimum.reduce(ratios) + _RATIO_TIE).argmax()])
 
 
 def pivot_out(T: np.ndarray, basis: np.ndarray, row: int,
-              allowed: np.ndarray) -> bool:
+              work: np.ndarray | None = None) -> bool:
     """Pivot the column basic in `row` out of the basis.
 
-    The entering column is the one, among those `allowed` (a mask over
-    the columns but the right-hand side) with an entry in `row` beyond
-    EPS in size, whose reduced cost over the entry's size is least: the
-    dual ratio test over both signs, so that no reduced cost turns
-    negative.  The row's right-hand side may.  False, without a pivot,
-    when no column qualifies.
+    The caller has removed that column from T, so every column but the
+    right-hand side is a candidate.  The entering column is the one with
+    an entry in `row` beyond EPS in size whose reduced cost over the
+    entry's size is least: the dual ratio test over both signs, so that
+    no reduced cost turns negative.  The row's right-hand side may.
+    `work` is pivot scratch of T's shape, allocated when not given.
+    False, without a pivot, when no column qualifies.
     """
-    entries = T[row, :-1]
-    cols = ((np.abs(entries) > EPS) & allowed).nonzero()[0]
+    sizes = np.abs(T[row, :-1])
+    cols = (sizes > EPS).nonzero()[0]
     if not cols.size:
         return False
-    _pivot(T, basis, row, _least_ratio(T, cols, entries[cols]),
-           np.empty_like(T))
+    _pivot(T, basis, row, _least_ratio(T, cols, sizes.take(cols)),
+           np.empty_like(T) if work is None else work)
     return True
 
 
 def simplex_solve(T: np.ndarray, basis: np.ndarray,
-                  tally: list[int] | None = None) -> SimplexStatus:
+                  tally: list[int] | None = None,
+                  work: np.ndarray | None = None) -> SimplexStatus:
     """Pivot T and basis in place until optimal: dual pivots while a
     right-hand side is below -EPS, then primal pivots.
 
     Returns INFEASIBLE when a row with a negative right-hand side has no
     entry below -EPS, UNBOUNDED when an entering column has no entry
-    above EPS.  Adds the pivots made to tally[0] when a tally is given.
+    above EPS.  Adds the pivots made to tally[0] when a tally is given;
+    `work` is pivot scratch of T's shape, allocated when not given.
     Raises SimplexIterationLimit after MAX_ITER pivots.
     """
-    work = np.empty_like(T)
+    work = np.empty_like(T) if work is None else work
     bland = False
     degenerate_run = 0
     dual = True
@@ -139,7 +148,7 @@ def simplex_solve(T: np.ndarray, basis: np.ndarray,
                 cols = (T[row, :-1] < -EPS).nonzero()[0]
                 if not cols.size:
                     return SimplexStatus.INFEASIBLE
-                col = _least_ratio(T, cols, T[row, cols])
+                col = _least_ratio(T, cols, -T[row].take(cols))
         if not dual:
             col = _choose_entering(T[-1, :-1], bland)
             if col is None:

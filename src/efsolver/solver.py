@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -126,10 +127,15 @@ class _LiveBoxes:
     split from it share its tape; a box's children inherit its ages.  A
     linear row also keeps the endpoints of its coefficient enclosures in
     p_lo/p_hi (n x r) and of its right-hand side in q_lo/q_hi (n); the
-    arrays hold zeros on the other rows.  Proved-true boxes never enter.
+    arrays hold zeros on the other rows.  The four are views of the
+    columns of one n x (2r + 2) block, `ends`.  `improvable` (n) marks the
+    linear rows with an enclosure of positive width, the rows splitting
+    can improve.  Proved-true boxes never enter.
     `split` stages the halves of one row; `commit` drops the split rows
     and appends the staged halves, which keeps the id order because new
-    ids are always the largest.
+    ids are always the largest.  It works out `improvable` for the new
+    rows only, and joins the runs of rows between the split ones with
+    the new rows in one concatenation per array.
     `false_row` is the first row proved false among those the last commit
     appended, or None; no other row can be false, because the loop stops
     on one.  `undecided` counts the Undecided rows, and
@@ -141,9 +147,8 @@ class _LiveBoxes:
         self.x_vars = problem.x_vars
         self.next_id = 0
         self.rows: list[_Row] = []
-        r = problem.r
-        self.p_lo, self.p_hi = np.zeros((0, r)), np.zeros((0, r))
-        self.q_lo, self.q_hi = np.zeros(0), np.zeros(0)
+        self.ends = np.zeros((0, 2 * problem.r + 2))
+        self.improvable = np.zeros(0, dtype=bool)
         self.keys = np.zeros(0, dtype=np.intp)
         self._split: list[int] = []
         self._staged: list[_Row] = []
@@ -154,6 +159,22 @@ class _LiveBoxes:
             cb = compile_branch(br.formula, br.box.names, self.x_vars)
             self._stage(cb, *br.box.endpoints(), 0, AgeTable())
         self.commit()
+
+    @property
+    def p_lo(self) -> np.ndarray:
+        return self.ends[:, :len(self.x_vars)]
+
+    @property
+    def p_hi(self) -> np.ndarray:
+        return self.ends[:, len(self.x_vars):-2]
+
+    @property
+    def q_lo(self) -> np.ndarray:
+        return self.ends[:, -2]
+
+    @property
+    def q_hi(self) -> np.ndarray:
+        return self.ends[:, -1]
 
     def split(self, i: int, dim: int) -> None:
         """Stage the two halves of row i along dim (a dimension with
@@ -173,37 +194,50 @@ class _LiveBoxes:
         self.next_id += 1
 
     def commit(self) -> None:
-        new, split = self._staged, sorted(self._split)
-        self.undecided += (sum(isinstance(row[4], Undecided) for row in new)
-                           - sum(isinstance(self.rows[i][4], Undecided)
-                                 for i in split))
+        new, split, rows = self._staged, sorted(self._split), self.rows
+        for i in split:
+            self.undecided -= isinstance(rows[i][4], Undecided)
         # the runs of rows between split rows, which keep their order
         kept = [slice(lo, hi) for lo, hi in
-                zip([0] + [i + 1 for i in split], split + [len(self.rows)])]
+                zip([0, *[i + 1 for i in split]], [*split, len(rows)])]
         for i in reversed(split):
-            del self.rows[i]
-        start = len(self.rows)
-        self.rows += new
-        self.false_row = next((start + k for k, row in enumerate(new)
-                               if row[4] is False), None)
-        p_lo = np.zeros((len(new), len(self.x_vars)))
-        p_hi, q_lo, q_hi = p_lo.copy(), np.zeros(len(new)), np.zeros(len(new))
-        for k, row in enumerate(new):
-            status = row[4]
+            del rows[i]
+        start = len(rows)
+        rows += new
+        self.false_row = None
+        zero = (0.0,) * self.ends.shape[1]
+        ends, improvable, ids = [], [], []
+        for k, (bid, _, _, _, status, *_) in enumerate(new):
+            ids.append(bid)
             if isinstance(status, LinearRow):
-                p_lo[k], p_hi[k] = status.coeff_lo, status.coeff_hi
-                q_lo[k], q_hi[k] = status.rhs_lo, status.rhs_hi
-        self.p_lo = np.concatenate([self.p_lo[k] for k in kept] + [p_lo])
-        self.p_hi = np.concatenate([self.p_hi[k] for k in kept] + [p_hi])
-        self.q_lo = np.concatenate([self.q_lo[k] for k in kept] + [q_lo])
-        self.q_hi = np.concatenate([self.q_hi[k] for k in kept] + [q_hi])
-        ids = np.array([row[0] for row in new], dtype=np.intp)
-        self.keys = np.concatenate([self.keys[k] for k in kept] + [ids])
+                ends.append((*status.coeff_lo, *status.coeff_hi,
+                             status.rhs_lo, status.rhs_hi))
+                improvable.append(_has_width(status))
+                continue
+            ends.append(zero)
+            improvable.append(False)
+            self.undecided += isinstance(status, Undecided)
+            if status is False and self.false_row is None:
+                self.false_row = start + k
+        self.ends = np.concatenate([self.ends[k] for k in kept] + [
+            np.array(ends, dtype=float).reshape(len(new), len(zero))])
+        self.improvable = np.concatenate([self.improvable[k] for k in kept]
+                                         + [np.array(improvable, dtype=bool)])
+        self.keys = np.concatenate([self.keys[k] for k in kept]
+                                   + [np.array(ids, dtype=np.intp)])
         self._split, self._staged = [], []
 
     def witness(self, i: int) -> Branch:
         _, cb, lo, hi, *_ = self.rows[i]
         return Branch(Box.from_endpoints(cb.tape.names, lo, hi), cb.formula)
+
+
+def _has_width(row: LinearRow) -> bool:
+    """Whether an enclosure of the row has positive width, so that
+    splitting its box can improve it.  For doubles lo < hi exactly when
+    hi - lo > 0, an infinite difference included."""
+    return row.rhs_lo < row.rhs_hi or any(map(operator.lt, row.coeff_lo,
+                                              row.coeff_hi))
 
 
 def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
@@ -249,8 +283,10 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                     or not math.isfinite(base[1] - base[0])):
                 dim = round_robin_var(lo, hi, rr)
             else:
+                # the ages as ints, so that the scores are float arithmetic
                 dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign,
-                                ages.ages(slot, len(lo)), hc.aging_kappa)
+                                ages.ages(slot, len(lo)).tolist(),
+                                hc.aging_kappa)
                 ages.record_choice(slot, len(lo), dim)
         except AllDimensionsDegenerate:
             return False
@@ -277,9 +313,6 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         else:
             # every live box is a linear interval row
             lp = rohn_transform(live.p_lo, live.p_hi, live.q_lo, C, d, live.keys)
-            with np.errstate(over="ignore"):  # inf is the right width there
-                p_width = live.p_hi - live.p_lo
-                q_width = live.q_hi - live.q_lo
             warm = dual
             while True:
                 stats.lp_solves += 1
@@ -291,7 +324,7 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                 except (SimplexIterationLimit, LPOverflow) as exc:
                     return stop(str(exc))
                 resid = residual_vector(lp, sol)
-                rows = (select_targets(p_width, q_width, resid, hc)
+                rows = (select_targets(live.improvable, resid, hc)
                         if sol.rho > -ACCEPT_TOL else ())
                 # a verdict rests on a cold solve: solve a warm one's LP
                 # again from scratch, keeping the saved tableau
@@ -308,7 +341,7 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                     return done(witness(int(np.argmax(resid)),
                                         "exact interval system is LP-infeasible"))
                 return stop("numerically marginal rho on an unsplittable system")
-            targets = (_lp_target(live, i, p_width[i], sol, hc) for i in rows)
+            targets = (_lp_target(live, i, sol, hc) for i in rows)
             suffix = ""
             exhausted = "no target branch can be split further"
 
@@ -340,13 +373,15 @@ def _pick_undecided(live: _LiveBoxes):
     return best, status.slot, sign, (status.lo, status.hi)
 
 
-def _lp_target(live: _LiveBoxes, i: int, p_width: np.ndarray,
-               sol: LPSolution, hc: HeuristicConfig):
+def _lp_target(live: _LiveBoxes, i: int, sol: LPSolution,
+               hc: HeuristicConfig):
     """Row i as a split target (row, slot, sign, base, coefficient): the
-    coefficient `split_coefficient` picks, its tape slot and its
-    enclosure on the box; no slot or base without a coefficient."""
-    coefficient, sign = split_coefficient(p_width, sol, hc)
+    coefficient `split_coefficient` picks from the widths of the row's
+    coefficient enclosures, its tape slot and its enclosure on the box;
+    no slot or base without a coefficient."""
     cb, row = live.rows[i][1], live.rows[i][4]
+    coefficient, sign = split_coefficient(
+        (hi - lo for lo, hi in zip(row.coeff_lo, row.coeff_hi)), sol, hc)
     if coefficient is None:
         return i, None, sign, None, None
     if coefficient == RHS_COEFFICIENT:

@@ -104,6 +104,12 @@ class EndpointSystem:
     def q_width(self):
         return self.q_hi - self.q_lo
 
+    @property
+    def improvable(self):
+        """Rows with an enclosure of positive width, as the solver's
+        live-box table marks them."""
+        return (self.p_width > 0).any(axis=1) | (self.q_width > 0)
+
     def lp(self, eq_coeffs=None, eq_rhs=None):
         if eq_coeffs is None:
             eq_coeffs, eq_rhs = np.zeros((0, self.r)), np.zeros(0)

@@ -1,9 +1,10 @@
 """The traced benchmark run (perfbench/tracing.py) wraps library functions
 at their import sites and reads a few of their argument and result shapes.
 These tests install the tracer, solve and verify instance A under
-split-all and an instance whose guards need picks, and check that every
-layer recorded spans, so a refactor that renames or reshapes a wrapped
-function fails here rather than in the benchmark."""
+split-all, instance D under split-worst (one LP per split, many of them
+without a pivot) and an instance whose guards need picks, and check that
+every layer recorded spans, so a refactor that renames or reshapes a
+wrapped function fails here rather than in the benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -22,16 +23,16 @@ def load_tracing():
     return module
 
 
-def traced_solve(tracing, problem):
-    """Solve and verify `problem` under split-all with the tracer installed;
-    the outcome, the verdict and the pass totals."""
+def traced_solve(tracing, problem, strategy=ef.Strategy.SPLIT_ALL):
+    """Solve and verify `problem` with the tracer installed; the outcome,
+    the verdict and the pass totals."""
     original = solver.solve
     tracer = tracing.Tracer()
     tracer.pass_id = 0
     tracing.install(tracer)
     try:
         out = solver.solve(problem, ef.SolveConfig(heuristic=ef.HeuristicConfig(
-            strategy=ef.Strategy.SPLIT_ALL)))
+            strategy=strategy)))
         verdict = solver.verify_solution(problem, out.x)
     finally:
         tracer.uninstall()
@@ -65,6 +66,21 @@ def test_tracer_hooks_record_every_layer():
                                     out.stats.splits, out.stats.lp_solves)
     # every span belongs to a layer the metrics know
     assert metrics["trace.coverage_frac"][0] > 0.99
+
+
+def test_tracer_hooks_follow_the_single_box_path():
+    # split-worst re-solves the LP after every split; in about half of
+    # those LPs no pivot is needed, and each must still make its one
+    # simplex solve and count in the LP layer
+    tracing = load_tracing()
+    out, verdict, totals = traced_solve(tracing, load_benchmark("D"),
+                                        ef.Strategy.SPLIT_WORST)
+    assert out.is_solution and verdict.status is ef.VerifyStatus.VERIFIED
+    assert (out.stats.splits, out.stats.lp_solves) == (418, 420)
+    assert totals["relaxation.lp:calls"] == out.stats.lp_solves
+    assert totals["simplex.solve:calls"] == totals["relaxation.lp:calls"]
+    assert totals["pivots"] == out.stats.pivots == 653
+    assert totals["targets"] >= out.stats.splits
 
 
 def test_tracer_hooks_record_guard_picks():

@@ -67,7 +67,7 @@ def _solved(sys):
 
 
 def _select(sys, d, cfg):
-    return select_targets(sys.p_width, sys.q_width, d, cfg)
+    return select_targets(sys.improvable, d, cfg)
 
 
 def two_row_system():

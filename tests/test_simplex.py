@@ -633,3 +633,201 @@ def test_overflowing_cold_tableau_raises_lp_overflow():
     with pytest.raises(ef.LPOverflow, match="residual LP overflow"):
         solve_feasibility(lp, warm)
     assert warm.T is None
+
+
+# -- the in-place update against the concatenating one ---------------------------
+
+def reference_pivot_out(T, basis, row, allowed):
+    """The dual ratio test of `simplex.pivot_out` over the columns `allowed`
+    masks, as it was before the parents' columns left ahead of it."""
+    entries = T[row, :-1]
+    cols = ((np.abs(entries) > simplex.EPS) & allowed).nonzero()[0]
+    if not cols.size:
+        return False
+    simplex._pivot(T, basis, row,
+                   simplex._least_ratio(T, cols, np.abs(entries[cols])),
+                   np.empty_like(T))
+    return True
+
+
+def reference_starting_tableau(lp):
+    """The dual's tableau without y columns at the slack and z basis."""
+    r, C, k = lp.r, lp.eq_coeffs, lp.eq_coeffs.shape[0]
+    T = np.zeros((2 * r + 2, 2 * k + 2 * r + 2))
+    T[:r, :k] = -C.T
+    T[r:2 * r, :k] = C.T
+    T[:2 * r, k:2 * k] = -T[:2 * r, :k]
+    T[:2 * r, 2 * k:-2] = np.eye(2 * r)
+    T[2 * r, -2] = T[2 * r, -1] = 1.0
+    T[-1, :k] = -lp.eq_rhs
+    T[-1, k:2 * k] = lp.eq_rhs
+    T[-1, -1] = -RHO_FLOOR
+    return T, np.arange(2 * k, 2 * k + 2 * r + 1)
+
+
+def reference_reoptimise(lp, T, basis, kept, tally):
+    """The warm update as a new tableau: append the children's columns
+    after every saved one, pivot the basic parents out over a mask, then
+    gather the columns that stay."""
+    r, k = lp.r, lp.eq_coeffs.shape[0]
+    old = T.shape[1] - 2 * k - 2 * r - 2
+    new = slice(kept.size, lp.n)
+    a = np.empty((2 * r + 1, lp.n - kept.size))
+    a[:r], a[r:2 * r], a[2 * r] = lp.p_lo[new].T, -lp.p_hi[new].T, 1.0
+    added = T[:, old + 2 * k:old + 2 * k + 2 * r + 1] @ a
+    added[-1] += lp.b[new] - RHO_FLOOR
+    T = np.concatenate([T[:, :old], added, T[:, old:]], axis=1)
+    basis = np.where(basis >= old, basis + a.shape[1], basis)
+    allowed = np.ones(T.shape[1] - 1, dtype=bool)
+    allowed[:old] = False
+    allowed[kept] = True
+    for row in np.flatnonzero(~allowed[basis]):
+        if not reference_pivot_out(T, basis, row, allowed):
+            raise ef.EFSolverError("no column to pivot a parent out")
+        tally[0] += 1
+    keep = np.flatnonzero(np.append(allowed, True))
+    index = np.empty(T.shape[1], dtype=basis.dtype)
+    index[keep] = np.arange(keep.size)
+    T, basis = T[:, keep], index[basis]
+    relaxation._check_finite(T)
+    if (T[:-1, -1] < -simplex.EPS).any() and (T[-1, :-1] < -simplex.EPS).any():
+        raise ef.EFSolverError("neither primal nor dual feasible")
+    status = simplex_solve(T, basis, tally)
+    relaxation._check_finite(T)
+    if status is not SimplexStatus.OPTIMAL:
+        raise EqualitiesInfeasible("equality system C x = d is infeasible")
+    return T, basis
+
+
+def reference_solve(lp, saved, warm_fails=False):
+    """The solve from the saved (T, basis, keys), or cold without them or
+    when `warm_fails`: the final tableau, basis, pivot count, whether it
+    was warm, and the number of parents the saved tableau had."""
+    tally, T, kept = [0], None, None
+    if saved is not None:
+        pos = lp.keys.searchsorted(saved[2])
+        kept = ((lp.keys.take(pos, mode="clip") == saved[2]).nonzero()[0]
+                if lp.n else pos[:0])
+        if kept.size and pos[kept[-1]] != kept.size - 1:
+            kept = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kept is not None and not warm_fails:
+            try:
+                T, basis = reference_reoptimise(lp, saved[0].copy(),
+                                                saved[1].copy(), kept, tally)
+            except ef.EFSolverError:
+                pass
+        warm = T is not None
+        if not warm:
+            T, basis = reference_reoptimise(lp, *reference_starting_tableau(lp),
+                                            np.zeros(0, dtype=np.intp), tally)
+    parents = saved[2].size - kept.size if warm else 0
+    return T, basis, tally[0], warm, parents
+
+
+def check_against_reference(monkeypatch, forced=None):
+    """Make the solver's every LP check itself against `reference_solve`
+    on a copy of the tableau saved before it: the same tableau bytes,
+    basis, pivot count and warmth, and x and rho bit for bit.  An LP
+    during which forced[0] turns True, after forced[1] parents left by a
+    pivot, is checked against a cold solve that counts those pivots too.
+    Returns the list of (warm, parents) of the LPs checked."""
+    seen = []
+    solve = relaxation.solve_feasibility
+
+    def checked(lp, warm=None, tally=None):
+        saved = (None if warm is None or warm.T is None
+                 else (warm.T.copy(), warm.basis.copy(), warm.keys.copy()))
+        if forced is not None:
+            forced[:] = False, 0
+        sol = solve(lp, warm, tally)
+        failed = forced is not None and forced[0]
+        T, basis, pivots, was_warm, parents = reference_solve(lp, saved, failed)
+        pivots += forced[1] if failed else 0
+        if warm is not None:
+            assert warm.T.tobytes() == T.tobytes()
+            assert np.array_equal(warm.basis, basis)
+            assert warm.keys is lp.keys
+        assert (sol.pivots, sol.warm) == (pivots, was_warm)
+        n, r, k = lp.n, lp.r, lp.eq_coeffs.shape[0]
+        x = np.maximum(T[-1, n + 2 * k:n + 2 * k + 2 * r], 0.0)
+        assert np.concatenate([sol.x2, sol.x1]).tobytes() == x.tobytes()
+        assert sol.rho == float(T[-1, -2] - RHO_FLOOR)
+        seen.append((sol.warm, parents))
+        return sol
+
+    monkeypatch.setattr(ef.solver, "solve_feasibility", checked)
+    return seen
+
+
+@pytest.mark.parametrize("name,strategy", [
+    ("B", "round-robin"), ("B", "split-worst"), ("C", "split-worst"),
+    ("D", "split-worst"), ("D", "split-all")])
+def test_in_place_update_matches_the_concatenating_reference(
+        benchmarks, monkeypatch, name, strategy):
+    # the update writes into the saved tableau's buffer and drops the
+    # parents' columns before pivoting them out; every LP must leave the
+    # bytes the update that built a new tableau left
+    seen = check_against_reference(monkeypatch)
+    out = solve_bundled(benchmarks, name, strategy)
+    assert out.is_solution and len(seen) == out.stats.lp_solves
+    warm = [parents for was_warm, parents in seen if was_warm]
+    assert len(warm) == out.stats.lp_solves - 2
+    if strategy == "split-all":
+        assert max(warm) > 1  # rounds that drop many parents at once
+    else:
+        assert set(warm) == {1}
+
+
+def test_failed_update_drops_its_buffer(benchmarks, monkeypatch):
+    # the update has moved columns and pivoted a parent out of the saved
+    # tableau when the next parent finds no column: that LP is solved
+    # cold into a new buffer, and every later LP still matches the
+    # reference started from the state each one found
+    want = solve_bundled(benchmarks, "B", "split-all")
+    forced, calls = [False, 0], [0]
+    pivot_out = relaxation.pivot_out
+
+    def failing(T, basis, row, *rest):
+        calls[0] += 1
+        if calls[0] == 6:  # the second parent of the sixth LP
+            forced[0] = True
+            return False
+        forced[1] += 1
+        return pivot_out(T, basis, row, *rest)
+
+    monkeypatch.setattr(relaxation, "pivot_out", failing)
+    seen = check_against_reference(monkeypatch, forced)
+    out = solve_bundled(benchmarks, "B", "split-all")
+    assert calls[0] > 6 and [w for w, _ in seen].count(False) == 3
+    assert not seen[5][0]
+    assert out.stats.split_history == want.stats.split_history
+    assert np.array_equal(out.x, want.x)
+
+
+def test_parents_match_their_definition():
+    # the parents are the saved keys no longer among the LP's keys; a warm
+    # start needs the other saved keys to be the LP's leading keys, in
+    # order; single-box splits take a shortcut that must agree
+    rng = np.random.default_rng(17)
+    shortcuts = 0
+    for _ in range(3000):
+        saved = np.flatnonzero(rng.random(int(rng.integers(0, 12))) < 0.7)
+        gone = saved[rng.random(saved.size) < rng.choice([0.0, 0.1, 0.5])]
+        stay = np.setdiff1d(saved, gone)
+        top = int(saved.max(initial=-1))
+        added = (top + 1 + np.arange(int(rng.integers(0, 3))) if rng.random() < 0.8
+                 else np.sort(rng.choice(np.arange(top + 4), int(rng.integers(0, 3)),
+                                         replace=False)))
+        keys = np.union1d(stay, added) if rng.random() < 0.5 else np.concatenate(
+            [stay, added[~np.isin(added, stay)]])
+        if (np.diff(keys) <= 0).any():
+            continue
+        want = np.flatnonzero(~np.isin(saved, keys))
+        leading = np.array_equal(np.delete(saved, want), keys[:saved.size - want.size])
+        got = relaxation._parents(keys, relaxation.DualTableau(keys=saved))
+        assert (got is not None) == leading
+        if leading:
+            assert got.tolist() == want.tolist()
+            shortcuts += want.size <= 1
+    assert shortcuts > 1000

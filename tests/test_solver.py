@@ -277,6 +277,60 @@ def test_overflowing_width_is_split_round_robin(strategy):
     assert out.stats.split_history[0] == (0, RHS_COEFFICIENT, 0)
 
 
+def assert_mask_matches_widths(live):
+    """The table's kept `improvable` mask against the one recomputed from
+    its endpoint arrays."""
+    with np.errstate(over="ignore"):  # an infinite width is a width
+        want = ((live.p_hi - live.p_lo > 0).any(axis=1)
+                | (live.q_hi - live.q_lo > 0))
+    assert live.improvable.dtype == bool
+    assert np.array_equal(live.improvable, want)
+
+
+def test_improvable_mask_is_kept_at_commit():
+    # a row whose only width is its right-hand side, one whose right-hand
+    # side and one whose coefficient is wider than the largest double, a
+    # point row, a plain row and an undecided guard; then rounds of
+    # splits of one row and of several rows at once
+    live = solver._LiveBoxes(ef.parse_problem("""
+        exists x1 x2 ;
+        forall-vars y1 ;
+        branch y1 in [0,1] : x1 <= y1 ;
+        branch y1 in [-1,1] : x1 <= 1.5e308*y1 ;
+        branch y1 in [-1,1] : 1.5e308*y1*x1 + x2 <= 1 ;
+        branch y1 in [0,1] : -x1 <= -1 ;
+        branch y1 in [0,1] : y1*x2 <= 2 ;
+        branch y1 in [-1,1] : y1^2 - 0.5 <= 0 or x1 <= 3 ;
+    """))
+    assert live.improvable.tolist() == [True, True, True, False, True, False]
+    assert_mask_matches_widths(live)
+    for rows in ([0], [5], [1, 2, 4], [0, 3, 6], list(range(9))):
+        for i in rows:
+            live.split(i, 0)
+        live.commit()
+        assert_mask_matches_widths(live)
+    assert len(live.rows) > 20 and live.improvable.any()
+    assert not live.improvable.all()
+
+
+@pytest.mark.parametrize("name,strategy", [("B", "round-robin"),
+                                           ("D", "split-all")])
+def test_improvable_mask_follows_the_solve(benchmarks, monkeypatch, name,
+                                           strategy):
+    commits = []
+    commit = solver._LiveBoxes.commit
+
+    def checked(live):
+        commit(live)
+        assert_mask_matches_widths(live)
+        commits.append(len(live.rows))
+
+    monkeypatch.setattr(solver._LiveBoxes, "commit", checked)
+    out = ef.solve(benchmarks[name], SolveConfig(heuristic=ef.HeuristicConfig(
+        strategy=ef.Strategy.from_name(strategy)), max_splits=5000))
+    assert out.is_solution and len(commits) == out.stats.rounds + 1
+
+
 def test_pivots_of_an_lp_that_raises_are_counted(monkeypatch):
     # round-robin's fourth LP pivots warm, falls back, pivots cold and
     # overflows; the report counts every pivot simplex._pivot made
