@@ -78,15 +78,16 @@ candidate in its row either way.
 
 A `DualTableau` keeps the last optimal tableau, its basis and the keys of
 its y columns' rows (the solver's box ids), with two persistent flat
-buffers and the pivots' scratch.  The tableau is a C-contiguous view of
-the front of one buffer, and the update lays the next one out in the
-other with slice copies: the runs of kept columns between the parents
-(a gather when many parents leave at once), the children's columns, and
-the fixed tail (u+, u-, slacks, z, right-hand side); then the buffers
-swap.  So a split costs a few slice copies however many rows are live,
-no buffer is allocated until the tableau outgrows them (they double),
-and the pivots' in-place arithmetic runs on contiguous memory, several
-times faster than on a strided view.  When no parent was basic and every
+buffers.  The tableau is a C-contiguous view of the front of one buffer,
+and the update lays the next one out in the other with slice copies: the
+runs of kept columns between the parents (a gather when many parents
+leave at once), the children's columns, and the fixed tail (u+, u-,
+slacks, z, right-hand side); then the buffers swap, and the one that
+held the previous tableau, dead once copied, is the pivots' scratch.  So
+a split costs a few slice copies however many rows are live, no buffer
+is allocated until the tableau outgrows one (a short buffer is replaced
+by one of twice the size), and the pivots' in-place arithmetic runs on
+contiguous memory, several times faster than on a strided view.  When no parent was basic and every
 new reduced cost and right-hand side is >= -EPS, the saved optimum
 stands: the one `simplex_solve` call returns at its first two checks,
 and x and rho keep their bits.  The finiteness check then reads the
@@ -183,17 +184,16 @@ class DualTableau:
     None until a solve saves one.
 
     T is a C-contiguous view of the front of the flat array `buf`; the
-    next LP's update lays its tableau out in `spare`, an array of the
-    same size, and the two swap.  `work` is the pivots' scratch, also of
-    that size, viewed in T's shape.  The three double when a tableau
-    outgrows them."""
+    next LP's update lays its tableau out in the flat array `spare`, the
+    two swap, and the pivots use the new `spare` as scratch.  An update
+    replaces either array by one of twice the tableau's size when it is
+    shorter than the tableau."""
 
     T: np.ndarray | None = None
     basis: np.ndarray | None = None
     keys: np.ndarray | None = None
     buf: np.ndarray | None = None
     spare: np.ndarray | None = None
-    work: np.ndarray | None = None
 
 
 def rohn_transform(p_lo: np.ndarray, p_hi: np.ndarray, q_lo: np.ndarray,
@@ -239,7 +239,7 @@ def solve_feasibility(lp: FeasibilityLP, warm: DualTableau | None = None,
     except BaseException:
         # the update has written into the buffers: drop them
         state.T = state.basis = state.keys = None
-        state.buf = state.spare = state.work = None
+        state.buf = state.spare = None
         raise
     state.keys = lp.keys
     s, z = n + 2 * k, n + 2 * k + 2 * r
@@ -256,20 +256,8 @@ def _parents(keys: np.ndarray, saved: DualTableau) -> np.ndarray | None:
     old = saved.keys
     if not keys.size:
         return np.arange(old.size)
-    # a single-box split leaves one parent, the first saved key out of
-    # place: the saved keys after it sit one position earlier, and the
-    # new keys after them are larger than it
-    m = min(old.size, keys.size)
-    moved = (old[:m] != keys[:m]).nonzero()[0]
-    if not moved.size and m == old.size:
-        return moved
-    first = int(moved[0]) if moved.size else m
-    if (first < m and keys.size >= old.size - 1
-            and (first < old.size - 1 or keys[first] > old[first])
-            and (old[first + 1:] == keys[first:old.size - 1]).all()):
-        return moved[:1]
-    # otherwise the saved keys found in keys sit at increasing positions
-    # (both arrays increase): its leading rows when the last is at kept - 1
+    # the saved keys found in keys sit at increasing positions (both
+    # arrays increase): its leading rows when the last is at kept - 1
     pos = keys.searchsorted(old)
     parents = (keys.take(pos, mode="clip") != old).nonzero()[0]
     last, kept = old.size - 1, old.size - parents.size
@@ -287,7 +275,7 @@ def _start(lp: FeasibilityLP, state: DualTableau) -> None:
     r, C, k = lp.r, lp.eq_coeffs, lp.eq_coeffs.shape[0]
     rows, width = 2 * r + 2, 2 * k + 2 * r + 2
     size = 2 * rows * (lp.n + width)
-    state.buf, state.spare, state.work = np.zeros(size), np.empty(size), np.empty(size)
+    state.buf, state.spare = np.zeros(size), np.empty(size)
     T = state.T = state.buf[:rows * width].reshape(rows, width)
     T[:r, :k] = -C.T
     T[r:2 * r, :k] = C.T
@@ -327,9 +315,14 @@ def _update(lp: FeasibilityLP, state: DualTableau, parents: np.ndarray,
     # column, so the columns that stay get the bits they would get
     # beside the parents'.  T stays C-contiguous, which numpy's in-place
     # arithmetic needs to run at full speed
+    # the next tableau goes into spare, and after the swap the old buf is
+    # the pivots' scratch: both need its room.  T keeps a replaced buf's
+    # array alive until the copy below
     rows, size = T.shape[0], T.shape[0] * width
     if state.spare.size < size:
-        state.spare, state.work = np.empty(2 * size), np.empty(2 * size)
+        state.spare = np.empty(2 * size)
+    if state.buf.size < size:
+        state.buf = np.empty(2 * size)
     new_T = state.spare[:size].reshape(rows, width)
     if parents.size == 1:
         p = int(parents[0])
@@ -343,7 +336,7 @@ def _update(lp: FeasibilityLP, state: DualTableau, parents: np.ndarray,
     new_T[:, n:] = T[:, old:]
     state.buf, state.spare = state.spare, state.buf
     T = state.T = new_T
-    work = state.work[:T.size].reshape(T.shape)
+    work = state.spare[:T.size].reshape(T.shape)
     # the parents basic in some row leave by pivots; the other columns
     # move left past the parents before them, the tail by the children
     gone, leaving, moved = parents.tolist(), [], []

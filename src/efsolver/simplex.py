@@ -103,7 +103,7 @@ def _least_ratio(T: np.ndarray, cols: np.ndarray, sizes: np.ndarray) -> int:
 
 
 def pivot_out(T: np.ndarray, basis: np.ndarray, row: int,
-              work: np.ndarray | None = None) -> bool:
+              work: np.ndarray) -> bool:
     """Pivot the column basic in `row` out of the basis.
 
     The caller has removed that column from T, so every column but the
@@ -111,15 +111,14 @@ def pivot_out(T: np.ndarray, basis: np.ndarray, row: int,
     an entry in `row` beyond EPS in size whose reduced cost over the
     entry's size is least: the dual ratio test over both signs, so that
     no reduced cost turns negative.  The row's right-hand side may.
-    `work` is pivot scratch of T's shape, allocated when not given.
+    `work` is pivot scratch of T's shape.
     False, without a pivot, when no column qualifies.
     """
     sizes = np.abs(T[row, :-1])
     cols = (sizes > EPS).nonzero()[0]
     if not cols.size:
         return False
-    _pivot(T, basis, row, _least_ratio(T, cols, sizes.take(cols)),
-           np.empty_like(T) if work is None else work)
+    _pivot(T, basis, row, _least_ratio(T, cols, sizes.take(cols)), work)
     return True
 
 

@@ -808,9 +808,9 @@ def test_failed_update_drops_its_buffer(benchmarks, monkeypatch):
 def test_parents_match_their_definition():
     # the parents are the saved keys no longer among the LP's keys; a warm
     # start needs the other saved keys to be the LP's leading keys, in
-    # order; single-box splits take a shortcut that must agree
+    # order; most draws are single-box splits or leave every saved key
     rng = np.random.default_rng(17)
-    shortcuts = 0
+    single = 0
     for _ in range(3000):
         saved = np.flatnonzero(rng.random(int(rng.integers(0, 12))) < 0.7)
         gone = saved[rng.random(saved.size) < rng.choice([0.0, 0.1, 0.5])]
@@ -829,5 +829,40 @@ def test_parents_match_their_definition():
         assert (got is not None) == leading
         if leading:
             assert got.tolist() == want.tolist()
-            shortcuts += want.size <= 1
-    assert shortcuts > 1000
+            single += want.size <= 1
+    assert single > 1000
+
+
+def test_buffers_take_a_shrinking_then_growing_tableau():
+    # two columns and no equality: a tail of 6 columns, and the cold
+    # solve of 4 rows leaves two buffers of 20 columns' room.  Then y
+    # columns 19, 9, 14, 16, 24, 34, 42 (widths 25 ... 48): the buffers
+    # alternate, and once the live rows fall back one can be shorter than
+    # the other; each update must find room in both, stay warm and leave
+    # the reference update's bytes
+    rng = np.random.default_rng(29)
+    rows, keys = {}, []
+
+    def add(lo, hi, b):
+        keys.append(len(rows))
+        rows[len(rows)] = lo, hi, b
+
+    for _ in range(4):
+        lo = rng.normal(size=2)
+        add(lo, lo + rng.uniform(0.5, 2.0, 2), rng.normal())
+    warm = relaxation.DualTableau()
+    for n in (4, 19, 9, 14, 16, 24, 34, 42):
+        if n != len(keys):
+            # leading parents leave; children with the first one's rows
+            parent = rows[keys[0]]
+            del keys[:max(1, len(keys) - n + 1)]
+            while len(keys) < n:
+                add(*parent)
+        lp = keyed_lp(rows, keys)
+        saved = (None if warm.T is None
+                 else (warm.T.copy(), warm.basis.copy(), warm.keys.copy()))
+        sol = solve_feasibility(lp, warm)
+        T, basis, pivots, was_warm, _ = reference_solve(lp, saved)
+        assert sol.warm == was_warm == (n != 4) and sol.pivots == pivots
+        assert warm.T.tobytes() == T.tobytes() and np.array_equal(warm.basis, basis)
+        assert min(warm.buf.size, warm.spare.size) >= T.size
