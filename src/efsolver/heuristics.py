@@ -11,8 +11,9 @@ Three decisions are made when the LP relaxation reports rho > 0:
   (no residual information used at all);
 
 * which interval coefficient to improve, only for the rows actually split
-  (`split_coefficient`, which scores each column of the row with
-  `coeff_score`'s formula, in floats): the score
+  (`split_coefficient`, which scores each column of one row with
+  `coeff_score`'s formula, in floats, or `split_coefficients`, the same
+  choice for every row of a split-all round in one array pass): the score
   width(p_j) * (max(x1_j, x2_j) + epsilon) estimates how much shrinking
   column j moves the residual.  The epsilon term keeps columns whose LP
   value happens to be zero from being starved: with epsilon = 0 the score
@@ -21,10 +22,12 @@ Three decisions are made when the LP relaxation reports rho > 0:
 
 * which box variable to split for that coefficient expression
   (`splitheur`, with the ages of the box's `AgeTable`): trial evaluation
-  of both midpoint children, scoring each variable by the best achievable
-  movement of the targeted bound (upper bound for sign '+', lower for
-  '-'), plus an aging credit kappa * width * age that guarantees every
-  dimension is picked eventually (fairness, hence convergence).
+  of both midpoint children in one trial run of the expression's tape
+  from the slot lists the box keeps, scoring each variable by the best
+  achievable movement of the targeted bound (upper bound for sign '+',
+  lower for '-'), plus an aging credit kappa * width * age that
+  guarantees every dimension is picked eventually (fairness, hence
+  convergence).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AllDimensionsDegenerate
-from .expr import Tape, eval_on_box
+from .expr import Run, Tape, eval_on_box
 from .intervals import midpoint
 from .relaxation import LPSolution
 
@@ -174,16 +177,50 @@ def split_coefficient(p_width: Iterable[float], sol: LPSolution,
     return j, "+" if x1[j] - x2[j] >= 0 else "-"
 
 
+def split_coefficients(p_width: np.ndarray, sol: LPSolution,
+                       cfg: HeuristicConfig) -> list[tuple[int | None, str | None]]:
+    """`split_coefficient` of every row of p_width (k x r), the widths of
+    the coefficient enclosures of the rows one round splits, in one array
+    pass: the same scores, the same exclusion of zero widths, the first
+    largest score winning with a NaN counting as the largest (numpy's
+    argmax), and the right-hand side for a row without coefficient width.
+    A row where a finite width gives an overflowing score goes through
+    `split_coefficient`, which rescales as `coeff_score` does."""
+    if cfg.strategy is Strategy.ROUND_ROBIN:
+        return [(None, None)] * len(p_width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = p_width * (np.maximum(sol.x1, sol.x2) + cfg.epsilon)
+    positive = p_width > 0
+    best = np.where(positive, scores, -np.inf).argmax(axis=1).tolist()
+    overflow = (np.isfinite(p_width) & ~np.isfinite(scores)).any(axis=1).tolist()
+    upper = (sol.x1 - sol.x2 >= 0).tolist()
+    out = []
+    for k, (j, has_width, over) in enumerate(zip(best, positive.any(axis=1).tolist(),
+                                                 overflow)):
+        if over:
+            out.append(split_coefficient(p_width[k], sol, cfg))
+        elif has_width:
+            out.append((j, "+" if upper[j] else "-"))
+        else:
+            out.append((RHS_COEFFICIENT, "-"))
+    return out
+
+
 def splitheur(tape: Tape, slot: int, lo: Sequence[float], hi: Sequence[float],
               base: tuple[float, float], sign: str, ages: Sequence[int],
-              kappa: float) -> int:
+              kappa: float, parent: Run | None = None) -> int:
     """Choose the box dimension whose midpoint split most improves the
-    targeted bound of the enclosure of slot `slot` of `tape`.
+    targeted bound of the enclosure of slot `slot`, the first root of
+    `tape` (its cone).
 
-    lo, hi are the box endpoints and base the (lower, upper) enclosure of
-    the slot on the whole box.  Improvement of dimension i is the larger bound
-    movement over the two children, each enclosed by one run of the tape
-    on the box with one endpoint of dimension i moved to its midpoint.
+    lo, hi are the box endpoints, base the (lower, upper) enclosure of the
+    slot on the whole box and `parent` the slot lists of a run of a tape
+    with the slot numbering of `tape` on the box (a run of the cone
+    itself when None).  Improvement of dimension i is the larger bound
+    movement over the two children, the lower half first, each enclosed
+    as a run of the tape on the box with one endpoint of dimension i
+    moved to its midpoint; one trial run (`eval_on_box`) gives them all,
+    re-running per dimension only the operations that depend on it.
     An aging credit kappa * width(base) * ages[i] is added so starved
     dimensions win eventually.  Where the largest credit overflows, credits
     and improvements are all scaled by one power of two, which is exact, so
@@ -203,21 +240,16 @@ def splitheur(tape: Tape, slot: int, lo: Sequence[float], hi: Sequence[float],
         top = sum(math.frexp(v)[1] for v in (kappa, base_width, oldest))
         scale = math.ldexp(1.0, 1000 - top)
         credit = kappa * scale * base_width
-    child_lo, child_hi = list(lo), list(hi)
+    if parent is None:
+        parent = eval_on_box(tape, lo, hi)
+    trials = eval_on_box(tape, lo, hi, parent, sign=sign)
     best_i = None
     best_score = -1.0
-    for i, (l, h) in enumerate(zip(lo, hi)):
-        mid = midpoint(l, h)
-        if not l < mid < h:
+    for i, (lower, higher) in enumerate(zip(trials[::2], trials[1::2])):
+        if lower is None:
             continue
-        improvement = 0.0
         # the lower half [l, mid], then the upper half [mid, h]
-        for endpoints, old in ((child_hi, h), (child_lo, l)):
-            endpoints[i] = mid
-            L, H = eval_on_box(tape, child_lo, child_hi)
-            endpoints[i] = old
-            movement = abs(bound - (H[slot] if upper else L[slot]))
-            improvement = max(improvement, movement)
+        improvement = max(max(0.0, abs(bound - lower)), abs(bound - higher))
         score = credit * ages[i] + improvement * scale
         if score > best_score:
             best_score = score
@@ -239,25 +271,30 @@ def round_robin_var(lo: Sequence[float], hi: Sequence[float], counter: int) -> i
 
 class AgeTable:
     """The ages of one branch box: per tape slot (the expression being
-    improved), a vector counting for each box dimension how many variable
+    improved), a list counting for each box dimension how many variable
     choices have passed since that dimension was chosen.
 
-    The children of a split inherit the parent's vectors.
+    The children of a split inherit the parent's lists.  A list is never
+    changed in place: `record_choice` stores a new one, so `inherit`
+    shares the lists until then.
     """
 
-    def __init__(self, ages: dict[int, np.ndarray] | None = None):
+    def __init__(self, ages: dict[int, list[int]] | None = None):
         self._ages = {} if ages is None else ages
 
-    def ages(self, slot: int, ndims: int) -> np.ndarray:
-        if slot not in self._ages:
-            self._ages[slot] = np.zeros(ndims, dtype=int)
-        return self._ages[slot]
+    def ages(self, slot: int, ndims: int) -> list[int]:
+        """The ages of slot `slot`, zeros before its first choice; the
+        caller must not change the list."""
+        ages = self._ages.get(slot)
+        if ages is None:
+            ages = self._ages[slot] = [0] * ndims
+        return ages
 
     def record_choice(self, slot: int, ndims: int, chosen: int) -> None:
-        ages = self.ages(slot, ndims)
-        ages += 1
+        ages = [age + 1 for age in self.ages(slot, ndims)]
         ages[chosen] = 0
+        self._ages[slot] = ages
 
     def inherit(self) -> "AgeTable":
-        """An independent copy, for a child of this box."""
-        return AgeTable({s: vec.copy() for s, vec in self._ages.items()})
+        """An independent table, for a child of this box."""
+        return AgeTable(dict(self._ages))

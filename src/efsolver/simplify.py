@@ -34,17 +34,21 @@ of that tape; the verdict is that the branch is proved true or false on
 the box, a single linear inequality over x with interval coefficients (a
 LinearRow, whose enclosures come from one run of the linear part of the
 tape), or still undecided (some guard straddles zero and needs the box
-split).
+split).  The classification also returns the slot lists of those runs,
+which the solver keeps with the box: a half of the box is classified from
+them by child runs, which re-run only the operations that depend on the
+split dimension.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import DomainError
-from .expr import (Const, MeanValueForm, Tape, compile_tape, enclose,
+from .expr import (Const, MeanValueForm, Run, Tape, compile_tape, enclose,
                    eval_on_box, mean_value, mean_value_form)
 from .intervals import Box, midpoint
 from .model import And, Formula, Guard, Linear, Or, formula_leaves
@@ -80,9 +84,11 @@ class CompiledBranch:
     none) and the right-hand side.  `guards` and `linear` are the parts
     of the tape that the guard bodies and the linear atom need, and
     `cones[s]` the part that slot s alone needs.  `guard_slot` maps each
-    guard leaf of the formula, by identity, to its slot.  `mean_value[s]`
-    is the mean-value form of guard slot s, derived when `simplify_branch`
-    first needs it to decide a leaf (the verifier never does).
+    guard leaf of the formula, by identity, to its slot.  `row_ends(L)`
+    reads the coefficient slots and then the right-hand-side slot from the
+    slot list L of a run.  `mean_value[s]` is the mean-value form of guard
+    slot s, derived when `simplify_branch` first needs it to decide a leaf
+    (the verifier never does).
     """
 
     formula: Formula
@@ -92,6 +98,7 @@ class CompiledBranch:
     guard_slot: dict[int, int]
     coeff_slots: tuple[int, ...]
     rhs_slot: int | None
+    row_ends: Callable[[Sequence[float]], tuple[float, ...]] | None
     cones: dict[int, Tape]
     mean_value: dict[int, MeanValueForm]
 
@@ -116,8 +123,15 @@ def compile_branch(formula: Formula, names: Sequence[str],
         guard_slot={id(g): s for g, s in zip(guards, guard_slots)},
         coeff_slots=linear_slots[:-1],
         rhs_slot=linear_slots[-1] if linear_slots else None,
+        row_ends=_getter(linear_slots) if linear_slots else None,
         cones={s: tape.restrict((s,)) for s in tape.roots},
         mean_value={})
+
+
+def _getter(slots: Sequence[int]) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """The items of a sequence at `slots`, always as a tuple."""
+    get = itemgetter(*slots)
+    return get if len(slots) > 1 else lambda L: (get(L),)
 
 
 # A verdict: True, False, the Linear leaf when only it is left, or the
@@ -172,19 +186,35 @@ def _reduce(f: Formula, guard_slot: dict[int, int], decide) -> Verdict:
 
 # -- branch status ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinearRow:
     """Interval coefficients of the branch inequality on its box.
 
-    coeff_lo/coeff_hi are the endpoints of the coefficient enclosures in
-    the problem's x order (an absent coefficient is the point 0); rhs_lo
-    and rhs_hi those of the right-hand side.
+    `ends` holds the lower endpoints of the coefficient enclosures, in the
+    problem's x order (an absent coefficient is the point 0), and of the
+    right-hand side, then the upper endpoints in the same order: a row of
+    the solver's endpoint block as `CompiledBranch.row_ends` reads it from
+    the linear run.  (Not frozen: a frozen dataclass takes twice as long
+    to build, and the solver builds one per linear box.)
     """
 
-    coeff_lo: tuple[float, ...]
-    coeff_hi: tuple[float, ...]
-    rhs_lo: float
-    rhs_hi: float
+    ends: tuple[float, ...]
+
+    @property
+    def coeff_lo(self) -> tuple[float, ...]:
+        return self.ends[:len(self.ends) // 2 - 1]
+
+    @property
+    def coeff_hi(self) -> tuple[float, ...]:
+        return self.ends[len(self.ends) // 2:-1]
+
+    @property
+    def rhs_lo(self) -> float:
+        return self.ends[len(self.ends) // 2 - 1]
+
+    @property
+    def rhs_hi(self) -> float:
+        return self.ends[-1]
 
 
 @dataclass(frozen=True)
@@ -204,9 +234,14 @@ class Undecided:
 # True and False for a branch proved true or false on its box
 BranchStatus = bool | LinearRow | Undecided
 
+# The runs a box keeps: of its guard tape, where that run was whole, and of
+# its linear tape, where it ran; None otherwise
+Runs = tuple[Run | None, Run | None]
+
 
 def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
-                    hi: Sequence[float]) -> tuple[BranchStatus, int]:
+                    hi: Sequence[float], parent: Runs | None = None,
+                    dim: int | None = None) -> tuple[BranchStatus, int, Runs]:
     """Classify the compiled branch on the box with endpoints lo, hi.
 
     The status is the verdict of the walk, with a LinearRow (from one run
@@ -215,10 +250,20 @@ def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
     reaches on its slot's natural enclosure from `guard_enclosures` and,
     only where that straddles zero after a whole run, on the slot's
     mean-value enclosure, narrowed at most once per box.  The count
-    returned is that of the leaves the form decided among those reached.
+    returned is that of the leaves the form decided among those reached,
+    and the runs those of the box, which its row keeps for its children
+    and its trial splits.
+
+    `parent` holds the runs of the box this one was split from along
+    dimension `dim`.  Each tape with a parent run then runs as a child run
+    (`eval_on_box`), which re-runs only the operations that depend on
+    `dim` and gives the lists of a whole run bit for bit; a tape without
+    one runs whole.
     """
+    guard_run, linear_run = parent or (None, None)
     # a fallback run (whole False) leaves the slots the form reads at +-inf
-    L, H, whole = guard_enclosures(cb, lo, hi) if cb.guard_slot else ((), (), False)
+    L, H, whole = (guard_enclosures(cb, lo, hi, guard_run, dim) if cb.guard_slot
+                   else ((), (), False))
     narrowed: dict[int, tuple[float, float]] = {}
     mid = None
     tightened = 0
@@ -240,26 +285,38 @@ def simplify_branch(cb: CompiledBranch, lo: Sequence[float],
         return d
 
     status = _reduce(cb.formula, cb.guard_slot, decide)
+    guard_run = (L, H) if whole else None
     if isinstance(status, Linear):
-        L, H = eval_on_box(cb.linear, lo, hi)
-        r = cb.rhs_slot
-        status = LinearRow(tuple(L[s] for s in cb.coeff_slots),
-                           tuple(H[s] for s in cb.coeff_slots), L[r], H[r])
-    elif isinstance(status, list):
+        linear_run = LL, LH = eval_on_box(cb.linear, lo, hi, linear_run, dim)
+        return (LinearRow(cb.row_ends(LL) + cb.row_ends(LH)), tightened,
+                (guard_run, linear_run))
+    if isinstance(status, list):
         # max keeps the first of equally wide leaves
         slot = max(status, key=lambda s: H[s] - L[s])
         status = Undecided(slot, L[slot], H[slot])
-    return status, tightened
+    return status, tightened, (guard_run, None)
 
 
 def guard_enclosures(cb: CompiledBranch, lo: Sequence[float],
-                     hi: Sequence[float]) -> tuple[list[float], list[float], bool]:
+                     hi: Sequence[float], parent: Run | None = None,
+                     dim: int | None = None) -> tuple[list[float], list[float], bool]:
     """The slot endpoints of one run of cb.guards on the box, and True; or,
     where that run has no enclosure, those of one run per guard slot, and
     False.  A slot without an enclosure gets [-inf, +inf], which leaves its
-    guard undecided."""
+    guard undecided.
+
+    With `parent`, the guard run of the box split along `dim` into this
+    one, the run is a child run.  It raises exactly where a whole run
+    would: the operations it skips gave the parent's values, and the
+    parent's run did not raise.  Outward-rounded interval operations are
+    inclusion-isotone, so a child box's enclosures lie within its
+    parent's and a child's run should not raise where its parent's whole
+    run did not.  (Not quite always: where the parent's result was exact
+    and left unrounded, the child's may be rounded outward by one ulp past
+    it.)  The per-slot fallback stays for the run that does raise.
+    """
     try:
-        return (*eval_on_box(cb.guards, lo, hi), True)
+        return (*eval_on_box(cb.guards, lo, hi, parent, dim), True)
     except DomainError:
         pass
     n = len(lo) + len(cb.guards.init)

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,15 +47,15 @@ from .errors import (AllDimensionsDegenerate, EqualitiesInfeasible,
 from .expr import Add, Const, Expr, Mul, Sub
 from .heuristics import (RHS_COEFFICIENT, AgeTable, HeuristicConfig,
                          Strategy, round_robin_var, select_targets,
-                         split_coefficient, splitheur)
+                         split_coefficient, split_coefficients, splitheur)
 from .intervals import Box, halves, midpoint
 from .model import (And, Branch, Formula, Guard, Linear, Or, Problem,
                     validate_problem)
 from .relaxation import (DualTableau, LPSolution, adversarial_lhs,
                          residual_vector, rohn_transform, solve_feasibility)
-from .simplify import (BranchStatus, CompiledBranch, LinearRow, Undecided,
-                       compile_branch, guard_enclosures, reduce_at_point,
-                       reduce_formula, simplify_branch)
+from .simplify import (BranchStatus, CompiledBranch, LinearRow, Runs,
+                       Undecided, compile_branch, guard_enclosures,
+                       reduce_at_point, reduce_formula, simplify_branch)
 # Unused here, but the benchmark's tracer (perfbench/tracing.py) wraps
 # solver.classify_guard and solver.eval_on_box; a benchmark change that
 # drops those hooks can delete these imports and simplify.classify_guard.
@@ -115,9 +115,9 @@ class SolveOutcome:
 
 
 # (id, compiled branch, box lower endpoints, box upper endpoints,
-#  classification on the box, round-robin counter, ages)
+#  classification on the box, round-robin counter, ages, the box's runs)
 _Row = tuple[int, CompiledBranch, tuple[float, ...], tuple[float, ...],
-             BranchStatus, int, AgeTable]
+             BranchStatus, int, AgeTable, Runs]
 
 
 class _LiveBoxes:
@@ -125,17 +125,24 @@ class _LiveBoxes:
 
     Each row is a `_Row`.  Every branch is compiled once, and the boxes
     split from it share its tape; a box's children inherit its ages.  A
-    linear row also keeps the endpoints of its coefficient enclosures in
-    p_lo/p_hi (n x r) and of its right-hand side in q_lo/q_hi (n); the
-    arrays hold zeros on the other rows.  The four are views of the
-    columns of one n x (2r + 2) block, `ends`.  `improvable` (n) marks the
-    linear rows with an enclosure of positive width, the rows splitting
-    can improve.  Proved-true boxes never enter.
+    row keeps the slot lists of the runs that classified its box
+    (`simplify.Runs`): of the guard tape where that run was whole, and of
+    the linear tape where it ran.  A child of the row is classified from
+    them, re-running only the operations that depend on the split
+    dimension, and the row's trial splits read them.  A linear row also
+    keeps its endpoints in `ends`, an n x (2r + 2) block whose rows are
+    laid out as `LinearRow.ends` (the coefficients' and the right-hand
+    side's lower endpoints, then their upper endpoints; zeros on the
+    other rows); p_lo/p_hi (n x r) and q_lo/q_hi (n) are views of its
+    columns.  `improvable` (n) marks the linear rows with an enclosure of
+    positive width, the rows splitting can improve.  Proved-true boxes
+    never enter.
     `split` stages the halves of one row; `commit` drops the split rows
     and appends the staged halves, which keeps the id order because new
     ids are always the largest.  It works out `improvable` for the new
-    rows only, and joins the runs of rows between the split ones with
-    the new rows in one concatenation per array.
+    rows only, with one comparison on their block, and keeps the other
+    rows by joining the runs between the split ones, or with one mask
+    when many rows leave.
     `false_row` is the first row proved false among those the last commit
     appended, or None; no other row can be false, because the loop stops
     on one.  `undecided` counts the Undecided rows, and
@@ -166,11 +173,11 @@ class _LiveBoxes:
 
     @property
     def p_hi(self) -> np.ndarray:
-        return self.ends[:, len(self.x_vars):-2]
+        return self.ends[:, len(self.x_vars) + 1:-1]
 
     @property
     def q_lo(self) -> np.ndarray:
-        return self.ends[:, -2]
+        return self.ends[:, len(self.x_vars)]
 
     @property
     def q_hi(self) -> np.ndarray:
@@ -180,51 +187,61 @@ class _LiveBoxes:
         """Stage the two halves of row i along dim (a dimension with
         lo < mid < hi).  The first half takes the row's ages, which is
         safe because the row leaves at `commit`, the second a copy."""
-        _, cb, lo, hi, _, rr, ages = self.rows[i]
+        _, cb, lo, hi, _, rr, ages, runs = self.rows[i]
         self._split.append(i)
         for child, table in zip(halves(lo, hi, dim), (ages, ages.inherit())):
-            self._stage(cb, *child, rr + 1, table)
+            self._stage(cb, *child, rr + 1, table, runs, dim)
 
     def _stage(self, cb: CompiledBranch, lo: tuple[float, ...],
-               hi: tuple[float, ...], rr: int, ages: AgeTable) -> None:
-        status, tightened = simplify_branch(cb, lo, hi)
+               hi: tuple[float, ...], rr: int, ages: AgeTable,
+               parent: Runs | None = None, dim: int | None = None) -> None:
+        status, tightened, runs = simplify_branch(cb, lo, hi, parent, dim)
         self.guard_tightenings += tightened
         if status is not True:
-            self._staged.append((self.next_id, cb, lo, hi, status, rr, ages))
+            self._staged.append((self.next_id, cb, lo, hi, status, rr, ages, runs))
         self.next_id += 1
 
     def commit(self) -> None:
         new, split, rows = self._staged, sorted(self._split), self.rows
         for i in split:
             self.undecided -= isinstance(rows[i][4], Undecided)
-        # the runs of rows between split rows, which keep their order
-        kept = [slice(lo, hi) for lo, hi in
-                zip([0, *[i + 1 for i in split]], [*split, len(rows)])]
-        for i in reversed(split):
-            del rows[i]
+        if len(split) > _MASK_SPLITS:
+            mask = np.ones(len(rows), dtype=bool)
+            mask[split] = False
+            self.rows = rows = [row for row, keep in zip(rows, mask.tolist()) if keep]
+            kept = [mask]
+        else:
+            # the runs of rows between split rows, which keep their order
+            kept = [slice(lo, hi) for lo, hi in
+                    zip([0, *[i + 1 for i in split]], [*split, len(rows)])]
+            for i in reversed(split):
+                del rows[i]
         start = len(rows)
         rows += new
         self.false_row = None
-        zero = (0.0,) * self.ends.shape[1]
-        ends, improvable, ids = [], [], []
-        for k, (bid, _, _, _, status, *_) in enumerate(new):
-            ids.append(bid)
+        width = self.ends.shape[1]
+        zero = (0.0,) * width
+        ends = []
+        for k, row in enumerate(new):
+            status = row[4]
             if isinstance(status, LinearRow):
-                ends.append((*status.coeff_lo, *status.coeff_hi,
-                             status.rhs_lo, status.rhs_hi))
-                improvable.append(_has_width(status))
+                ends.append(status.ends)
                 continue
             ends.append(zero)
-            improvable.append(False)
             self.undecided += isinstance(status, Undecided)
             if status is False and self.false_row is None:
                 self.false_row = start + k
-        self.ends = np.concatenate([self.ends[k] for k in kept] + [
-            np.array(ends, dtype=float).reshape(len(new), len(zero))])
+        block = np.fromiter(chain.from_iterable(ends), float,
+                            len(new) * width).reshape(len(new), width)
+        half = width // 2
+        # lo < hi for doubles exactly when hi - lo > 0, an infinite
+        # difference included
+        improvable = (block[:, :half] < block[:, half:]).any(axis=1)
+        self.ends = np.concatenate([self.ends[k] for k in kept] + [block])
         self.improvable = np.concatenate([self.improvable[k] for k in kept]
-                                         + [np.array(improvable, dtype=bool)])
+                                         + [improvable])
         self.keys = np.concatenate([self.keys[k] for k in kept]
-                                   + [np.array(ids, dtype=np.intp)])
+                                   + [np.array([row[0] for row in new], dtype=np.intp)])
         self._split, self._staged = [], []
 
     def witness(self, i: int) -> Branch:
@@ -232,12 +249,9 @@ class _LiveBoxes:
         return Branch(Box.from_endpoints(cb.tape.names, lo, hi), cb.formula)
 
 
-def _has_width(row: LinearRow) -> bool:
-    """Whether an enclosure of the row has positive width, so that
-    splitting its box can improve it.  For doubles lo < hi exactly when
-    hi - lo > 0, an infinite difference included."""
-    return row.rhs_lo < row.rhs_hi or any(map(operator.lt, row.coeff_lo,
-                                              row.coeff_hi))
+# A commit that drops more rows than this keeps the others with one mask,
+# which is faster than joining the runs between them from about here on
+_MASK_SPLITS = 8
 
 
 def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
@@ -277,16 +291,17 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
         of the row's tape; round-robin without a target slot, under
         round-robin, or where `base` has no finite width, which
         `splitheur` cannot score.  False when no dimension can be split."""
-        bid, cb, lo, hi, _, rr, ages = live.rows[i]
+        bid, cb, lo, hi, status, rr, ages, runs = live.rows[i]
         try:
             if (slot is None or hc.strategy is Strategy.ROUND_ROBIN
                     or not math.isfinite(base[1] - base[0])):
                 dim = round_robin_var(lo, hi, rr)
             else:
-                # the ages as ints, so that the scores are float arithmetic
+                # an LP target's slot is in the linear run, a guard's in
+                # the guard run
+                run = runs[1] if isinstance(status, LinearRow) else runs[0]
                 dim = splitheur(cb.cones[slot], slot, lo, hi, base, sign,
-                                ages.ages(slot, len(lo)).tolist(),
-                                hc.aging_kappa)
+                                ages.ages(slot, len(lo)), hc.aging_kappa, run)
                 ages.record_choice(slot, len(lo), dim)
         except AllDimensionsDegenerate:
             return False
@@ -305,7 +320,8 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                                 "a branch is false over its whole box"))
 
         # targets (row, slot, sign, base, coefficient): the widest undecided
-        # guard while any box is undecided, else the LP's rows, scored lazily
+        # guard while any box is undecided, else the LP's rows, scored
+        # lazily, or all at once under split-all, which splits them all
         if live.undecided:
             targets = [(*_pick_undecided(live), None)]
             suffix = " before guard split"
@@ -341,7 +357,9 @@ def solve(problem: Problem, config: SolveConfig | None = None) -> SolveOutcome:
                     return done(witness(int(np.argmax(resid)),
                                         "exact interval system is LP-infeasible"))
                 return stop("numerically marginal rho on an unsplittable system")
-            targets = (_lp_target(live, i, sol, hc) for i in rows)
+            targets = (_lp_targets(live, rows, sol, hc)
+                       if hc.strategy is Strategy.SPLIT_ALL
+                       else (_lp_target(live, i, sol, hc) for i in rows))
             suffix = ""
             exhausted = "no target branch can be split further"
 
@@ -379,15 +397,30 @@ def _lp_target(live: _LiveBoxes, i: int, sol: LPSolution,
     coefficient `split_coefficient` picks from the widths of the row's
     coefficient enclosures, its tape slot and its enclosure on the box;
     no slot or base without a coefficient."""
-    cb, row = live.rows[i][1], live.rows[i][4]
-    coefficient, sign = split_coefficient(
-        (hi - lo for lo, hi in zip(row.coeff_lo, row.coeff_hi)), sol, hc)
+    row = live.rows[i][4]
+    return _target(live, i, *split_coefficient(
+        (hi - lo for lo, hi in zip(row.coeff_lo, row.coeff_hi)), sol, hc))
+
+
+def _lp_targets(live: _LiveBoxes, rows: np.ndarray, sol: LPSolution,
+                hc: HeuristicConfig) -> list:
+    """Every row of `rows` as a split target, as `_lp_target` gives it,
+    the coefficients chosen by `split_coefficients` in one array pass."""
+    with np.errstate(over="ignore"):  # an infinite width is a width
+        widths = live.p_hi[rows] - live.p_lo[rows]
+    return [_target(live, i, coefficient, sign) for i, (coefficient, sign)
+            in zip(rows.tolist(), split_coefficients(widths, sol, hc))]
+
+
+def _target(live: _LiveBoxes, i: int, coefficient: int | None, sign: str | None):
+    """Row i as a split target for `coefficient`, with the slot's enclosure
+    from the row's linear run."""
     if coefficient is None:
         return i, None, sign, None, None
-    if coefficient == RHS_COEFFICIENT:
-        return i, cb.rhs_slot, sign, (row.rhs_lo, row.rhs_hi), coefficient
-    return (i, cb.coeff_slots[coefficient], sign,
-            (row.coeff_lo[coefficient], row.coeff_hi[coefficient]), coefficient)
+    row = live.rows[i]
+    cb, (L, H) = row[1], row[7][1]
+    slot = cb.rhs_slot if coefficient == RHS_COEFFICIENT else cb.coeff_slots[coefficient]
+    return i, slot, sign, (L[slot], H[slot]), coefficient
 
 
 def _solution(x, live: _LiveBoxes, stats: SolveStats) -> SolveOutcome:

@@ -9,7 +9,8 @@ from efsolver.expr import compile_tape, enclose
 from efsolver.heuristics import (RHS_COEFFICIENT, TIE_TOL, AgeTable,
                                  HeuristicConfig, Strategy, coeff_score,
                                  round_robin_var, select_targets,
-                                 split_coefficient, splitheur)
+                                 split_coefficient, split_coefficients,
+                                 splitheur)
 from efsolver.intervals import Box, Interval
 from efsolver.relaxation import (LPSolution, residual_vector,
                                  solve_feasibility)
@@ -191,13 +192,21 @@ def reference_targets(rows, sol, residual, cfg):
 
 
 def test_vectorised_selection_matches_per_row_reference():
-    rng = np.random.default_rng(71)
-    kinds = 0
+    # split-all rounds choose their coefficients in one array pass
+    # (split_coefficients), which must equal split_coefficient row by row
+    # under every strategy;
+    # a second stream adds coefficients wider than the largest double (an
+    # infinite width, a NaN score at a zero LP value and epsilon 0) and
+    # epsilon 1e308, whose finite-width scores overflow and are rescaled
+    rng, extra = np.random.default_rng(71), np.random.default_rng(72)
+    kinds = nan_rows = rescaled = 0
     for trial in range(400):
         n, r = int(rng.integers(1, 9)), int(rng.integers(1, 5))
         # coarse grids make ties in residuals, scores and LP values common
         c = rng.integers(-4, 5, size=(n, r)) / 2.0
         w = rng.choice([0.0, 0.5, 1.0, 2.0], size=(n, r))
+        if trial % 2:
+            w[extra.random((n, r)) < 0.25] = 1.5e308    # an infinite width
         w[rng.random(n) < 0.2] = 0.0                    # no coefficient width
         q = rng.integers(-4, 5, size=n) / 2.0
         qw = rng.choice([0.0, 0.0, 1.0], size=n)        # rhs-only or degenerate
@@ -208,20 +217,37 @@ def test_vectorised_selection_matches_per_row_reference():
         sys = EndpointSystem.of(rows)
         x1 = rng.choice([0.0, 0.0, 1.0, 2.5], size=r)
         x2 = np.where(x1 > 0, 0.0, rng.choice([0.0, 1.0, 2.5], size=r))
+        if trial % 2:
+            k = int(extra.integers(r))
+            x1[k] = x2[k] = 0.0                         # NaN at epsilon 0
         residual = rng.integers(-2, 3, size=n) / 2.0
         if trial % 2:
             # LP round-off: gaps far below TIE_TOL, some right at it
             residual += rng.choice([0.0, 1e-13, TIE_TOL, 2 * TIE_TOL], size=n)
         sol = LPSolution(x1, x2, float(residual.max()))
-        kinds += (w.sum(axis=1) == 0).any() and (qw > 0).any()
-        for strategy in Strategy:
-            cfg = HeuristicConfig(epsilon=float(rng.choice([0.0, 1e-3])),
-                                  strategy=strategy)
-            ref = reference_targets(rows, sol, residual, cfg)
-            got = [(int(i), *split_coefficient(sys.p_width[i], sol, cfg))
-                   for i in _select(sys, residual, cfg)]
-            assert got == ref
+        # an infinite width is a width, and its score at a zero factor NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = sys.p_width
+            kinds += (w.sum(axis=1) == 0).any() and (qw > 0).any()
+            for strategy in Strategy:
+                epsilons = [float(rng.choice([0.0, 1e-3]))]
+                if extra.random() < 0.2:
+                    epsilons.append(1e308)
+                for epsilon in epsilons:
+                    cfg = HeuristicConfig(epsilon=epsilon, strategy=strategy)
+                    targets = _select(sys, residual, cfg)
+                    per_row = [split_coefficient(width[i], sol, cfg) for i in targets]
+                    assert split_coefficients(width[targets], sol, cfg) == per_row
+                    if strategy is Strategy.SPLIT_ALL:
+                        scores = width[targets] * (np.maximum(x1, x2) + epsilon)
+                        nan_rows += np.isnan(scores).any(axis=1).sum()
+                        rescaled += (np.isfinite(width[targets])
+                                     & ~np.isfinite(scores)).any(axis=1).sum()
+                    if epsilon < 1e308:  # the reference does not rescale
+                        got = [(int(i), *choice) for i, choice in zip(targets, per_row)]
+                        assert got == reference_targets(rows, sol, residual, cfg)
     assert kinds > 20  # rhs-only rows were exercised
+    assert nan_rows > 20 and rescaled > 20
 
 
 def choose(t, box, sign, ages, kappa):
@@ -337,13 +363,13 @@ def test_age_table_inheritance():
     table = AgeTable()
     table.record_choice(slot, 2, 0)   # ages now [0, 1]
     child = table.inherit()
-    assert child.ages(slot, 2).tolist() == [0, 1]
+    assert child.ages(slot, 2) == [0, 1]
     # the copies are independent
     child.record_choice(slot, 2, 1)
-    assert child.ages(slot, 2).tolist() == [1, 0]
-    assert table.ages(slot, 2).tolist() == [0, 1]
+    assert child.ages(slot, 2) == [1, 0]
+    assert table.ages(slot, 2) == [0, 1]
     # a slot never chosen starts at zeros
-    assert child.ages(slot + 1, 2).tolist() == [0, 0]
+    assert child.ages(slot + 1, 2) == [0, 0]
 
 
 def test_heuristic_config_rejects_infinite_kappa():

@@ -183,7 +183,7 @@ def test_only_undecided_guards_are_tightened():
              for g in formula_leaves(br.formula) if isinstance(g, Guard)]
     natural = [decide_guard(strict, L[s], H[s]) for s, strict in slots]
     assert natural == [False, None]
-    status, tightened = simplify_branch(cb, lo, hi)
+    status, tightened, _ = simplify_branch(cb, lo, hi)
     assert isinstance(status, LinearRow) and tightened == 1
 
 
@@ -199,5 +199,5 @@ def test_walk_narrows_only_the_leaves_it_reaches():
     """)
     br = p.branches[0]
     cb = compile_branch(br.formula, br.box.names, p.x_vars)
-    assert simplify_branch(cb, *br.box.endpoints()) == (True, 1)
+    assert simplify_branch(cb, *br.box.endpoints())[:2] == (True, 1)
     assert len(cb.mean_value) == 1

@@ -220,7 +220,7 @@ def test_simplify_branch_proved_false():
 def test_simplify_branch_undecided(two_branch_problem):
     br = two_branch_problem.branches[0]
     cb = compile_branch(br.formula, br.box.names, two_branch_problem.x_vars)
-    status, _ = simplify_branch(cb, *br.box.endpoints())
+    status, *_ = simplify_branch(cb, *br.box.endpoints())
     assert isinstance(status, Undecided)
     # the one guard, y2 - y1 <= 0, and its natural enclosure, for the guard
     # pick
@@ -241,7 +241,7 @@ def test_guard_without_enclosure_is_undecided():
     cb = compile_branch(br.formula, br.box.names, p.x_vars)
     (g,) = guard_leaves(br.formula)
     status = Undecided(cb.guard_slot[id(g)], -np.inf, np.inf)
-    assert simplify_branch(cb, *br.box.endpoints()) == (status, 0)
+    assert simplify_branch(cb, *br.box.endpoints()) == (status, 0, (None, None))
 
 
 def test_missing_coefficient_becomes_zero_interval():

@@ -1,15 +1,22 @@
-"""Interval tapes against the tree-walk oracle `Expr.interval`.
+"""Interval tapes against the tree-walk oracle `Expr.interval`, and child
+and trial runs against whole runs.
 
 A tape runs as a generated kernel that calls the float-level helpers of
 `intervals`, which the oracle calls too.  So a tape must give the oracle's
 enclosure bit for bit, and must raise DomainError, with the same message,
-exactly where the oracle does."""
+exactly where the oracle does; a child or trial run, which re-runs only
+the operations that depend on one dimension, must give what whole runs on
+the same boxes give."""
 
+import importlib.util
 import io
 import keyword
+import math
 import re
 import sys
 import tokenize
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import efsolver as ef
-from efsolver import expr, simplify
+from efsolver import expr, simplify, solver
+from efsolver.benchmarks import load_benchmark
 from efsolver.errors import DomainError
 from efsolver.expr import (Add, Const, Cos, Div, Mul, Neg, Pow, Sin, Sub, Var,
                            compile_tape, eval_on_box)
-from efsolver.intervals import Box, Interval
+from efsolver.intervals import Box, Interval, halves, midpoint
+from efsolver.simplify import compile_branch
 
 from conftest import box_env, parse_expr
 
@@ -282,3 +291,256 @@ def test_solve_compiles_once_per_branch(benchmarks, monkeypatch, name, strategy)
     calls.clear()
     assert ef.verify_solution(problem, out.x)
     assert len(calls) == len(problem.branches)
+
+
+# -- child and trial runs from a parent's slot lists -----------------------------
+#
+# A row keeps the slot lists of the runs that classified its box; a child
+# re-runs only the operations that depend on the split dimension, and a
+# trial run re-runs, per dimension, only the operations of the target's cone
+# that depend on it.  The replays below check every child classification and
+# every splitheur call of whole solves against whole runs on the same boxes.
+
+def hexes(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def outcome(run):
+    """The hex lists of run(), or the DomainError message."""
+    try:
+        return [hexes(ends) for ends in run()]
+    except DomainError as e:
+        return f"DomainError: {e}"
+
+
+@SETTINGS
+@given(ts=st.lists(exprs, min_size=1, max_size=3), box=boxes(), dim=st.integers(0, 2),
+       sign=st.sampled_from("+-"))
+def test_child_and_trial_runs_match_whole_runs_on_random_tapes(ts, box, dim, sign):
+    # on every box where the parent's whole run has an enclosure: each
+    # half's child run gives the half's whole run, or raises where it does
+    # with the same message, and the trial run gives the per-trial loop
+    tape = compile_tape(ts, NAMES)
+    lo, hi = box.endpoints()
+    try:
+        parent = eval_on_box(tape, lo, hi)
+    except DomainError:
+        return
+    for root in tape.roots:
+        cone = tape.restrict((root,))
+        assert outcome(lambda: [eval_on_box(cone, lo, hi, parent, sign=sign)]) == outcome(
+            lambda: [reference_trials(cone, root, lo, hi, sign)])
+    mid = midpoint(lo[dim], hi[dim])
+    if not lo[dim] < mid < hi[dim]:
+        return
+    for child in halves(lo, hi, dim):
+        assert outcome(lambda: eval_on_box(tape, *child, parent, dim)) == outcome(
+            lambda: eval_on_box(tape, *child))
+
+
+def reference_trials(tape, slot, lo, hi, sign):
+    """The per-trial loop that a trial run replaces: per dimension, the
+    targeted bound of slot on the lower and then on the upper half, each
+    from a whole run on the half; None twice for a dimension without
+    lo < mid < hi."""
+    upper = sign == "+"
+    child_lo, child_hi = list(lo), list(hi)
+    bounds = []
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        mid = midpoint(l, h)
+        if not l < mid < h:
+            bounds += [None, None]
+            continue
+        for endpoints, old in ((child_hi, h), (child_lo, l)):
+            endpoints[i] = mid
+            L, H = eval_on_box(tape, child_lo, child_hi)
+            endpoints[i] = old
+            bounds.append(H[slot] if upper else L[slot])
+    return bounds
+
+
+def reference_splitheur(tape, slot, lo, hi, base, sign, ages, kappa):
+    """splitheur as it ran with two whole runs per dimension."""
+    blo, bhi = base
+    upper = sign == "+"
+    bound = bhi if upper else blo
+    base_width = bhi - blo
+    credit, scale = kappa * base_width, 1.0
+    oldest = int(max(ages, default=0))
+    if math.isinf(credit * max(oldest, 1)) and math.isfinite(base_width):
+        top = sum(math.frexp(v)[1] for v in (kappa, base_width, oldest))
+        scale = math.ldexp(1.0, 1000 - top)
+        credit = kappa * scale * base_width
+    child_lo, child_hi = list(lo), list(hi)
+    best_i = None
+    best_score = -1.0
+    for i, (l, h) in enumerate(zip(lo, hi)):
+        mid = midpoint(l, h)
+        if not l < mid < h:
+            continue
+        improvement = 0.0
+        for endpoints, old in ((child_hi, h), (child_lo, l)):
+            endpoints[i] = mid
+            L, H = eval_on_box(tape, child_lo, child_hi)
+            endpoints[i] = old
+            movement = abs(bound - (H[slot] if upper else L[slot]))
+            improvement = max(improvement, movement)
+        score = credit * ages[i] + improvement * scale
+        if score > best_score:
+            best_score = score
+            best_i = i
+    if best_i is None:
+        raise ef.AllDimensionsDegenerate("no splittable dimension in box")
+    return best_i
+
+
+def whole_run(tape, lo, hi):
+    """The hex slot lists of a whole run, or None where it raises."""
+    try:
+        L, H = eval_on_box(tape, lo, hi)
+    except DomainError:
+        return None
+    return hexes(L), hexes(H)
+
+
+def check_child(cb, lo, hi, parent, got):
+    """A child's status, kept runs and row against whole runs on its box."""
+    status, tightened, (guard_run, linear_run) = got
+    want, want_tightened, _ = simplify.simplify_branch(cb, lo, hi)
+    assert tightened == want_tightened
+    if isinstance(want, simplify.LinearRow):
+        assert isinstance(status, simplify.LinearRow)
+        assert hexes(status.ends) == hexes(want.ends)
+    elif isinstance(want, simplify.Undecided):
+        assert (status.slot, *hexes((status.lo, status.hi))) == (
+            want.slot, *hexes((want.lo, want.hi)))
+    else:
+        assert status is want
+    if cb.guard_slot:
+        whole = whole_run(cb.guards, lo, hi)
+        assert (None if guard_run is None else tuple(map(hexes, guard_run))) == whole
+    else:
+        assert guard_run is None
+    if isinstance(status, simplify.LinearRow):
+        assert tuple(map(hexes, linear_run)) == whole_run(cb.linear, lo, hi)
+    else:
+        assert linear_run is None
+
+
+def replay(monkeypatch, problem, strategy, max_splits):
+    """Solve with every child classification and splitheur call checked;
+    the outcome and counts of the kinds of checked calls."""
+    seen = Counter()
+    classify, choose = solver.simplify_branch, solver.splitheur
+
+    def checked_classify(cb, lo, hi, parent=None, dim=None):
+        got = classify(cb, lo, hi, parent, dim)
+        if parent is not None:
+            check_child(cb, lo, hi, parent, got)
+            seen["child"] += 1
+            fell_back = bool(cb.guard_slot) and parent[0] is None
+            seen["child of a fallback guard run"] += fell_back
+            seen["kept guard run after a fallback"] += fell_back and got[2][0] is not None
+            seen["child of an undecided row"] += parent[1] is None
+            seen["linear run from the parent"] += (got[2][1] is not None
+                                                   and parent[1] is not None)
+        return got
+
+    def checked_choose(tape, slot, lo, hi, base, sign, ages, kappa, parent=None):
+        run = eval_on_box(tape, lo, hi) if parent is None else parent
+        assert hexes(eval_on_box(tape, lo, hi, run, sign=sign)) == hexes(
+            reference_trials(tape, slot, lo, hi, sign))
+        want = reference_splitheur(tape, slot, lo, hi, base, sign, list(ages), kappa)
+        dim = choose(tape, slot, lo, hi, base, sign, ages, kappa, parent)
+        assert dim == want
+        seen["splitheur"] += 1
+        seen["splitheur without a run"] += parent is None
+        return dim
+
+    monkeypatch.setattr(solver, "simplify_branch", checked_classify)
+    monkeypatch.setattr(solver, "splitheur", checked_choose)
+    out = ef.solve(problem, ef.SolveConfig(heuristic=ef.HeuristicConfig(
+        strategy=ef.Strategy.from_name(strategy)), max_splits=max_splits))
+    return out, seen
+
+
+@pytest.mark.parametrize("name,strategy,splits", [
+    ("A", "split-all", 60), ("B", "split-all", 104), ("C", "split-all", 91),
+    ("D", "split-all", 458), ("D", "split-worst", 418)])
+def test_child_and_trial_runs_match_whole_runs(benchmarks, monkeypatch, name,
+                                               strategy, splits):
+    out, seen = replay(monkeypatch, benchmarks[name], strategy, 1500)
+    assert out.is_solution and out.stats.splits == splits
+    assert seen["child"] == 2 * splits
+    assert seen["linear run from the parent"] == 2 * splits
+    assert seen["splitheur"] == splits
+
+
+def guarded_pass(monkeypatch, seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "guarded.py"
+    spec = importlib.util.spec_from_file_location("perfbench_guarded", path)
+    guarded = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, guarded)  # for its dataclasses
+    spec.loader.exec_module(guarded)
+    return [(ef.parse_problem(inst.text),
+             guarded.CROSSING_MAX_SPLITS if inst.kind == "crossing" else guarded.MAX_SPLITS)
+            for inst in guarded.generate_pass(seed)]
+
+
+def test_child_and_trial_runs_match_whole_runs_on_guards(monkeypatch):
+    # the benchmark's guarded instances of seed 101, whose undecided rows'
+    # children are classified from the parent's guard run alone
+    total = Counter()
+    for problem, cap in guarded_pass(monkeypatch, 101):
+        _, seen = replay(monkeypatch, problem, "split-all", cap)
+        total += seen
+    assert total["child of an undecided row"] > 100
+    assert total["splitheur"] > 100
+
+
+@pytest.mark.parametrize("strategy", ["split-all", "round-robin"])
+def test_child_runs_after_a_fallback_guard_run(monkeypatch, strategy):
+    # 1/y1 has no enclosure on a box around y1 = 0, so the guard run falls
+    # back per slot and the row keeps no guard run; a child away from 0
+    # runs whole and keeps its run
+    _, seen = replay(monkeypatch, ef.parse_problem(
+        "exists x1 ;\nforall-vars y1 ;\nbranch y1 in [-1,1] : 1/y1 <= 0 or x1 <= 1 ;\n"),
+        strategy, 50)
+    assert seen["child of a fallback guard run"] > 0
+    assert seen["kept guard run after a fallback"] > 0
+
+
+def test_trial_run_without_a_kept_run(monkeypatch):
+    # the and-clause is false without its second guard, which has no
+    # enclosure on the box: the guard run falls back per slot, the row is
+    # undecided on its first guard, and its trial split first runs the
+    # guard's cone whole
+    problem = ef.parse_problem("""
+        exists x1 ;
+        forall-vars y1 y2 ;
+        branch y1 in [-1,1], y2 in [-1,1] :
+          y1^2 + y1*y2 - 0.5 <= 0 or (2 - y1 <= 0 and 1/y1 <= 0) or x1 <= 1 ;
+    """)
+    _, seen = replay(monkeypatch, problem, "split-all", 40)
+    assert seen["splitheur without a run"] > 0
+    assert seen["splitheur"] > seen["splitheur without a run"]
+
+
+def test_negated_constants_compile_to_constants():
+    # negation is exact, so the negation of a constant is a constant slot,
+    # -0.0 kept apart from 0.0
+    y1 = Var("y1")
+    exprs = (Mul(Neg(Const(2.0)), y1), Neg(Neg(Const(-0.0))), Sub(y1, Neg(Const(3.0))))
+    tape = compile_tape(exprs, ("y1",))
+    assert [op[0] for op in tape.ops] == ["mul", "sub"]
+    box = Box.of(("y1", (-1.0, 2.0)))
+    assert tape_run(tape, box) == [oracle(t, box) for t in exprs]
+    # a whole run of a bundled instance's linear tape ran 2 (A), 2 (B),
+    # 5 (C) and 2 (D) such negations before
+    for name in "ABCD":
+        problem = load_benchmark(name)
+        for br in problem.branches:
+            t = compile_branch(br.formula, br.box.names, problem.x_vars).tape
+            results = {dst for *_, dst in t.ops}
+            assert not [op for op in t.ops if op[0] == "neg" and op[1] >= len(t.names)
+                        and op[1] not in results], name
